@@ -3,8 +3,8 @@
 from .channel import LinkBudget, backscatter_rx_power, dbm_to_watts, friis_gain, watts_to_dbm
 from .dyadic import (DyadicChannel, draw_channel, dyadic_composite,
                      estimate_diversity_order, simulate_dyadic_ber)
-from .energymodel import (ConsumptionProfile, SlotOutcome, activation_decision,
-                          duty_cycle_tradeoff, harvested_energy, step_slot,
+from .energymodel import (ConsumptionProfile, EnergyLedger, activation_decision,
+                          duty_cycle_tradeoff, harvested_energy, step_population,
                           traditional_tx_power)
 from .mac import (SlotAssignment, aggregate_interference, count_interference_components,
                   expected_simultaneous, tdma_schedule, th_ss_assign,

@@ -8,6 +8,7 @@ line goes to stdout, data only to the file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -45,6 +46,16 @@ class ExperimentSpec:
     trials_override: int | None = None
 
 
+def _bounded_int(low, high):
+    """argparse type: an integer in [low, high], else a usage error."""
+    def integer(text):
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{low}, {high}]")
+        return value
+    return integer
+
+
 def parse_args(argv):
     """Parse CLI flags into an ExperimentSpec; usage errors exit with 2."""
     parser = argparse.ArgumentParser(
@@ -55,8 +66,9 @@ def parse_args(argv):
     parser.add_argument("--config", default=None,
                         help="flat key = value config file (defaults built in)")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--trials", type=int, default=None,
+    parser.add_argument("--seed", type=_bounded_int(0, 2**64 - 1), default=None,
+                        help="master seed override (u64)")
+    parser.add_argument("--trials", type=_bounded_int(1, math.inf), default=None,
                         help="trial-count override (topologies or Monte Carlo draws)")
     args = parser.parse_args(argv)
     return ExperimentSpec(name=args.experiment, config_path=args.config,
@@ -72,7 +84,7 @@ def _load(spec):
 
 
 def _fig3_rows(config, trials):
-    results = run_comparison(config, num_topologies=trials or 200)
+    results = run_comparison(config, num_topologies=200 if trials is None else trials)
     return CSV_HEADER, [r.csv_row() for r in results]
 
 
@@ -99,7 +111,7 @@ def _tradeoff_duty_rows(config, _trials):
 
 
 def _thss_rows(config, trials):
-    n_trials = trials or 100_000
+    n_trials = 100_000 if trials is None else trials
     rows = []
     for idx, (k, n) in enumerate(THSS_CASES):
         rng = derive_stream(config.seed, idx, PURPOSE_MAC)
@@ -115,7 +127,7 @@ def _interference_rows(_config, _trials):
 
 
 def _dyadic_rows(config, trials):
-    n_trials = trials or 200_000
+    n_trials = 200_000 if trials is None else trials
     rows = []
     for ell in (1, 2):
         rng = derive_stream(config.seed, ell, PURPOSE_MAC)

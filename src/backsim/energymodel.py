@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .scenario import NodeKind
 
 
@@ -53,21 +55,34 @@ class ConsumptionProfile:
                    sense_energy_j=config.sense_energy_j, min_radiated_w=min_radiated)
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Energy flows of one node over one slot."""
+@dataclass
+class EnergyLedger:
+    """Per-node battery and cumulative energy flows of one population.
 
-    harvested_j: float
-    consumed_j: float
-    was_active: bool
-    tx_power_w: float        # radiated power (traditional, 0 otherwise)
-    reflect_fraction: float  # reflected fraction (backscatter, 0 otherwise)
-    battery_after_j: float
+    Entry i of every array belongs to node i; batteries start empty.
+    """
+
+    battery_j: np.ndarray
+    harvested_j: np.ndarray
+    consumed_j: np.ndarray
+    slots_active: np.ndarray
+
+    @classmethod
+    def empty(cls, num_nodes):
+        return cls(np.zeros(num_nodes), np.zeros(num_nodes), np.zeros(num_nodes),
+                   np.zeros(num_nodes, dtype=np.int64))
+
+    def drift_j(self):
+        """Harvested minus consumed minus stored energy; zero up to rounding."""
+        return self.harvested_j - self.consumed_j - self.battery_j
 
 
 def harvested_energy(incident_w, efficiency, duration_s):
-    """Energy captured from an incident wave: power x efficiency x time."""
-    if incident_w < 0.0 or duration_s < 0.0:
+    """Energy captured from an incident wave: power x efficiency x time.
+
+    Accepts a scalar or an array of incident powers.
+    """
+    if (np.asarray(incident_w) < 0.0).any() or duration_s < 0.0:
         raise ValueError("incident power and duration must be non-negative")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")
@@ -93,9 +108,10 @@ def activation_decision(battery_j, profile, config):
     """True (active) iff the battery covers the active-mode requirement.
 
     The boundary is inclusive: a battery exactly at the requirement
-    activates, which keeps the threshold deterministic.
+    activates, which keeps the threshold deterministic. Accepts a scalar or
+    an array of battery levels.
     """
-    if battery_j < 0.0:
+    if (np.asarray(battery_j) < 0.0).any():
         raise ValueError("battery must be non-negative")
     return battery_j >= required_active_energy(profile, config)
 
@@ -105,54 +121,49 @@ def traditional_tx_power(battery_j, profile, config):
 
     Everything left after sensing and circuit overheads is pushed through
     the class-AB amplifier over the active window; the battery is empty by
-    the end of the slot.
+    the end of the slot. Accepts a scalar or an array of battery levels.
     """
     overhead_j = profile.sense_energy_j + (
         profile.digital_w + profile.mixer_w + profile.dac_w) * config.active_s
     drain_j = battery_j - overhead_j
-    if drain_j < 0.0:
+    if (np.asarray(drain_j) < 0.0).any():
         raise ValueError("node lacks the active-mode overhead; it should be silent")
     return profile.pa_efficiency * drain_j / config.active_s
 
 
-def step_slot(node, incident_w, profile, config):
-    """Advance one node through one slot, mutating it, and report the flows.
+def step_population(ledger, incident_w, profile, config):
+    """Advance every node of one population through one slot.
 
-    Harvesting happens only during the harvesting sub-slot (an active
-    backscatter node reflects everything during the active window, so it
-    harvests nothing there). Degenerate inputs resolve to silent outcomes.
+    ``incident_w[i]`` is the carrier power reaching node i. Each node
+    harvests during the harvesting sub-slot only (an active backscatter
+    node reflects everything during the active window, so it harvests
+    nothing there), activates iff its battery covers the requirement, and
+    pays for the slot. Updates ``ledger`` in place and returns the active
+    mask and the power each node emits: the full reflected incident wave for
+    an active backscatter node, the amplifier output for an active
+    traditional node, zero for a silent one.
     """
     harvested = harvested_energy(incident_w, config.harvest_efficiency, config.harvest_s)
-    battery = node.battery_j + harvested
+    battery = ledger.battery_j + harvested
     active = activation_decision(battery, profile, config)
 
-    tx_power = 0.0
-    reflect = 0.0
-    if not active:
-        consumed = 0.0
-    elif profile.kind == NodeKind.BACKSCATTER:
-        consumed = profile.sense_energy_j + profile.digital_w * config.active_s
-        reflect = 1.0
+    if profile.kind == NodeKind.BACKSCATTER:
+        consumed = np.where(active, required_active_energy(profile, config), 0.0)
+        emitted = np.where(active, incident_w, 0.0)
     else:
-        tx_power = traditional_tx_power(battery, profile, config)
-        consumed = battery  # greedy: overheads plus full PA drain
+        consumed = np.where(active, battery, 0.0)  # greedy: overheads plus full PA drain
+        emitted = np.zeros(battery.shape)
+        emitted[active] = traditional_tx_power(battery[active], profile, config)
 
     battery_after = battery - consumed
-    if battery_after < 0.0:
+    if (battery_after < 0.0).any():
         raise RuntimeError("battery went negative; energy accounting is broken")
 
-    node.battery_j = battery_after
-    node.was_active = active
-    node.tx_power_w = tx_power
-    node.reflect_fraction = reflect
-    node.harvested_total_j += harvested
-    node.consumed_total_j += consumed
-    node.slots_seen += 1
-    node.slots_active += int(active)
-
-    return SlotOutcome(harvested_j=harvested, consumed_j=consumed, was_active=active,
-                       tx_power_w=tx_power, reflect_fraction=reflect,
-                       battery_after_j=battery_after)
+    ledger.battery_j = battery_after
+    ledger.harvested_j += harvested
+    ledger.consumed_j += consumed
+    ledger.slots_active += active
+    return active, emitted
 
 
 def duty_cycle_tradeoff(alpha, incident_w, reflect_mean_fraction, config):

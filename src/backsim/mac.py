@@ -11,15 +11,9 @@ free-space factor and is numerically negligible at these ranges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import friis_gain
-from .scenario import NodeKind
-
-MODES = ("all_on", "tdma", "th_ss")
 
 
 @dataclass(frozen=True)
@@ -35,6 +29,14 @@ class SlotAssignment:
         for node_id, slot in self.assignments.items():
             if not 0 <= slot < self.frame_length:
                 raise ValueError(f"slot {slot} of node {node_id} outside [0, {self.frame_length})")
+
+    def co_slot_mask(self, node_ids):
+        """mask[j, i] is true iff nodes j and i transmit in the same sub-slot."""
+        missing = [nid for nid in node_ids if nid not in self.assignments]
+        if missing:
+            raise ValueError(f"nodes {missing} have no slot assignment")
+        slots = np.array([self.assignments[nid] for nid in node_ids])
+        return slots[:, None] == slots[None, :]
 
 
 def tdma_schedule(node_ids, frame_length):
@@ -97,39 +99,17 @@ def count_interference_components(num_links):
     return (num_links - 1) * num_links
 
 
-def aggregate_interference(receiver, actives, pb_power_w, config, mode="all_on",
-                           assignment=None):
-    """Total interference power at one node's receiver, in watts.
+def aggregate_interference(emitted_w, gain):
+    """Interference power at every receiver, in watts.
 
-    ``actives`` holds the other transmitting nodes in this slot (the
-    receiver's own transmitter excluded). A backscatter interferer
-    contributes the beacon carrier reflected off it; a traditional
-    interferer contributes its own radiated power. Under ``tdma`` or
-    ``th_ss`` only interferers sharing the receiver's sub-slot count.
-    Incoherent power sum, first-order reflections only.
+    ``emitted_w[j]`` is the power node j radiates in this slot (the beacon
+    carrier reflected off a backscatter tag, the amplifier output of a
+    traditional radio, zero for a silent node) and ``gain[j, i]`` the path
+    gain from node j to link i's receiver. Receiver i sees every node's
+    emission except its own link's: incoherent power sum, first-order
+    reflections only. Under TDMA or time hopping pass the gain matrix times
+    ``SlotAssignment.co_slot_mask`` so that only co-slot nodes count.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode != "all_on":
-        if assignment is None:
-            raise ValueError(f"mode {mode!r} requires a slot assignment")
-        rx_slot = assignment.assignments[receiver.id]
-
-    wavelength = config.wavelength_m
-    aperture = config.aperture_m2
-    rx_pos = receiver.receiver_position
-
-    total = 0.0
-    for node in actives:
-        if node.id == receiver.id:
-            continue
-        if mode != "all_on" and assignment.assignments[node.id] != rx_slot:
-            continue
-        d_to_rx = math.hypot(node.position[0] - rx_pos[0], node.position[1] - rx_pos[1])
-        gain_to_rx = friis_gain(d_to_rx, wavelength, aperture, aperture)
-        if node.kind == NodeKind.BACKSCATTER:
-            gain_pb = friis_gain(node.pb_distance_m, wavelength, aperture, aperture)
-            total += pb_power_w * gain_pb * node.reflect_fraction * gain_to_rx
-        else:
-            total += node.tx_power_w * gain_to_rx
-    return total
+    arriving = emitted_w @ gain
+    # total minus own signal can round a hair below zero
+    return np.maximum(arriving - emitted_w * np.diag(gain), 0.0)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dbm_to_watts, friis_gain
-from .energymodel import ConsumptionProfile, step_slot
+from .energymodel import ConsumptionProfile, EnergyLedger, step_population
+from .mac import aggregate_interference
 from .phylink import bpsk_ber
-from .scenario import (NodeKind, NodeState, PURPOSE_PLACEMENT,
-                       derive_stream, place_nodes)
+from .scenario import NodeKind, PURPOSE_PLACEMENT, derive_stream, place_nodes
 
 CSV_HEADER = "pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,trials,seed"
 
@@ -61,12 +61,7 @@ class PopulationResult:
     mean_ber: float        # NaN when no link was ever active
     active_fraction: float
     ber_samples: int
-    nodes: list            # final node states, ledgers included
-
-
-def _fresh_nodes(topology, kind):
-    return [NodeState(id=n.id, position=n.position, receiver_position=n.receiver_position,
-                      kind=kind, rng_stream=n.rng_stream) for n in topology]
+    ledger: EnergyLedger   # final per-node energy ledgers, in topology order
 
 
 def run_population(config, kind, topology, pb_power_dbm, num_slots=None,
@@ -93,11 +88,11 @@ def run_population(config, kind, topology, pb_power_dbm, num_slots=None,
     if bit_level_rng is not None and bits_per_slot < 1:
         raise ValueError("bits_per_slot must be positive")
 
-    nodes = _fresh_nodes(topology, kind)
-    n = len(nodes)
+    n = len(topology)
+    ledger = EnergyLedger.empty(n)
     if n == 0:
         return PopulationResult(mean_ber=math.nan, active_fraction=math.nan,
-                                ber_samples=0, nodes=nodes)
+                                ber_samples=0, ledger=ledger)
 
     wavelength = config.wavelength_m
     aperture = config.aperture_m2
@@ -105,37 +100,25 @@ def run_population(config, kind, topology, pb_power_dbm, num_slots=None,
     pb_w = float(dbm_to_watts(pb_power_dbm))
     profile = ConsumptionProfile.for_kind(kind, config)
 
-    positions = np.array([nd.position for nd in nodes])          # (n, 2)
-    rx_positions = np.array([nd.receiver_position for nd in nodes])
+    positions = np.array([nd.position for nd in topology])          # (n, 2)
+    rx_positions = np.array([nd.receiver_position for nd in topology])
 
     pb_gain = friis_gain(np.hypot(positions[:, 0], positions[:, 1]),
                          wavelength, aperture, aperture)
-    pb_gain = np.atleast_1d(pb_gain)
-    incident = pb_w * pb_gain
+    incident = pb_w * np.atleast_1d(pb_gain)
 
     # gain_to_rx[j, i]: transmitter j's antenna to link i's receiver.
     diff = positions[:, None, :] - rx_positions[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    gain_to_rx = np.minimum(aperture * aperture / (wavelength**2 * dist**2), 1.0)
+    gain_to_rx = friis_gain(np.hypot(diff[..., 0], diff[..., 1]), wavelength, aperture, aperture)
+    link_gain = np.diag(gain_to_rx)
 
     ber_sum = 0.0
     ber_samples = 0
     active_share_sum = 0.0
     measured_slots = 0
 
-    emitted = np.zeros(n)
-    active = np.zeros(n, dtype=bool)
     for slot in range(num_slots):
-        for i, node in enumerate(nodes):
-            outcome = step_slot(node, incident[i], profile, config)
-            active[i] = outcome.was_active
-            if not outcome.was_active:
-                emitted[i] = 0.0
-            elif kind == NodeKind.BACKSCATTER:
-                emitted[i] = incident[i] * outcome.reflect_fraction
-            else:
-                emitted[i] = outcome.tx_power_w
-
+        active, emitted = step_population(ledger, incident, profile, config)
         if slot < config.warmup_slots:
             continue
         measured_slots += 1
@@ -143,9 +126,8 @@ def run_population(config, kind, topology, pb_power_dbm, num_slots=None,
         active_share_sum += n_active / n
         if n_active == 0:
             continue
-        arriving = emitted @ gain_to_rx              # power at each receiver
-        signal = emitted * np.diag(gain_to_rx)
-        interference = np.maximum(arriving - signal, 0.0)
+        interference = aggregate_interference(emitted, gain_to_rx)
+        signal = emitted * link_gain
         sinr = signal[active] / (interference[active] + noise_w)
         if bit_level_rng is None:
             ber_sum += float(bpsk_ber(sinr).sum())
@@ -158,18 +140,14 @@ def run_population(config, kind, topology, pb_power_dbm, num_slots=None,
             ber_sum += float(errors.mean(axis=1).sum())
         ber_samples += n_active
 
-    for node in nodes:
-        drift = node.harvested_total_j - node.consumed_total_j - node.battery_j
-        scale = max(node.harvested_total_j, 1e-30)
-        if abs(drift) > 1e-9 * scale:
-            raise RuntimeError(f"energy conservation violated on node {node.id}")
-        if node.battery_j < 0.0:
-            raise RuntimeError(f"negative battery on node {node.id}")
+    drifted = np.abs(ledger.drift_j()) > 1e-9 * np.maximum(ledger.harvested_j, 1e-30)
+    if drifted.any():
+        raise RuntimeError(f"energy conservation violated on node {int(np.argmax(drifted))}")
 
     mean_ber = ber_sum / ber_samples if ber_samples else math.nan
     return PopulationResult(mean_ber=mean_ber,
                             active_fraction=active_share_sum / measured_slots,
-                            ber_samples=ber_samples, nodes=nodes)
+                            ber_samples=ber_samples, ledger=ledger)
 
 
 def _topology_sweep(args):
@@ -188,9 +166,12 @@ def _topology_sweep(args):
 def _max_workers():
     env = os.environ.get("BACKSIM_THREADS", "").strip()
     if env:
-        workers = int(env)
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
         if workers < 1:
-            raise ValueError("BACKSIM_THREADS must be a positive integer")
+            raise ValueError(f"BACKSIM_THREADS must be a positive integer, got {env!r}")
         return workers
     return os.cpu_count() or 1
 

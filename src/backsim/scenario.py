@@ -65,6 +65,13 @@ class ScenarioConfig:
     min_pa_radiated_w: float | None = None
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if not all(math.isfinite(p) for p in self.pb_power_dbm_sweep):
+            raise ValueError(f"pb_power_dbm_sweep entries must be finite, got "
+                             f"{self.pb_power_dbm_sweep}")
         positive = [
             ("node_density", self.node_density),
             ("region_radius", self.region_radius),
@@ -100,8 +107,8 @@ class ScenarioConfig:
             raise ValueError("num_slots must be positive and warmup_slots non-negative")
         if self.warmup_slots >= self.num_slots:
             raise ValueError("warmup_slots must be smaller than num_slots")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative 64-bit integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.fixed_node_count is not None and self.fixed_node_count < 0:
             raise ValueError("fixed_node_count must be non-negative")
         return self
@@ -139,25 +146,12 @@ class ScenarioConfig:
 
 @dataclass
 class NodeState:
-    """One sensor node: geometry, battery, per-slot activity and ledgers."""
+    """One sensor node: geometry and circuit kind."""
 
     id: int
     position: np.ndarray          # (2,) metres, beacon at origin
     receiver_position: np.ndarray  # (2,) metres
     kind: NodeKind
-    battery_j: float = 0.0
-    rng_stream: int = 0           # identifier fed to derive_stream
-
-    # Activity of the most recent slot.
-    was_active: bool = False
-    tx_power_w: float = 0.0       # radiated power, traditional nodes
-    reflect_fraction: float = 0.0  # reflected power fraction, backscatter nodes
-
-    # Cumulative energy ledger, used for conservation checks.
-    harvested_total_j: float = 0.0
-    consumed_total_j: float = 0.0
-    slots_seen: int = 0
-    slots_active: int = 0
 
     @property
     def pb_distance_m(self):
@@ -185,7 +179,7 @@ def place_nodes(config, rng, kind=NodeKind.BACKSCATTER):
     The node count is Poisson with mean density * annulus area unless
     ``config.fixed_node_count`` pins it. Positions are uniform over the
     annulus, each receiver sits at ``rx_distance_m`` from its node at a
-    uniformly random angle, and batteries start empty.
+    uniformly random angle.
     """
     config.validate()
     mean_count = config.expected_node_count
@@ -209,8 +203,7 @@ def place_nodes(config, rng, kind=NodeKind.BACKSCATTER):
         rx_pos = pos + config.rx_distance_m * np.array(
             [math.cos(rx_angles[i]), math.sin(rx_angles[i])]
         )
-        nodes.append(NodeState(id=i, position=pos, receiver_position=rx_pos,
-                               kind=kind, rng_stream=i))
+        nodes.append(NodeState(id=i, position=pos, receiver_position=rx_pos, kind=kind))
     return nodes
 
 

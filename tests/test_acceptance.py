@@ -16,13 +16,14 @@ import pytest
 from backsim.channel import LinkBudget, dbm_to_watts, friis_gain
 from backsim.cli import ExperimentSpec, run as cli_run
 from backsim.dyadic import estimate_diversity_order, simulate_dyadic_ber
-from backsim.energymodel import ConsumptionProfile, duty_cycle_tradeoff, step_slot
+from backsim.energymodel import (ConsumptionProfile, EnergyLedger, duty_cycle_tradeoff,
+                                 step_population)
 from backsim.mac import (count_interference_components,
                          th_ss_collision_probability, th_ss_collision_rate_mc)
 from backsim.netsim import run_comparison
 from backsim.phylink import (ReflectionConstellation, energy_rate_frontier,
                              q_function)
-from backsim.scenario import (NodeKind, NodeState, PURPOSE_FADING, PURPOSE_MAC,
+from backsim.scenario import (NodeKind, PURPOSE_FADING, PURPOSE_MAC,
                               PURPOSE_PLACEMENT, ScenarioConfig, derive_stream,
                               place_nodes)
 
@@ -178,23 +179,18 @@ def test_criterion_08_energy_conservation():
     topology = place_nodes(config, derive_stream(config.seed, 0, PURPOSE_PLACEMENT))
     ok = True
     worst = 0.0
+    pb_w = float(dbm_to_watts(40.0))
+    lam, ap = config.wavelength_m, config.aperture_m2
+    incident = pb_w * friis_gain(np.array([n.pb_distance_m for n in topology]), lam, ap, ap)
     for kind in (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL):
         profile = ConsumptionProfile.for_kind(kind, config)
-        nodes = [NodeState(id=n.id, position=n.position,
-                           receiver_position=n.receiver_position, kind=kind)
-                 for n in topology]
-        pb_w = float(dbm_to_watts(40.0))
-        lam, ap = config.wavelength_m, config.aperture_m2
+        ledger = EnergyLedger.empty(len(topology))
         for _ in range(config.num_slots):
-            for node in nodes:
-                incident = pb_w * friis_gain(node.pb_distance_m, lam, ap, ap)
-                step_slot(node, incident, profile, config)
-                ok &= node.battery_j >= 0.0
-        for node in nodes:
-            drift = abs(node.harvested_total_j - node.consumed_total_j - node.battery_j)
-            rel = drift / max(node.harvested_total_j, 1e-30)
-            worst = max(worst, rel)
-            ok &= rel <= 1e-9
+            step_population(ledger, incident, profile, config)
+            ok &= bool(np.all(ledger.battery_j >= 0.0))
+        rel = np.abs(ledger.drift_j()) / np.maximum(ledger.harvested_j, 1e-30)
+        worst = max(worst, float(rel.max()))
+        ok &= bool(np.all(rel <= 1e-9))
     _report(8, "energy conservation", ok, f"(worst relative drift = {worst:.2e})")
 
 

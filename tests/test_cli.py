@@ -50,6 +50,19 @@ class TestParseArgs:
             parse_args(["--experiment", "fig3a", "--out", "r.csv", "--seed", "abc"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--trials", "0"), ("--trials", "-5"),
+        ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "99999999999999999999999"),
+    ])
+    def test_out_of_range_count_is_usage_error(self, flag, value):
+        with pytest.raises(SystemExit) as err:
+            parse_args(["--experiment", "thss", "--out", "r.csv", flag, value])
+        assert err.value.code == 2
+
+    def test_largest_seed_accepted(self):
+        spec = parse_args(["--experiment", "thss", "--out", "r.csv", "--seed", str(2**64 - 1)])
+        assert spec.seed_override == 2**64 - 1
+
 
 class TestRun:
     def test_interference_count_table(self, tmp_path):
@@ -101,6 +114,20 @@ class TestRun:
         assert lines[0] == "tag_antennas,rx_antennas,snr_db,ber"
         ells = {int(l.split(",")[0]) for l in lines[1:]}
         assert ells == {1, 2}
+
+    @pytest.mark.parametrize("line,key", [
+        ("noise_dbm = nan", "noise_dbm"),
+        ("pb_power_dbm_sweep = 30, nan", "pb_power_dbm_sweep"),
+        ("seed = 99999999999999999999999", "seed"),
+    ])
+    def test_out_of_range_config_fails_cleanly(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o.csv"
+        assert main(["--experiment", "fig3a", "--config", str(cfg), "--out", str(out),
+                     "--trials", "1"]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_config_fails_cleanly(self, tmp_path, capsys):
         spec_argv = ["--experiment", "fig3a", "--config", str(tmp_path / "missing.cfg"),

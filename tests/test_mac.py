@@ -9,6 +9,7 @@ from backsim.mac import (SlotAssignment, aggregate_interference,
                          tdma_schedule, th_ss_assign, th_ss_collision_probability,
                          th_ss_collision_rate_mc)
 from backsim.scenario import NodeKind, NodeState, ScenarioConfig, derive_stream
+from oracles import interference_at
 
 
 class TestTdma:
@@ -75,19 +76,24 @@ class TestInterferenceCount:
             count_interference_components(0)
 
 
-def _grid_nodes(config, kind, reflect=1.0, tx_power=0.0):
-    """Four nodes on a small cross around the beacon."""
+def _grid(config):
+    """Four nodes on a small cross around the beacon, and their gain matrix
+    (node j's antenna to node i's receiver)."""
     coords = [(2.0, 0.0), (0.0, 3.0), (-4.0, 0.0), (0.0, -5.0)]
-    nodes = []
-    for i, (x, y) in enumerate(coords):
-        node = NodeState(id=i, position=np.array([x, y]),
-                         receiver_position=np.array([x, y + config.rx_distance_m]),
-                         kind=kind)
-        node.was_active = True
-        node.reflect_fraction = reflect if kind == NodeKind.BACKSCATTER else 0.0
-        node.tx_power_w = tx_power if kind == NodeKind.TRADITIONAL else 0.0
-        nodes.append(node)
-    return nodes
+    nodes = [NodeState(id=i, position=np.array([x, y]),
+                       receiver_position=np.array([x, y + config.rx_distance_m]),
+                       kind=NodeKind.BACKSCATTER)
+             for i, (x, y) in enumerate(coords)]
+    lam, ap = config.wavelength_m, config.aperture_m2
+    gain = np.array([[friis_gain(float(np.hypot(*(tx.position - rx.receiver_position))),
+                                 lam, ap, ap) for rx in nodes] for tx in nodes])
+    return nodes, gain
+
+
+def _reflected(nodes, pb_w, config):
+    """Power each node reflects when it backscatters the full beacon wave."""
+    lam, ap = config.wavelength_m, config.aperture_m2
+    return np.array([pb_w * friis_gain(n.pb_distance_m, lam, ap, ap) for n in nodes])
 
 
 class TestAggregateInterference:
@@ -96,15 +102,19 @@ class TestAggregateInterference:
         return ScenarioConfig().validate()
 
     def test_empty_sum(self, config):
-        nodes = _grid_nodes(config, NodeKind.BACKSCATTER)
-        assert aggregate_interference(nodes[0], [], 1.0, config) == 0.0
+        nodes, gain = _grid(config)
+        # only receiver 0's own transmitter radiates
+        emitted = np.array([1e-6, 0.0, 0.0, 0.0])
+        assert aggregate_interference(emitted, gain)[0] == 0.0
+        assert aggregate_interference(np.zeros(0), np.zeros((0, 0))).shape == (0,)
 
     def test_single_backscatter_interferer_matches_cascade(self, config):
         # dual route: the one-term sum must equal the closed-form two-hop power
-        nodes = _grid_nodes(config, NodeKind.BACKSCATTER)
+        nodes, gain = _grid(config)
         rx, intf = nodes[0], nodes[1]
         pb_w = float(dbm_to_watts(40.0))
-        got = aggregate_interference(rx, [intf], pb_w, config)
+        emitted = np.where(np.arange(4) == 1, _reflected(nodes, pb_w, config), 0.0)
+        got = aggregate_interference(emitted, gain)[0]
         lam, ap = config.wavelength_m, config.aperture_m2
         d = float(np.hypot(*(intf.position - rx.receiver_position)))
         expected = backscatter_rx_power(pb_w, friis_gain(intf.pb_distance_m, lam, ap, ap),
@@ -112,51 +122,56 @@ class TestAggregateInterference:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_traditional_interferer(self, config):
-        nodes = _grid_nodes(config, NodeKind.TRADITIONAL, tx_power=2e-6)
+        nodes, gain = _grid(config)
         rx, intf = nodes[0], nodes[2]
-        got = aggregate_interference(rx, [intf], 1.0, config)
+        got = aggregate_interference(np.array([0.0, 0.0, 2e-6, 0.0]), gain)[0]
         lam, ap = config.wavelength_m, config.aperture_m2
         d = float(np.hypot(*(intf.position - rx.receiver_position)))
         assert got == pytest.approx(2e-6 * friis_gain(d, lam, ap, ap), rel=1e-12)
 
     def test_additivity(self, config):
-        nodes = _grid_nodes(config, NodeKind.BACKSCATTER)
-        rx = nodes[0]
-        pb_w = 5.0
-        whole = aggregate_interference(rx, nodes[1:], pb_w, config)
-        split = (aggregate_interference(rx, nodes[1:2], pb_w, config)
-                 + aggregate_interference(rx, nodes[2:], pb_w, config))
+        nodes, gain = _grid(config)
+        emitted = _reflected(nodes, 5.0, config)
+        emitted[0] = 0.0  # interferers of receiver 0 only
+        first = np.where(np.arange(4) == 1, emitted, 0.0)
+        whole = aggregate_interference(emitted, gain)[0]
+        split = (aggregate_interference(first, gain)[0]
+                 + aggregate_interference(emitted - first, gain)[0])
         assert whole == pytest.approx(split, rel=1e-15)
 
     def test_tdma_is_silent_between_scheduled_tags(self, config):
-        nodes = _grid_nodes(config, NodeKind.BACKSCATTER)
-        sched = tdma_schedule([n.id for n in nodes], 4)
-        for rx in nodes:
-            others = [n for n in nodes if n.id != rx.id]
-            assert aggregate_interference(rx, others, 5.0, config,
-                                          mode="tdma", assignment=sched) == 0.0
+        nodes, gain = _grid(config)
+        ids = [n.id for n in nodes]
+        sched = tdma_schedule(ids, 4)
+        got = aggregate_interference(_reflected(nodes, 5.0, config),
+                                     gain * sched.co_slot_mask(ids))
+        assert got.tolist() == [0.0] * 4
 
     def test_th_ss_thins_interference(self, config):
-        nodes = _grid_nodes(config, NodeKind.BACKSCATTER)
-        rx = nodes[0]
-        others = nodes[1:]
+        nodes, gain = _grid(config)
+        ids = [n.id for n in nodes]
+        emitted = _reflected(nodes, 5.0, config)
         means = []
         for frame_length in (1, 4, 16, 64):
             rng = derive_stream(23, frame_length, 1)
             totals = []
             for _ in range(400):
-                sched = th_ss_assign([n.id for n in nodes], frame_length, rng)
-                totals.append(aggregate_interference(rx, others, 5.0, config,
-                                                     mode="th_ss", assignment=sched))
+                sched = th_ss_assign(ids, frame_length, rng)
+                got = aggregate_interference(emitted, gain * sched.co_slot_mask(ids))[0]
+                assert got == pytest.approx(
+                    interference_at(0, nodes, emitted, config, sched), rel=1e-9)
+                totals.append(got)
             means.append(np.mean(totals))
         assert all(a > b for a, b in zip(means, means[1:]))
 
     def test_mode_validation(self, config):
-        nodes = _grid_nodes(config, NodeKind.BACKSCATTER)
+        # a co-slot mask needs a slot for every node; the gain matrix must
+        # match the emitters
+        nodes, gain = _grid(config)
         with pytest.raises(ValueError):
-            aggregate_interference(nodes[0], nodes[1:], 1.0, config, mode="fdma")
+            SlotAssignment(frame_length=4, assignments={0: 0, 1: 1}).co_slot_mask([0, 1, 2])
         with pytest.raises(ValueError):
-            aggregate_interference(nodes[0], nodes[1:], 1.0, config, mode="th_ss")
+            aggregate_interference(np.ones(3), gain)
 
 
 class TestSlotAssignment:

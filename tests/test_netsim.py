@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from backsim import mac, netsim
 from backsim.channel import dbm_to_watts, friis_gain
-from backsim.mac import aggregate_interference
 from backsim.netsim import (CSV_HEADER, run_comparison, run_population,
                             write_results_csv)
 from backsim.phylink import bpsk_ber
-from backsim.scenario import (NodeKind, PURPOSE_BITLEVEL, PURPOSE_PLACEMENT,
+from backsim.scenario import (NodeKind, PURPOSE_BITLEVEL, PURPOSE_MAC, PURPOSE_PLACEMENT,
                               ScenarioConfig, derive_stream, place_nodes)
+from oracles import interference_at
 
 
 def _topology(config, topo_index=0):
@@ -50,43 +51,42 @@ class TestRunPopulation:
         cfg = ScenarioConfig(fixed_node_count=12, num_slots=150, warmup_slots=20).validate()
         topo = _topology(cfg, 3)
         for kind in (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL):
-            res = run_population(cfg, kind, topo, pb_power_dbm=40.0)
-            for node in res.nodes:
-                drift = node.harvested_total_j - node.consumed_total_j - node.battery_j
-                assert abs(drift) <= 1e-9 * max(node.harvested_total_j, 1e-30)
-                assert node.battery_j >= 0.0
+            ledger = run_population(cfg, kind, topo, pb_power_dbm=40.0).ledger
+            assert ledger.battery_j.shape == (len(topo),)
+            assert np.all(np.abs(ledger.drift_j())
+                          <= 1e-9 * np.maximum(ledger.harvested_j, 1e-30))
+            assert np.all(ledger.battery_j >= 0.0)
 
     @pytest.mark.parametrize("kind", [NodeKind.BACKSCATTER, NodeKind.TRADITIONAL])
-    def test_interference_matches_mac_module(self, kind):
-        # Dual route: the vectorised per-slot arithmetic must reproduce the
-        # per-receiver aggregation of the MAC module on a frozen active set.
+    def test_interference_matches_mac_module(self, kind, monkeypatch):
+        # Dual route: every interference vector netsim computes during a run
+        # must match the scalar per-receiver sum over Friis gains; the same
+        # mac function under TDMA and time-hopping co-slot masks must match
+        # the scalar sum restricted to co-slot nodes.
         cfg = ScenarioConfig(fixed_node_count=5, num_slots=30, warmup_slots=2).validate()
         topo = _topology(cfg, 1)
-        pb_w = float(dbm_to_watts(42.0))
-        lam, ap = cfg.wavelength_m, cfg.aperture_m2
-        positions = np.array([n.position for n in topo])
-        rx_positions = np.array([n.receiver_position for n in topo])
-        pb_gain = friis_gain(np.hypot(positions[:, 0], positions[:, 1]), lam, ap, ap)
-        for i, node in enumerate(topo):
-            node.kind = kind
-            node.was_active = True
-            if kind == NodeKind.BACKSCATTER:
-                node.reflect_fraction = 1.0
-            else:
-                node.tx_power_w = (i + 1) * 1e-6
-        if kind == NodeKind.BACKSCATTER:
-            emitted = pb_w * pb_gain
-        else:
-            emitted = np.array([n.tx_power_w for n in topo])
-        diff = positions[:, None, :] - rx_positions[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        gain_to_rx = np.minimum(ap * ap / (lam**2 * dist**2), 1.0)
-        arriving = emitted @ gain_to_rx
-        vectorised = arriving - emitted * np.diag(gain_to_rx)
-        for i, node in enumerate(topo):
-            others = [n for n in topo if n.id != node.id]
-            reference = aggregate_interference(node, others, pb_w, cfg)
-            assert vectorised[i] == pytest.approx(reference, rel=1e-9)
+        calls = []
+
+        def recording(emitted_w, gain):
+            out = mac.aggregate_interference(emitted_w, gain)
+            calls.append((emitted_w.copy(), gain, out))
+            return out
+
+        monkeypatch.setattr(netsim, "aggregate_interference", recording)
+        res = run_population(cfg, kind, topo, pb_power_dbm=42.0)
+        assert len(calls) > 0 and res.ber_samples > 0
+        for emitted, _, got in calls:
+            for i in range(len(topo)):
+                assert got[i] == pytest.approx(interference_at(i, topo, emitted, cfg), rel=1e-9)
+
+        emitted, gain, _ = calls[-1]
+        ids = [n.id for n in topo]
+        for assignment in (mac.tdma_schedule(ids, len(ids)),
+                           mac.th_ss_assign(ids, 2, derive_stream(cfg.seed, 0, PURPOSE_MAC))):
+            got = mac.aggregate_interference(emitted, gain * assignment.co_slot_mask(ids))
+            for i in range(len(topo)):
+                expected = interference_at(i, topo, emitted, cfg, assignment)
+                assert got[i] == pytest.approx(expected, rel=1e-9)
 
     def test_bit_level_mode_matches_semi_analytic(self):
         # Energy dynamics are deterministic, so both modes see identical
@@ -110,11 +110,10 @@ class TestRunPopulation:
         for pb in (20.0, 30.0, 40.0, 50.0):
             back = run_population(cfg, NodeKind.BACKSCATTER, topo, pb)
             trad = run_population(cfg, NodeKind.TRADITIONAL, topo, pb)
-            ever_back = {n.id for n in back.nodes if n.slots_active > 0}
-            ever_trad = {n.id for n in trad.nodes if n.slots_active > 0}
+            ever_back = set(np.flatnonzero(back.ledger.slots_active))
+            ever_trad = set(np.flatnonzero(trad.ledger.slots_active))
             assert ever_trad <= ever_back
-            for b, t in zip(back.nodes, trad.nodes):
-                assert b.slots_active >= t.slots_active
+            assert np.all(back.ledger.slots_active >= trad.ledger.slots_active)
 
 
 class TestRunComparison:
@@ -152,6 +151,9 @@ class TestRunComparison:
         assert _max_workers() == 3
         monkeypatch.setenv("BACKSIM_THREADS", "0")
         with pytest.raises(ValueError):
+            _max_workers()
+        monkeypatch.setenv("BACKSIM_THREADS", "x")
+        with pytest.raises(ValueError, match="BACKSIM_THREADS"):
             _max_workers()
         monkeypatch.delenv("BACKSIM_THREADS")
         assert _max_workers() >= 1

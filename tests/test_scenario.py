@@ -23,6 +23,12 @@ def test_default_config_is_valid():
     ("min_pb_distance_m", 10.0),
     ("harvest_ms", 30.0),          # breaks harvest + active = slot
     ("warmup_slots", 100),         # not smaller than num_slots
+    ("noise_dbm", math.nan),
+    ("carrier_hz", math.inf),
+    ("min_pa_radiated_w", math.nan),
+    ("pb_power_dbm_sweep", [30.0, math.nan]),
+    ("seed", -1),
+    ("seed", 2**64),
 ])
 def test_invalid_configs_rejected(field, value):
     cfg = ScenarioConfig(**{field: value})
@@ -60,7 +66,6 @@ class TestPlaceNodes:
             r = node.pb_distance_m
             assert cfg.min_pb_distance_m <= r <= cfg.region_radius
             assert abs(node.rx_distance_m - cfg.rx_distance_m) < 1e-12 * cfg.rx_distance_m
-            assert node.battery_j == 0.0
 
     def test_kind_assignment(self):
         cfg = ScenarioConfig(fixed_node_count=5)
@@ -118,6 +123,18 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("node_density = lots\n")
         with pytest.raises(ValueError, match="bad value"):
+            load_config(path)
+
+    @pytest.mark.parametrize("line,key", [
+        ("noise_dbm = nan", "noise_dbm"),
+        ("region_radius = inf", "region_radius"),
+        ("pb_power_dbm_sweep = 30, nan", "pb_power_dbm_sweep"),
+        ("seed = 99999999999999999999999", "seed"),
+    ])
+    def test_out_of_range_value_names_key(self, tmp_path, line, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=key):
             load_config(path)
 
     def test_invariant_violation_rejected(self, tmp_path):
