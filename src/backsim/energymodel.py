@@ -57,9 +57,10 @@ class ConsumptionProfile:
 
 @dataclass
 class EnergyLedger:
-    """Per-node battery and cumulative energy flows of one population.
+    """Per-node battery and cumulative energy flows of populations.
 
-    Entry i of every array belongs to node i; batteries start empty.
+    The last axis of every array indexes nodes, leading axes (if any)
+    independent populations; batteries start empty.
     """
 
     battery_j: np.ndarray
@@ -68,9 +69,9 @@ class EnergyLedger:
     slots_active: np.ndarray
 
     @classmethod
-    def empty(cls, num_nodes):
-        return cls(np.zeros(num_nodes), np.zeros(num_nodes), np.zeros(num_nodes),
-                   np.zeros(num_nodes, dtype=np.int64))
+    def empty(cls, shape):
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape),
+                   np.zeros(shape, dtype=np.int64))
 
     def drift_j(self):
         """Harvested minus consumed minus stored energy; zero up to rounding."""
@@ -132,16 +133,16 @@ def traditional_tx_power(battery_j, profile, config):
 
 
 def step_population(ledger, incident_w, profile, config):
-    """Advance every node of one population through one slot.
+    """Advance every node of one or more populations through one slot.
 
-    ``incident_w[i]`` is the carrier power reaching node i. Each node
-    harvests during the harvesting sub-slot only (an active backscatter
-    node reflects everything during the active window, so it harvests
-    nothing there), activates iff its battery covers the requirement, and
-    pays for the slot. Updates ``ledger`` in place and returns the active
-    mask and the power each node emits: the full reflected incident wave for
-    an active backscatter node, the amplifier output for an active
-    traditional node, zero for a silent one.
+    ``incident_w`` is the carrier power reaching each node, shaped like the
+    ledger arrays. Each node harvests during the harvesting sub-slot only
+    (an active backscatter node reflects everything during the active
+    window, so it harvests nothing there), activates iff its battery covers
+    the requirement, and pays for the slot. Updates ``ledger`` in place and
+    returns the active mask and the power each node emits: the full
+    reflected incident wave for an active backscatter node, the amplifier
+    output for an active traditional node, zero for a silent one.
     """
     harvested = harvested_energy(incident_w, config.harvest_efficiency, config.harvest_s)
     battery = ledger.battery_j + harvested

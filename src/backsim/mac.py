@@ -102,14 +102,15 @@ def count_interference_components(num_links):
 def aggregate_interference(emitted_w, gain):
     """Interference power at every receiver, in watts.
 
-    ``emitted_w[j]`` is the power node j radiates in this slot (the beacon
-    carrier reflected off a backscatter tag, the amplifier output of a
-    traditional radio, zero for a silent node) and ``gain[j, i]`` the path
-    gain from node j to link i's receiver. Receiver i sees every node's
+    ``emitted_w[..., j]`` is the power node j radiates in this slot (the
+    beacon carrier reflected off a backscatter tag, the amplifier output of
+    a traditional radio, zero for a silent node) and ``gain[..., j, i]`` the
+    path gain from node j to link i's receiver; leading axes index
+    independent populations and broadcast. Receiver i sees every node's
     emission except its own link's: incoherent power sum, first-order
     reflections only. Under TDMA or time hopping pass the gain matrix times
     ``SlotAssignment.co_slot_mask`` so that only co-slot nodes count.
     """
-    arriving = emitted_w @ gain
+    arriving = (emitted_w[..., None, :] @ gain)[..., 0, :]
     # total minus own signal can round a hair below zero
-    return np.maximum(arriving - emitted_w * np.diag(gain), 0.0)
+    return np.maximum(arriving - emitted_w * np.diagonal(gain, axis1=-2, axis2=-1), 0.0)

@@ -7,14 +7,14 @@ topology, slots advance sequentially (battery state carries over) and all
 active nodes transmit concurrently; per-link BER is evaluated
 semi-analytically as Q(sqrt(2 * SINR)) of the per-slot SINR, which has the
 same expectation as bit-level simulation under the Gaussian detector model
-at a fraction of the cost.
+at a fraction of the cost. The whole sweep runs as one padded array batch
+over (power, topology, node); padded nodes receive no carrier and so never
+activate.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +64,84 @@ class PopulationResult:
     ledger: EnergyLedger   # final per-node energy ledgers, in topology order
 
 
+def _padded_gains(config, topologies):
+    """Gains of topologies padded to the largest node count N.
+
+    Returns beacon-to-node gains (T, N), node-to-receiver gains (T, N, N)
+    with ``gain[t, j, i]`` from node j's antenna to link i's receiver, and
+    the (T, N) mask of real nodes. Padded entries get a placeholder 1 m
+    distance for ``friis_gain`` and are then zeroed.
+    """
+    present = np.arange(max(map(len, topologies))) < np.array([[len(t)] for t in topologies])
+    nodes = [nd for topology in topologies for nd in topology]
+    positions = np.zeros(present.shape + (2,))
+    rx_positions = np.zeros(present.shape + (2,))
+    positions[present] = np.reshape([nd.position for nd in nodes], (-1, 2))
+    rx_positions[present] = np.reshape([nd.receiver_position for nd in nodes], (-1, 2))
+
+    wavelength, aperture = config.wavelength_m, config.aperture_m2
+    pb_distance = np.where(present, np.hypot(positions[..., 0], positions[..., 1]), 1.0)
+    pb_gain = np.where(present, friis_gain(pb_distance, wavelength, aperture, aperture), 0.0)
+    pairs = present[:, :, None] & present[:, None, :]
+    diff = positions[:, :, None, :] - rx_positions[:, None, :, :]
+    distance = np.where(pairs, np.hypot(diff[..., 0], diff[..., 1]), 1.0)
+    gain_to_rx = np.where(pairs, friis_gain(distance, wavelength, aperture, aperture), 0.0)
+    return pb_gain, gain_to_rx, present
+
+
+def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm, num_slots=None,
+              bit_level_rng=None, bits_per_slot=1000):
+    """Run populations of one kind at every beacon power over padded topologies.
+
+    Every (power, topology) pair is an independent population; all of them
+    advance together, one slot at a time. Returns the mean BER, the active
+    fraction and the BER sample count, each (P, T), and the final
+    (P, T, N) energy ledger.
+    """
+    if num_slots is None:
+        num_slots = config.num_slots
+    if config.warmup_slots >= num_slots:
+        raise ValueError("warmup_slots must be smaller than the slot count")
+    profile = ConsumptionProfile.for_kind(kind, config)
+    incident = dbm_to_watts(pb_power_dbm)[:, None, None] * pb_gain  # (P, T, N)
+    link_gain = np.diagonal(gain_to_rx, axis1=-2, axis2=-1)          # (T, N)
+    nodes = present.sum(axis=-1)
+
+    ledger = EnergyLedger.empty(incident.shape)
+    ber_sum = np.zeros(incident.shape[:2])
+    ber_samples = np.zeros(incident.shape[:2], dtype=np.int64)
+    active_share_sum = np.zeros(incident.shape[:2])
+
+    for slot in range(num_slots):
+        active, emitted = step_population(ledger, incident, profile, config)
+        if slot < config.warmup_slots:
+            continue
+        n_active = active.sum(axis=-1)
+        active_share_sum += n_active / np.maximum(nodes, 1)
+        interference = aggregate_interference(emitted, gain_to_rx)
+        sinr = (emitted * link_gain)[active] / (interference[active] + config.noise_w)
+        ber = np.zeros(active.shape)
+        if bit_level_rng is None:
+            ber[active] = bpsk_ber(sinr)
+        else:
+            # coherent BPSK: per bit, error iff the unit-variance noise
+            # projection exceeds the sqrt(2 * SINR) decision distance
+            noise_proj = bit_level_rng.standard_normal((sinr.size, bits_per_slot))
+            ber[active] = (noise_proj > np.sqrt(2.0 * sinr)[:, None]).mean(axis=1)
+        ber_sum += ber.sum(axis=-1)
+        ber_samples += n_active
+
+    drifted = np.abs(ledger.drift_j()) > 1e-9 * np.maximum(ledger.harvested_j, 1e-30)
+    if drifted.any():
+        raise RuntimeError(f"energy conservation violated at (power, topology, node) "
+                           f"{tuple(np.argwhere(drifted)[0])}")
+
+    mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
+    active_fraction = np.where(nodes > 0, active_share_sum / (num_slots - config.warmup_slots),
+                               math.nan)
+    return mean_ber, active_fraction, ber_samples, ledger
+
+
 def run_population(config, kind, topology, pb_power_dbm, num_slots=None,
                    bit_level_rng=None, bits_per_slot=1000):
     """Run one population of a single kind over a fixed topology.
@@ -79,101 +157,18 @@ def run_population(config, kind, topology, pb_power_dbm, num_slots=None,
     passing ``bit_level_rng`` switches to counting errors over
     ``bits_per_slot`` simulated BPSK bits per link instead (same
     expectation under the Gaussian detector model, for spot validation).
+    This is the sweep engine of ``run_comparison`` at one power and one
+    topology.
     """
-    kind = NodeKind(kind)
-    if num_slots is None:
-        num_slots = config.num_slots
-    if config.warmup_slots >= num_slots:
-        raise ValueError("warmup_slots must be smaller than the slot count")
     if bit_level_rng is not None and bits_per_slot < 1:
         raise ValueError("bits_per_slot must be positive")
-
-    n = len(topology)
-    ledger = EnergyLedger.empty(n)
-    if n == 0:
-        return PopulationResult(mean_ber=math.nan, active_fraction=math.nan,
-                                ber_samples=0, ledger=ledger)
-
-    wavelength = config.wavelength_m
-    aperture = config.aperture_m2
-    noise_w = config.noise_w
-    pb_w = float(dbm_to_watts(pb_power_dbm))
-    profile = ConsumptionProfile.for_kind(kind, config)
-
-    positions = np.array([nd.position for nd in topology])          # (n, 2)
-    rx_positions = np.array([nd.receiver_position for nd in topology])
-
-    pb_gain = friis_gain(np.hypot(positions[:, 0], positions[:, 1]),
-                         wavelength, aperture, aperture)
-    incident = pb_w * np.atleast_1d(pb_gain)
-
-    # gain_to_rx[j, i]: transmitter j's antenna to link i's receiver.
-    diff = positions[:, None, :] - rx_positions[None, :, :]
-    gain_to_rx = friis_gain(np.hypot(diff[..., 0], diff[..., 1]), wavelength, aperture, aperture)
-    link_gain = np.diag(gain_to_rx)
-
-    ber_sum = 0.0
-    ber_samples = 0
-    active_share_sum = 0.0
-    measured_slots = 0
-
-    for slot in range(num_slots):
-        active, emitted = step_population(ledger, incident, profile, config)
-        if slot < config.warmup_slots:
-            continue
-        measured_slots += 1
-        n_active = int(active.sum())
-        active_share_sum += n_active / n
-        if n_active == 0:
-            continue
-        interference = aggregate_interference(emitted, gain_to_rx)
-        signal = emitted * link_gain
-        sinr = signal[active] / (interference[active] + noise_w)
-        if bit_level_rng is None:
-            ber_sum += float(bpsk_ber(sinr).sum())
-        else:
-            # coherent BPSK: per bit, error iff the unit-variance noise
-            # projection exceeds the sqrt(2 * SINR) decision distance
-            noise_proj = bit_level_rng.standard_normal((n_active, bits_per_slot))
-            amplitude = np.sqrt(2.0 * np.asarray(sinr, dtype=float))
-            errors = noise_proj > amplitude[:, None]
-            ber_sum += float(errors.mean(axis=1).sum())
-        ber_samples += n_active
-
-    drifted = np.abs(ledger.drift_j()) > 1e-9 * np.maximum(ledger.harvested_j, 1e-30)
-    if drifted.any():
-        raise RuntimeError(f"energy conservation violated on node {int(np.argmax(drifted))}")
-
-    mean_ber = ber_sum / ber_samples if ber_samples else math.nan
-    return PopulationResult(mean_ber=mean_ber,
-                            active_fraction=active_share_sum / measured_slots,
-                            ber_samples=ber_samples, ledger=ledger)
-
-
-def _topology_sweep(args):
-    """One topology draw, both populations, the whole power sweep."""
-    config, topo_index, num_slots = args
-    rng = derive_stream(config.seed, topo_index, PURPOSE_PLACEMENT)
-    topology = place_nodes(config, rng)
-    out = {}
-    for pb_dbm in config.pb_power_dbm_sweep:
-        for kind in (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL):
-            res = run_population(config, kind, topology, pb_dbm, num_slots=num_slots)
-            out[(float(pb_dbm), kind)] = (res.mean_ber, res.active_fraction)
-    return out
-
-
-def _max_workers():
-    env = os.environ.get("BACKSIM_THREADS", "").strip()
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"BACKSIM_THREADS must be a positive integer, got {env!r}")
-        return workers
-    return os.cpu_count() or 1
+    mean_ber, active_fraction, ber_samples, ledger = _run_kind(
+        config, kind, *_padded_gains(config, [topology]), [pb_power_dbm], num_slots,
+        bit_level_rng, bits_per_slot)
+    return PopulationResult(
+        mean_ber=float(mean_ber[0, 0]), active_fraction=float(active_fraction[0, 0]),
+        ber_samples=int(ber_samples[0, 0]),
+        ledger=EnergyLedger(**{name: flows[0, 0] for name, flows in vars(ledger).items()}))
 
 
 def _mean_ci(values):
@@ -189,34 +184,32 @@ def _mean_ci(values):
     return mean, half
 
 
-def run_comparison(config, num_topologies=200, num_slots=None, max_workers=None):
+def run_comparison(config, num_topologies=200, num_slots=None):
     """Sweep beacon power for both node kinds over paired topologies.
 
-    Per-topology means are aggregated unweighted across topology draws;
-    topologies without samples (e.g. no node ever active at a low power)
-    simply drop out of the BER mean. Results come out in sweep order,
-    backscatter before traditional at each power, and are byte-reproducible
-    for a fixed (config, seed) regardless of worker count.
+    All topologies are placed first and padded into one batch; each kind
+    then runs every (power, topology) population in one array pass over
+    the slots. Per-topology means are aggregated unweighted across
+    topology draws; topologies without samples (e.g. no node ever active at
+    a low power) simply drop out of the BER mean. Results come out in sweep
+    order, backscatter before traditional at each power, and are
+    byte-reproducible for a fixed (config, seed).
     """
     config.validate()
     if num_topologies < 1:
         raise ValueError("need at least one topology draw")
-    if max_workers is None:
-        max_workers = _max_workers()
 
-    tasks = [(config, t, num_slots) for t in range(num_topologies)]
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            per_topology = list(pool.map(_topology_sweep, tasks, chunksize=8))
-    else:
-        per_topology = [_topology_sweep(task) for task in tasks]
+    topologies = [place_nodes(config, derive_stream(config.seed, t, PURPOSE_PLACEMENT))
+                  for t in range(num_topologies)]
+    gains = _padded_gains(config, topologies)
+    kinds = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)
+    per_kind = {kind: _run_kind(config, kind, *gains, config.pb_power_dbm_sweep, num_slots)
+                for kind in kinds}
 
     results = []
-    for pb_dbm in config.pb_power_dbm_sweep:
-        for kind in (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL):
-            key = (float(pb_dbm), kind)
-            bers = [topo[key][0] for topo in per_topology]
-            fracs = [topo[key][1] for topo in per_topology]
+    for p, pb_dbm in enumerate(config.pb_power_dbm_sweep):
+        for kind in kinds:
+            bers, fracs = per_kind[kind][0][p], per_kind[kind][1][p]
             mean_ber, ci_ber = _mean_ci(bers)
             mean_frac, ci_frac = _mean_ci(fracs)
             results.append(ExperimentResult(

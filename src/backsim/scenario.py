@@ -146,12 +146,11 @@ class ScenarioConfig:
 
 @dataclass
 class NodeState:
-    """One sensor node: geometry and circuit kind."""
+    """One sensor node's geometry; the population that runs it sets the kind."""
 
     id: int
     position: np.ndarray          # (2,) metres, beacon at origin
     receiver_position: np.ndarray  # (2,) metres
-    kind: NodeKind
 
     @property
     def pb_distance_m(self):
@@ -173,7 +172,7 @@ def derive_stream(master_seed, node_id, purpose_tag):
     return np.random.default_rng(seq)
 
 
-def place_nodes(config, rng, kind=NodeKind.BACKSCATTER):
+def place_nodes(config, rng):
     """Drop nodes over the annulus around the beacon.
 
     The node count is Poisson with mean density * annulus area unless
@@ -203,7 +202,7 @@ def place_nodes(config, rng, kind=NodeKind.BACKSCATTER):
         rx_pos = pos + config.rx_distance_m * np.array(
             [math.cos(rx_angles[i]), math.sin(rx_angles[i])]
         )
-        nodes.append(NodeState(id=i, position=pos, receiver_position=rx_pos, kind=kind))
+        nodes.append(NodeState(id=i, position=pos, receiver_position=rx_pos))
     return nodes
 
 

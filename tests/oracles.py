@@ -8,9 +8,13 @@ engine in ``backsim`` can be checked against it term by term.
 import math
 from dataclasses import dataclass
 
-from backsim.channel import friis_gain
-from backsim.energymodel import (activation_decision, harvested_energy,
-                                 traditional_tx_power)
+import numpy as np
+
+from backsim.channel import dbm_to_watts, friis_gain
+from backsim.energymodel import (ConsumptionProfile, EnergyLedger, activation_decision,
+                                 harvested_energy, step_population, traditional_tx_power)
+from backsim.mac import aggregate_interference
+from backsim.phylink import bpsk_ber
 from backsim.scenario import NodeKind
 
 
@@ -105,3 +109,50 @@ def interference_at(receiver, topology, emitted_w, config, assignment=None):
                        node.position[1] - rx.receiver_position[1])
         total += emitted_w[j] * friis_gain(d, lam, ap, ap)
     return total
+
+
+def population_loop(config, kind, topology, pb_power_dbm, num_slots=None):
+    """One population over one topology at one beacon power, unbatched.
+
+    The network engine before it was batched over powers and topologies:
+    gains for this topology alone, one slot at a time over its nodes, BER
+    and activity summed in slot order. Returns (mean_ber, active_fraction,
+    ber_samples, ledger); both means are NaN for an empty topology.
+    """
+    kind = NodeKind(kind)
+    if num_slots is None:
+        num_slots = config.num_slots
+    n = len(topology)
+    ledger = EnergyLedger.empty(n)
+    if n == 0:
+        return math.nan, math.nan, 0, ledger
+
+    lam, ap = config.wavelength_m, config.aperture_m2
+    profile = ConsumptionProfile.for_kind(kind, config)
+    positions = np.array([nd.position for nd in topology])
+    rx_positions = np.array([nd.receiver_position for nd in topology])
+    incident = float(dbm_to_watts(pb_power_dbm)) * np.atleast_1d(
+        friis_gain(np.hypot(positions[:, 0], positions[:, 1]), lam, ap, ap))
+    diff = positions[:, None, :] - rx_positions[None, :, :]
+    gain_to_rx = friis_gain(np.hypot(diff[..., 0], diff[..., 1]), lam, ap, ap)
+    link_gain = np.diag(gain_to_rx)
+
+    ber_sum = 0.0
+    ber_samples = 0
+    active_share_sum = 0.0
+    for slot in range(num_slots):
+        active, emitted = step_population(ledger, incident, profile, config)
+        if slot < config.warmup_slots:
+            continue
+        n_active = int(active.sum())
+        active_share_sum += n_active / n
+        if n_active == 0:
+            continue
+        interference = aggregate_interference(emitted, gain_to_rx)
+        sinr = (emitted * link_gain)[active] / (interference[active] + config.noise_w)
+        ber_sum += float(bpsk_ber(sinr).sum())
+        ber_samples += n_active
+
+    mean_ber = ber_sum / ber_samples if ber_samples else math.nan
+    return (mean_ber, active_share_sum / (num_slots - config.warmup_slots),
+            ber_samples, ledger)

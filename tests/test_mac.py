@@ -8,7 +8,7 @@ from backsim.mac import (SlotAssignment, aggregate_interference,
                          count_interference_components, expected_simultaneous,
                          tdma_schedule, th_ss_assign, th_ss_collision_probability,
                          th_ss_collision_rate_mc)
-from backsim.scenario import NodeKind, NodeState, ScenarioConfig, derive_stream
+from backsim.scenario import NodeState, ScenarioConfig, derive_stream
 from oracles import interference_at
 
 
@@ -81,8 +81,7 @@ def _grid(config):
     (node j's antenna to node i's receiver)."""
     coords = [(2.0, 0.0), (0.0, 3.0), (-4.0, 0.0), (0.0, -5.0)]
     nodes = [NodeState(id=i, position=np.array([x, y]),
-                       receiver_position=np.array([x, y + config.rx_distance_m]),
-                       kind=NodeKind.BACKSCATTER)
+                       receiver_position=np.array([x, y + config.rx_distance_m]))
              for i, (x, y) in enumerate(coords)]
     lam, ap = config.wavelength_m, config.aperture_m2
     gain = np.array([[friis_gain(float(np.hypot(*(tx.position - rx.receiver_position))),
@@ -163,6 +162,26 @@ class TestAggregateInterference:
                 totals.append(got)
             means.append(np.mean(totals))
         assert all(a > b for a, b in zip(means, means[1:]))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_batched_equals_per_item(self, config, masked):
+        # (populations, topologies, nodes): each batch item must equal the
+        # unbatched call on its own emissions and gain matrix
+        nodes, gain = _grid(config)
+        ids = [n.id for n in nodes]
+        gains = np.stack([gain, gain[::-1, ::-1], gain * 0.5])          # (3, 4, 4)
+        if masked:
+            rng = derive_stream(5, 0, 1)
+            gains = gains * np.stack([th_ss_assign(ids, 2, rng).co_slot_mask(ids)
+                                      for _ in range(3)])
+        emitted = derive_stream(6, 0, 1).random((2, 3, 4)) * 1e-6     # (2, 3, 4)
+        emitted[0, 1, 2] = 0.0
+        got = aggregate_interference(emitted, gains)
+        assert got.shape == emitted.shape
+        for p in range(2):
+            for t in range(3):
+                expected = aggregate_interference(emitted[p, t], gains[t])
+                np.testing.assert_allclose(got[p, t], expected, rtol=1e-15, atol=0.0)
 
     def test_mode_validation(self, config):
         # a co-slot mask needs a slot for every node; the gain matrix must

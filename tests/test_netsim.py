@@ -1,21 +1,34 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backsim import mac, netsim
 from backsim.channel import dbm_to_watts, friis_gain
-from backsim.netsim import (CSV_HEADER, run_comparison, run_population,
+from backsim.cli import main
+from backsim.netsim import (CSV_HEADER, _mean_ci, run_comparison, run_population,
                             write_results_csv)
 from backsim.phylink import bpsk_ber
 from backsim.scenario import (NodeKind, PURPOSE_BITLEVEL, PURPOSE_MAC, PURPOSE_PLACEMENT,
                               ScenarioConfig, derive_stream, place_nodes)
-from oracles import interference_at
+from oracles import interference_at, population_loop
+
+KINDS = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)
+DATA = Path(__file__).parent / "data"
 
 
 def _topology(config, topo_index=0):
     rng = derive_stream(config.seed, topo_index, PURPOSE_PLACEMENT)
     return place_nodes(config, rng)
+
+
+def _close(got, expected, rel=1e-12):
+    """Equal to ``rel`` relative, with NaN only where the other is NaN."""
+    if math.isnan(got) or math.isnan(expected):
+        return math.isnan(got) and math.isnan(expected)
+    return abs(got - expected) <= rel * max(abs(got), abs(expected))
 
 
 class TestRunPopulation:
@@ -68,8 +81,9 @@ class TestRunPopulation:
         calls = []
 
         def recording(emitted_w, gain):
+            # one population over one topology: a (1, 1, N) batch
             out = mac.aggregate_interference(emitted_w, gain)
-            calls.append((emitted_w.copy(), gain, out))
+            calls.append((emitted_w.reshape(-1).copy(), gain[0], out.reshape(-1)))
             return out
 
         monkeypatch.setattr(netsim, "aggregate_interference", recording)
@@ -115,6 +129,34 @@ class TestRunPopulation:
             assert ever_trad <= ever_back
             assert np.all(back.ledger.slots_active >= trad.ledger.slots_active)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 12), pb=st.floats(20.0, 55.0),
+           kind=st.sampled_from(KINDS), data=st.data())
+    def test_invariant_to_node_order(self, seed, n, pb, kind, data):
+        cfg = ScenarioConfig(fixed_node_count=n, num_slots=30, warmup_slots=5,
+                             seed=seed).validate()
+        topo = _topology(cfg)
+        order = data.draw(st.permutations(range(n)))
+        base = run_population(cfg, kind, topo, pb)
+        shuffled = run_population(cfg, kind, [topo[i] for i in order], pb)
+        assert _close(shuffled.mean_ber, base.mean_ber)
+        assert _close(shuffled.active_fraction, base.active_fraction)
+        assert shuffled.ber_samples == base.ber_samples
+        for name, flows in vars(base.ledger).items():
+            assert np.array_equal(getattr(shuffled.ledger, name), flows[order])
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 12), kind=st.sampled_from(KINDS),
+           powers=st.lists(st.floats(0.0, 60.0), min_size=2, max_size=4))
+    def test_activity_monotone_in_beacon_power(self, seed, n, kind, powers):
+        cfg = ScenarioConfig(fixed_node_count=n, num_slots=60, warmup_slots=10,
+                             seed=seed).validate()
+        topo = _topology(cfg)
+        slots = [run_population(cfg, kind, topo, pb).ledger.slots_active
+                 for pb in sorted(powers)]
+        for lower, higher in zip(slots, slots[1:]):
+            assert np.all(lower <= higher)
+
 
 class TestRunComparison:
     @pytest.fixture
@@ -126,11 +168,6 @@ class TestRunComparison:
         a = run_comparison(small_config, num_topologies=4)
         b = run_comparison(small_config, num_topologies=4)
         assert a == b
-
-    def test_worker_count_does_not_change_results(self, small_config):
-        serial = run_comparison(small_config, num_topologies=3, max_workers=1)
-        pooled = run_comparison(small_config, num_topologies=3, max_workers=2)
-        assert serial == pooled
 
     def test_sweep_layout(self, small_config):
         results = run_comparison(small_config, num_topologies=3)
@@ -145,18 +182,38 @@ class TestRunComparison:
                 assert 0.0 <= r.mean_ber <= 0.5
                 assert r.ci95_ber >= 0.0
 
-    def test_worker_env_cap(self, monkeypatch):
-        from backsim.netsim import _max_workers
-        monkeypatch.setenv("BACKSIM_THREADS", "3")
-        assert _max_workers() == 3
-        monkeypatch.setenv("BACKSIM_THREADS", "0")
-        with pytest.raises(ValueError):
-            _max_workers()
-        monkeypatch.setenv("BACKSIM_THREADS", "x")
-        with pytest.raises(ValueError, match="BACKSIM_THREADS"):
-            _max_workers()
-        monkeypatch.delenv("BACKSIM_THREADS")
-        assert _max_workers() >= 1
+    @pytest.mark.parametrize("overrides,empty", [
+        ({"node_density": 0.05}, "none"),     # about 16 nodes: padded rows exceed 8
+        ({"node_density": 0.002}, "some"),    # about 0.6 nodes per topology
+        ({"fixed_node_count": 0}, "all"),     # every row NaN
+    ], ids=["normal", "sparse", "no_nodes"])
+    def test_matches_per_population_oracle(self, overrides, empty):
+        # The batched sweep must equal the unbatched per-population loop,
+        # aggregated the same way, up to summation order.
+        cfg = ScenarioConfig(pb_power_dbm_sweep=[20.0, 35.0, 45.0], num_slots=30,
+                             warmup_slots=6, seed=9, **overrides).validate()
+        num_topologies = 8
+        topologies = [_topology(cfg, t) for t in range(num_topologies)]
+        empties = sum(len(topo) == 0 for topo in topologies)
+        assert {"none": empties == 0 and max(map(len, topologies)) > 8,
+                "some": 0 < empties < num_topologies,
+                "all": empties == num_topologies}[empty]
+        results = run_comparison(cfg, num_topologies=num_topologies)
+        expected = []
+        for pb in cfg.pb_power_dbm_sweep:
+            for kind in KINDS:
+                runs = [population_loop(cfg, kind, topo, pb) for topo in topologies]
+                expected.append((pb, kind, *_mean_ci([r[0] for r in runs]),
+                                 *_mean_ci([r[1] for r in runs])))
+        assert len(results) == len(expected)
+        for r, (pb, kind, ber, ci_ber, frac, ci_frac) in zip(results, expected):
+            assert (r.pb_power_dbm, r.kind) == (pb, kind)
+            for got, want in ((r.mean_ber, ber), (r.ci95_ber, ci_ber),
+                              (r.active_fraction, frac), (r.ci95_active, ci_frac)):
+                assert _close(got, want), (pb, kind, got, want)
+        if empty == "all":
+            assert all(math.isnan(r.mean_ber) and math.isnan(r.active_fraction)
+                       for r in results)
 
     def test_csv_schema(self, small_config, tmp_path):
         results = run_comparison(small_config, num_topologies=2)
@@ -170,3 +227,29 @@ class TestRunComparison:
         assert first[1] in ("backscatter", "traditional")
         # shortest round-trip decimals parse back exactly
         assert float(first[0]) == results[0].pb_power_dbm
+
+
+# Golden sweeps written by ``backsim --experiment fig3a --seed 42`` before the
+# sweep was batched over powers and topologies: the default config at 20
+# topologies, and data/fig3_dense.cfg (about 24 nodes per topology) at 10.
+# The batched engine adds the same terms in another order (stacked matrix
+# products, pairwise sums over padded rows), so numeric columns agree to
+# 1e-12 relative; NaN positions and the other columns agree exactly.
+@pytest.mark.parametrize("golden,flags", [
+    ("fig3_default_seed42_t20.csv", ["--trials", "20"]),
+    ("fig3_dense_seed42_t10.csv",
+     ["--trials", "10", "--config", str(DATA / "fig3_dense.cfg")]),
+])
+def test_fig3_matches_golden(golden, flags, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["--experiment", "fig3a", "--seed", "42", "--out", str(out), *flags]) == 0
+    got = out.read_text().splitlines()
+    expected = (DATA / golden).read_text().splitlines()
+    assert got[0] == expected[0] and len(got) == len(expected)
+    columns = expected[0].split(",")
+    for g_line, e_line in zip(got[1:], expected[1:]):
+        for col, g, e in zip(columns, g_line.split(","), e_line.split(",")):
+            if col in ("pb_power_dbm", "kind", "trials", "seed"):
+                assert g == e, (col, e_line)
+            else:
+                assert _close(float(g), float(e)), (col, g_line, e_line)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from backsim.scenario import (NodeKind, PURPOSE_PLACEMENT, ScenarioConfig,
+from backsim.scenario import (PURPOSE_PLACEMENT, ScenarioConfig,
                               derive_stream, load_config, place_nodes)
 
 
@@ -66,11 +66,6 @@ class TestPlaceNodes:
             r = node.pb_distance_m
             assert cfg.min_pb_distance_m <= r <= cfg.region_radius
             assert abs(node.rx_distance_m - cfg.rx_distance_m) < 1e-12 * cfg.rx_distance_m
-
-    def test_kind_assignment(self):
-        cfg = ScenarioConfig(fixed_node_count=5)
-        nodes = place_nodes(cfg, derive_stream(1, 0, 0), kind=NodeKind.TRADITIONAL)
-        assert all(n.kind == NodeKind.TRADITIONAL for n in nodes)
 
 
 class TestDeriveStream:
