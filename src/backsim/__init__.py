@@ -1,17 +1,14 @@
 """Seeded Monte Carlo simulator of wirelessly powered backscatter networks."""
 
-from .channel import LinkBudget, backscatter_rx_power, dbm_to_watts, friis_gain, watts_to_dbm
-from .dyadic import (DyadicChannel, draw_channel, dyadic_composite,
-                     estimate_diversity_order, simulate_dyadic_ber)
+from .channel import LinkBudget, dbm_to_watts, friis_gain
+from .dyadic import estimate_diversity_order, simulate_dyadic_ber
 from .energymodel import (ConsumptionProfile, EnergyLedger, activation_decision,
                           duty_cycle_tradeoff, harvested_energy, step_population,
                           traditional_tx_power)
 from .mac import (SlotAssignment, aggregate_interference, count_interference_components,
-                  expected_simultaneous, tdma_schedule, th_ss_assign,
-                  th_ss_collision_probability)
-from .netsim import ExperimentResult, run_comparison, run_population, write_results_csv
-from .phylink import (ReflectionConstellation, ambient_average_detect, bpsk_ber,
-                      energy_detect, energy_rate_frontier, q_function,
+                  tdma_schedule, th_ss_assign, th_ss_collision_probability)
+from .netsim import ExperimentResult, run_comparison, run_population
+from .phylink import (ReflectionConstellation, bpsk_ber, energy_rate_frontier, q_function,
                       scale_constellation)
 from .scenario import (NodeKind, NodeState, ScenarioConfig, derive_stream,
                        load_config, place_nodes)

@@ -38,33 +38,9 @@ def friis_gain(distance_m, wavelength_m, aperture_tx_m2, aperture_rx_m2):
     return gain
 
 
-def backscatter_rx_power(pb_power_w, gain_pb_to_tag, reflect_fraction, gain_tag_to_rx):
-    """Received power of a backscattered signal over the two-hop cascade.
-
-    The continuous wave travels beacon -> tag, a fraction of the incident
-    power is reflected by the tag, and the reflection travels tag -> receiver.
-    """
-    if pb_power_w < 0.0:
-        raise ValueError("beacon power must be non-negative")
-    for name, g in (("gain_pb_to_tag", gain_pb_to_tag), ("gain_tag_to_rx", gain_tag_to_rx)):
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-    if not 0.0 <= reflect_fraction <= 1.0:
-        raise ValueError("reflect_fraction must lie in [0, 1]")
-    return pb_power_w * gain_pb_to_tag * reflect_fraction * gain_tag_to_rx
-
-
 def dbm_to_watts(p_dbm):
     """Convert dBm to watts, 10**((p - 30) / 10)."""
     return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_w):
-    """Convert watts to dBm; requires strictly positive power."""
-    p = np.asarray(p_w, dtype=float)
-    if np.any(p <= 0.0):
-        raise ValueError("power must be strictly positive to express in dBm")
-    return 10.0 * np.log10(p) + 30.0
 
 
 @dataclass(frozen=True)

@@ -14,59 +14,15 @@ the number of tag antennas, not by the reader's array size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .phylink import q_function
-
-_METHODS = ("conditional", "semi", "bits")
 _CHUNK = 1 << 17
-
-
-@dataclass(frozen=True)
-class DyadicChannel:
-    """One realisation of the forward and backward MIMO hops."""
-
-    forward: np.ndarray   # (num_tag_antennas, num_reader_tx)
-    backward: np.ndarray  # (num_reader_rx, num_tag_antennas)
-
-    def __post_init__(self):
-        fwd = np.asarray(self.forward, dtype=complex)
-        bwd = np.asarray(self.backward, dtype=complex)
-        object.__setattr__(self, "forward", fwd)
-        object.__setattr__(self, "backward", bwd)
-        if fwd.ndim != 2 or bwd.ndim != 2:
-            raise ValueError("forward and backward must be 2-D matrices")
-        if fwd.shape[0] != bwd.shape[1]:
-            raise ValueError("tag-antenna dimension of the two hops must agree")
 
 
 def _complex_normal(rng, shape):
     """Circularly-symmetric complex Gaussian entries, unit variance."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
-def draw_channel(num_tag_antennas, num_reader_tx, num_reader_rx, rng):
-    """Fresh independent dyadic channel realisation."""
-    return DyadicChannel(
-        forward=_complex_normal(rng, (num_tag_antennas, num_reader_tx)),
-        backward=_complex_normal(rng, (num_reader_rx, num_tag_antennas)),
-    )
-
-
-def dyadic_composite(channel, tag_symbols):
-    """Composite reader-to-reader matrix: backward @ diag(symbols) @ forward.
-
-    ``tag_symbols`` are the reflection coefficients applied at each tag
-    antenna, so each must have magnitude at most 1.
-    """
-    symbols = np.asarray(tag_symbols, dtype=complex)
-    if symbols.ndim != 1 or symbols.shape[0] != channel.forward.shape[0]:
-        raise ValueError("need exactly one reflection coefficient per tag antenna")
-    if np.any(np.abs(symbols) > 1.0 + 1e-12):
-        raise ValueError("reflection coefficients must have magnitude <= 1")
-    return channel.backward @ np.diag(symbols) @ channel.forward
 
 
 def _rayleigh_bpsk_ber(snr_mean):
@@ -109,23 +65,20 @@ def _conditional_ber(beta):
 
 
 def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_grid,
-                        trials, rng, method="conditional", with_stderr=False):
+                        trials, rng, with_stderr=False):
     """BER-versus-SNR curve of BPSK over the dyadic channel.
 
     ``num_tag_antennas`` of 1 means plain maximum-ratio combining; 2 uses
     the rate-1 orthogonal pair over the tag's reflection coefficients. The
     carrier is radiated from all reader antennas with equal power, so the
-    combined forward coefficient per tag antenna stays unit variance.
+    combined forward coefficient per tag antenna stays unit variance, and
+    the reader's transmit array size drops out of the error rate.
 
-    Estimators (all share the same expectation, a fresh channel per trial):
-
-    - ``conditional``: draws the backward hop and averages the exact error
-      probability conditioned on it, integrating the forward hop
-      analytically. Orders of magnitude lower variance than error counting,
-      which is what makes deep high-SNR points resolvable at sane trial
-      counts.
-    - ``semi``: draws both hops and averages Q(sqrt(2 * post-SNR)).
-    - ``bits``: full bit-level simulation with additive noise.
+    Each trial draws a fresh backward hop and averages the exact error
+    probability conditioned on it, integrating the forward hop
+    analytically. That has orders of magnitude lower variance than error
+    counting, which is what makes deep high-SNR points resolvable at sane
+    trial counts.
 
     Returns a list of (snr_db, ber) tuples, or (snr_db, ber, stderr) when
     ``with_stderr`` is set.
@@ -134,33 +87,19 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
         raise ValueError("only 1 or 2 tag antennas are supported (orthogonal designs)")
     if num_reader_tx < 1 or num_reader_rx < 1:
         raise ValueError("reader needs at least one antenna on each side")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
     if trials < 10**5:
         raise ValueError("need at least 1e5 trials per point for a meaningful estimate")
 
-    ell = num_tag_antennas
-    snr_lin = [10.0 ** (float(s) / 10.0) for s in snr_db_grid]
     curve = []
-    for snr_db, snr in zip(snr_db_grid, snr_lin):
+    for snr_db in snr_db_grid:
+        snr = 10.0 ** (float(snr_db) / 10.0)
         total = 0.0
         total_sq = 0.0
         done = 0
         while done < trials:
             n = min(_CHUNK, trials - done)
-            if method == "bits":
-                errs = _bit_level_chunk(ell, num_reader_tx, num_reader_rx, snr, n, rng)
-                vals = errs  # per-trial error fraction over the codeword bits
-            else:
-                b = _complex_normal(rng, (n, num_reader_rx, ell))
-                branch = np.sum(np.abs(b) ** 2, axis=1)  # (n, L)
-                if method == "conditional":
-                    vals = _conditional_ber(snr * branch)
-                else:
-                    fwd = _complex_normal(rng, (n, ell, num_reader_tx))
-                    a = np.abs(fwd.sum(axis=2)) ** 2 / num_reader_tx  # (n, L)
-                    gamma = np.sum(a * branch, axis=1)
-                    vals = q_function(np.sqrt(2.0 * snr * gamma))
+            b = _complex_normal(rng, (n, num_reader_rx, num_tag_antennas))
+            vals = _conditional_ber(snr * np.sum(np.abs(b) ** 2, axis=1))  # branches (n, L)
             total += float(vals.sum())
             total_sq += float((vals**2).sum())
             done += n
@@ -172,36 +111,6 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
         else:
             curve.append((float(snr_db), mean))
     return curve
-
-
-def _bit_level_chunk(ell, num_tx, num_rx, snr, n, rng):
-    """Per-trial bit error fractions for one chunk of codewords."""
-    fwd = _complex_normal(rng, (n, ell, num_tx))
-    a = fwd.sum(axis=2) / math.sqrt(num_tx)          # (n, L) combined forward
-    b = _complex_normal(rng, (n, num_rx, ell))
-    h = b * a[:, None, :]                            # (n, M_r, L) composite
-    sigma = math.sqrt(1.0 / snr)                     # noise std per complex sample
-
-    if ell == 1:
-        s = rng.choice([-1.0, 1.0], size=n)
-        noise = sigma * _complex_normal(rng, (n, num_rx))
-        r = h[:, :, 0] * s[:, None] + noise
-        stat = np.real(np.sum(np.conj(h[:, :, 0]) * r, axis=1))
-        return (np.sign(stat) != s).astype(float)
-
-    s = rng.choice([-1.0, 1.0], size=(n, 2))
-    s1 = s[:, 0][:, None]
-    s2 = s[:, 1][:, None]
-    h1 = h[:, :, 0]
-    h2 = h[:, :, 1]
-    n1 = sigma * _complex_normal(rng, (n, num_rx))
-    n2 = sigma * _complex_normal(rng, (n, num_rx))
-    r1 = h1 * s1 + h2 * s2 + n1
-    r2 = -h1 * s2 + h2 * s1 + n2  # BPSK symbols are real, conjugation is a no-op
-    z1 = np.real(np.sum(np.conj(h1) * r1 + h2 * np.conj(r2), axis=1))
-    z2 = np.real(np.sum(np.conj(h2) * r1 - h1 * np.conj(r2), axis=1))
-    errors = (np.sign(z1) != s[:, 0]).astype(float) + (np.sign(z2) != s[:, 1]).astype(float)
-    return errors / 2.0
 
 
 def estimate_diversity_order(curve, min_resolved_ber=0.0):

@@ -60,15 +60,6 @@ def th_ss_assign(node_ids, frame_length, rng):
                           assignments={nid: int(s) for nid, s in zip(ids, slots)})
 
 
-def expected_simultaneous(num_links, frame_length):
-    """Expected co-slot population K / N under random slot selection."""
-    if num_links < 0:
-        raise ValueError("link count must be non-negative")
-    if frame_length < 1:
-        raise ValueError("frame_length must be at least 1")
-    return num_links / frame_length
-
-
 def th_ss_collision_probability(num_links, frame_length):
     """Probability that a given node shares its slot with anyone,
     1 - (1 - 1/N)^(K-1)."""
@@ -107,10 +98,13 @@ def aggregate_interference(emitted_w, gain):
     a traditional radio, zero for a silent node) and ``gain[..., j, i]`` the
     path gain from node j to link i's receiver; leading axes index
     independent populations and broadcast. Receiver i sees every node's
-    emission except its own link's: incoherent power sum, first-order
-    reflections only. Under TDMA or time hopping pass the gain matrix times
-    ``SlotAssignment.co_slot_mask`` so that only co-slot nodes count.
+    emission except its own link's: incoherent power sum over j != i,
+    first-order reflections only. Under TDMA or time hopping pass the gain
+    matrix times ``SlotAssignment.co_slot_mask`` so that only co-slot nodes
+    count.
     """
-    arriving = (emitted_w[..., None, :] @ gain)[..., 0, :]
-    # total minus own signal can round a hair below zero
-    return np.maximum(arriving - emitted_w * np.diagonal(gain, axis1=-2, axis2=-1), 0.0)
+    n = gain.shape[-1]
+    cross = gain.copy()
+    # zero the diagonal: every (n + 1)-th entry of each flattened matrix
+    cross.reshape(*gain.shape[:-2], n * n)[..., ::n + 1] = 0.0
+    return (emitted_w[..., None, :] @ cross)[..., 0, :]

@@ -89,8 +89,7 @@ def _padded_gains(config, topologies):
     return pb_gain, gain_to_rx, present
 
 
-def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm, num_slots=None,
-              bit_level_rng=None, bits_per_slot=1000):
+def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm, num_slots=None):
     """Run populations of one kind at every beacon power over padded topologies.
 
     Every (power, topology) pair is an independent population; all of them
@@ -121,13 +120,7 @@ def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm, num_slot
         interference = aggregate_interference(emitted, gain_to_rx)
         sinr = (emitted * link_gain)[active] / (interference[active] + config.noise_w)
         ber = np.zeros(active.shape)
-        if bit_level_rng is None:
-            ber[active] = bpsk_ber(sinr)
-        else:
-            # coherent BPSK: per bit, error iff the unit-variance noise
-            # projection exceeds the sqrt(2 * SINR) decision distance
-            noise_proj = bit_level_rng.standard_normal((sinr.size, bits_per_slot))
-            ber[active] = (noise_proj > np.sqrt(2.0 * sinr)[:, None]).mean(axis=1)
+        ber[active] = bpsk_ber(sinr)
         ber_sum += ber.sum(axis=-1)
         ber_samples += n_active
 
@@ -142,8 +135,7 @@ def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm, num_slot
     return mean_ber, active_fraction, ber_samples, ledger
 
 
-def run_population(config, kind, topology, pb_power_dbm, num_slots=None,
-                   bit_level_rng=None, bits_per_slot=1000):
+def run_population(config, kind, topology, pb_power_dbm, num_slots=None):
     """Run one population of a single kind over a fixed topology.
 
     Per slot: every node harvests from the beacon carrier and steps its
@@ -152,19 +144,11 @@ def run_population(config, kind, topology, pb_power_dbm, num_slots=None,
     after the warmup slots; a slot with no active node contributes no BER
     sample. Active fraction is the per-slot active share averaged over the
     measured slots. An empty topology yields no samples for either metric.
-
-    BER is semi-analytic by default, Q(sqrt(2 * SINR)) per active link;
-    passing ``bit_level_rng`` switches to counting errors over
-    ``bits_per_slot`` simulated BPSK bits per link instead (same
-    expectation under the Gaussian detector model, for spot validation).
-    This is the sweep engine of ``run_comparison`` at one power and one
-    topology.
+    BER is semi-analytic, Q(sqrt(2 * SINR)) per active link. This is the
+    sweep engine of ``run_comparison`` at one power and one topology.
     """
-    if bit_level_rng is not None and bits_per_slot < 1:
-        raise ValueError("bits_per_slot must be positive")
     mean_ber, active_fraction, ber_samples, ledger = _run_kind(
-        config, kind, *_padded_gains(config, [topology]), [pb_power_dbm], num_slots,
-        bit_level_rng, bits_per_slot)
+        config, kind, *_padded_gains(config, [topology]), [pb_power_dbm], num_slots)
     return PopulationResult(
         mean_ber=float(mean_ber[0, 0]), active_fraction=float(active_fraction[0, 0]),
         ber_samples=int(ber_samples[0, 0]),
@@ -219,10 +203,3 @@ def run_comparison(config, num_topologies=200, num_slots=None):
                 trials=num_topologies, seed=config.seed))
     return results
 
-
-def write_results_csv(results, path):
-    """Write sweep results with the fixed schema, one row per sweep point."""
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in results)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

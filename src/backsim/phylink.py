@@ -100,37 +100,3 @@ def energy_rate_frontier(constellation, beta_grid, link):
         frontier.append((harvested, float(bpsk_ber(sinr))))
     return frontier
 
-
-def energy_detect(received_energy_j, threshold_j):
-    """Non-coherent on/off detection: 1 iff the energy reaches the threshold.
-
-    The tie (energy exactly at the threshold) decodes as 1, which keeps the
-    detector deterministic.
-    """
-    if threshold_j <= 0.0:
-        raise ValueError("threshold must be strictly positive")
-    if received_energy_j < 0.0:
-        raise ValueError("received energy must be non-negative")
-    return 1 if received_energy_j >= threshold_j else 0
-
-
-def ambient_average_detect(samples, samples_per_backscatter_symbol):
-    """Recover on/off backscatter bits riding on a fast ambient signal.
-
-    The ambient modulation is much faster than the backscatter symbol rate
-    and zero-mean at that scale, so averaging the power envelope over each
-    backscatter symbol suppresses it. Each window mean is compared against
-    the midpoint between the lowest and highest window means (strictly
-    greater decodes as 1, so a flat all-off envelope yields all zeros).
-    """
-    w = int(samples_per_backscatter_symbol)
-    if w < 1:
-        raise ValueError("samples_per_backscatter_symbol must be at least 1")
-    env = np.asarray(samples, dtype=float)
-    if env.ndim != 1 or env.size == 0:
-        raise ValueError("samples must be a non-empty 1-D sequence")
-    if env.size % w != 0:
-        raise ValueError("sample count must be a multiple of the symbol window")
-    means = env.reshape(-1, w).mean(axis=1)
-    threshold = 0.5 * (means.min() + means.max())
-    return (means > threshold).astype(int)

@@ -1,8 +1,10 @@
-"""Scalar reference implementations that the array code is tested against.
+"""Reference implementations that the simulator is tested against.
 
-Each one follows a single node or a single receiver with plain Python
-floats, the way the physics reads in the paper's model, so the array
-engine in ``backsim`` can be checked against it term by term.
+The network oracles follow a single node or a single receiver with plain
+Python floats, the way the physics reads in the paper's model, so the array
+engine in ``backsim`` can be checked against it term by term. The dyadic
+oracles estimate the same error rate as ``simulate_dyadic_ber`` by drawing
+both hops instead of integrating one out.
 """
 
 import math
@@ -14,7 +16,7 @@ from backsim.channel import dbm_to_watts, friis_gain
 from backsim.energymodel import (ConsumptionProfile, EnergyLedger, activation_decision,
                                  harvested_energy, step_population, traditional_tx_power)
 from backsim.mac import aggregate_interference
-from backsim.phylink import bpsk_ber
+from backsim.phylink import bpsk_ber, q_function
 from backsim.scenario import NodeKind
 
 
@@ -111,13 +113,18 @@ def interference_at(receiver, topology, emitted_w, config, assignment=None):
     return total
 
 
-def population_loop(config, kind, topology, pb_power_dbm, num_slots=None):
+def population_loop(config, kind, topology, pb_power_dbm, num_slots=None,
+                    bit_level_rng=None, bits_per_slot=1000):
     """One population over one topology at one beacon power, unbatched.
 
     The network engine before it was batched over powers and topologies:
     gains for this topology alone, one slot at a time over its nodes, BER
     and activity summed in slot order. Returns (mean_ber, active_fraction,
     ber_samples, ledger); both means are NaN for an empty topology.
+
+    BER is Q(sqrt(2 * SINR)) per active link, or, given ``bit_level_rng``,
+    the error share counted over ``bits_per_slot`` simulated BPSK bits per
+    link (the same expectation under the Gaussian detector model).
     """
     kind = NodeKind(kind)
     if num_slots is None:
@@ -150,9 +157,87 @@ def population_loop(config, kind, topology, pb_power_dbm, num_slots=None):
             continue
         interference = aggregate_interference(emitted, gain_to_rx)
         sinr = (emitted * link_gain)[active] / (interference[active] + config.noise_w)
-        ber_sum += float(bpsk_ber(sinr).sum())
+        if bit_level_rng is None:
+            ber_sum += float(bpsk_ber(sinr).sum())
+        else:
+            # coherent BPSK: per bit, error iff the unit-variance noise
+            # projection exceeds the sqrt(2 * SINR) decision distance
+            noise_proj = bit_level_rng.standard_normal((sinr.size, bits_per_slot))
+            ber_sum += float((noise_proj > np.sqrt(2.0 * sinr)[:, None]).mean(axis=1).sum())
         ber_samples += n_active
 
     mean_ber = ber_sum / ber_samples if ber_samples else math.nan
     return (mean_ber, active_share_sum / (num_slots - config.warmup_slots),
             ber_samples, ledger)
+
+
+# Dyadic MIMO estimators ----------------------------------------------------
+
+_DYADIC_CHUNK = 1 << 17  # codewords drawn per batch
+
+
+def _complex_normal(rng, shape):
+    """Circularly-symmetric complex Gaussian entries, unit variance."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def _semi_chunk(ell, num_tx, num_rx, snr, n, rng):
+    """Q(sqrt(2 * post-combining SNR)) of n codewords over fresh draws of both hops."""
+    b = _complex_normal(rng, (n, num_rx, ell))
+    branch = np.sum(np.abs(b) ** 2, axis=1)                 # (n, L)
+    fwd = _complex_normal(rng, (n, ell, num_tx))
+    a = np.abs(fwd.sum(axis=2)) ** 2 / num_tx               # (n, L)
+    return q_function(np.sqrt(2.0 * snr * np.sum(a * branch, axis=1)))
+
+
+def _bit_level_chunk(ell, num_tx, num_rx, snr, n, rng):
+    """Bit error share of n codewords sent over the channel with additive noise.
+
+    One tag antenna is plain BPSK with maximum-ratio combining; two use the
+    Alamouti pair over the tag's reflection coefficients.
+    """
+    fwd = _complex_normal(rng, (n, ell, num_tx))
+    a = fwd.sum(axis=2) / math.sqrt(num_tx)          # (n, L) combined forward
+    b = _complex_normal(rng, (n, num_rx, ell))
+    h = b * a[:, None, :]                            # (n, M_r, L) composite
+    sigma = math.sqrt(1.0 / snr)                     # noise std per complex sample
+
+    if ell == 1:
+        s = rng.choice([-1.0, 1.0], size=n)
+        noise = sigma * _complex_normal(rng, (n, num_rx))
+        r = h[:, :, 0] * s[:, None] + noise
+        stat = np.real(np.sum(np.conj(h[:, :, 0]) * r, axis=1))
+        return (np.sign(stat) != s).astype(float)
+
+    s = rng.choice([-1.0, 1.0], size=(n, 2))
+    s1 = s[:, 0][:, None]
+    s2 = s[:, 1][:, None]
+    h1 = h[:, :, 0]
+    h2 = h[:, :, 1]
+    n1 = sigma * _complex_normal(rng, (n, num_rx))
+    n2 = sigma * _complex_normal(rng, (n, num_rx))
+    r1 = h1 * s1 + h2 * s2 + n1
+    r2 = -h1 * s2 + h2 * s1 + n2  # BPSK symbols are real, conjugation is a no-op
+    z1 = np.real(np.sum(np.conj(h1) * r1 + h2 * np.conj(r2), axis=1))
+    z2 = np.real(np.sum(np.conj(h2) * r1 - h1 * np.conj(r2), axis=1))
+    errors = (np.sign(z1) != s[:, 0]).astype(float) + (np.sign(z2) != s[:, 1]).astype(float)
+    return errors / 2.0
+
+
+def _dyadic_mean(chunk, ell, num_tx, num_rx, snr_db, trials, rng):
+    snr = 10.0 ** (float(snr_db) / 10.0)
+    total = 0.0
+    for done in range(0, trials, _DYADIC_CHUNK):
+        total += float(chunk(ell, num_tx, num_rx, snr, min(_DYADIC_CHUNK, trials - done),
+                             rng).sum())
+    return total / trials
+
+
+def semi_dyadic_ber(ell, num_tx, num_rx, snr_db, trials, rng):
+    """Dyadic BPSK error rate at one SNR: both hops drawn, Q-function averaged."""
+    return _dyadic_mean(_semi_chunk, ell, num_tx, num_rx, snr_db, trials, rng)
+
+
+def bit_level_dyadic_ber(ell, num_tx, num_rx, snr_db, trials, rng):
+    """Dyadic BPSK error rate at one SNR by counting bit errors in simulated codewords."""
+    return _dyadic_mean(_bit_level_chunk, ell, num_tx, num_rx, snr_db, trials, rng)

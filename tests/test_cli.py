@@ -1,8 +1,11 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from backsim.cli import ExperimentSpec, main, parse_args, run
+
+DATA = Path(__file__).parent / "data"
 
 
 def _digest(path):
@@ -114,6 +117,8 @@ class TestRun:
         assert lines[0] == "tag_antennas,rx_antennas,snr_db,ber"
         ells = {int(l.split(",")[0]) for l in lines[1:]}
         assert ells == {1, 2}
+        # recorded by this experiment at the default seed (42) and 1e5 trials
+        assert out.read_bytes() == (DATA / "dyadic_seed42_t100000.csv").read_bytes()
 
     @pytest.mark.parametrize("line,key", [
         ("noise_dbm = nan", "noise_dbm"),

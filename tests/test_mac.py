@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from backsim.channel import backscatter_rx_power, dbm_to_watts, friis_gain
+from backsim.channel import dbm_to_watts, friis_gain
 from backsim.mac import (SlotAssignment, aggregate_interference,
-                         count_interference_components, expected_simultaneous,
-                         tdma_schedule, th_ss_assign, th_ss_collision_probability,
-                         th_ss_collision_rate_mc)
+                         count_interference_components, tdma_schedule, th_ss_assign,
+                         th_ss_collision_probability, th_ss_collision_rate_mc)
 from backsim.scenario import NodeState, ScenarioConfig, derive_stream
 from oracles import interference_at
 
@@ -46,10 +45,6 @@ class TestThSs:
         p = th_ss_collision_probability(k, n)
         stderr = math.sqrt(p * (1 - p) / trials)
         assert abs(freq - p) < 3 * stderr
-
-    def test_expected_simultaneous(self):
-        assert expected_simultaneous(100, 100) == 1.0
-        assert expected_simultaneous(7, 1) == 7.0
 
     def test_empirical_co_slot_mean(self):
         k, n, trials = 20, 8, 20_000
@@ -116,8 +111,8 @@ class TestAggregateInterference:
         got = aggregate_interference(emitted, gain)[0]
         lam, ap = config.wavelength_m, config.aperture_m2
         d = float(np.hypot(*(intf.position - rx.receiver_position)))
-        expected = backscatter_rx_power(pb_w, friis_gain(intf.pb_distance_m, lam, ap, ap),
-                                        1.0, friis_gain(d, lam, ap, ap))
+        # beacon -> tag, full reflection, tag -> receiver
+        expected = pb_w * friis_gain(intf.pb_distance_m, lam, ap, ap) * friis_gain(d, lam, ap, ap)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_traditional_interferer(self, config):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from backsim.channel import LinkBudget
-from backsim.phylink import (ReflectionConstellation, ambient_average_detect,
-                             bpsk_ber, energy_detect, energy_rate_frontier,
+from backsim.phylink import (ReflectionConstellation, bpsk_ber, energy_rate_frontier,
                              q_function, scale_constellation)
 
 
@@ -124,60 +123,3 @@ class TestEnergyRateFrontier:
         assert all(a > b for a, b in zip(harvested, harvested[1:]))
         assert all(a > b for a, b in zip(bers, bers[1:]))
 
-
-class TestEnergyDetect:
-    def test_clearly_above(self):
-        assert energy_detect(2.0, 1.0) == 1
-
-    def test_clearly_below(self):
-        assert energy_detect(0.0, 1.0) == 0
-
-    def test_tie_decodes_one(self):
-        assert energy_detect(1.0, 1.0) == 1
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            energy_detect(1.0, 0.0)
-
-
-class TestAmbientAverageDetect:
-    def _synthetic_envelope(self, bits, samples_per_symbol, rng=None, noise=0.0):
-        """Fast +/-1 ambient symbols on/off keyed by the backscatter bits."""
-        ambient = np.sign(np.random.default_rng(0).random(
-            len(bits) * samples_per_symbol) - 0.5)
-        gate = np.repeat(np.asarray(bits, dtype=float), samples_per_symbol)
-        envelope = (ambient * gate) ** 2
-        if noise:
-            envelope = envelope + noise * rng.standard_normal(envelope.size)
-        return envelope
-
-    def test_recovers_synthetic_bits(self):
-        bits = [1, 0, 1, 1]
-        env = self._synthetic_envelope(bits, 100)
-        # independent oracle: direct window-power comparison at the midpoint
-        window_power = env.reshape(-1, 100).mean(axis=1)
-        oracle = (window_power > 0.5).astype(int)
-        decoded = ambient_average_detect(env, 100)
-        assert list(decoded) == list(oracle) == bits
-
-    def test_all_off_decodes_zeros(self):
-        env = np.zeros(400)
-        assert list(ambient_average_detect(env, 100)) == [0, 0, 0, 0]
-
-    def test_window_of_one_acts_per_sample(self):
-        env = np.array([0.0, 1.0, 1.0, 0.0])
-        assert list(ambient_average_detect(env, 1)) == [0, 1, 1, 0]
-
-    def test_mismatched_window_rejected(self):
-        with pytest.raises(ValueError):
-            ambient_average_detect(np.zeros(10), 3)
-
-    def test_error_rate_shrinks_with_window(self):
-        rng = np.random.default_rng(17)
-        bits = rng.integers(0, 2, size=4000)
-        rates = []
-        for window in (4, 16, 64):
-            env = self._synthetic_envelope(bits, window, rng=rng, noise=1.25)
-            decoded = ambient_average_detect(env, window)
-            rates.append(float(np.mean(decoded != bits)))
-        assert rates[0] > rates[1] > rates[2]
