@@ -11,53 +11,30 @@ free-space factor and is numerically negligible at these ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SlotAssignment:
-    """Map from node id to its sub-slot within a frame of length N."""
-
-    frame_length: int
-    assignments: dict
-
-    def __post_init__(self):
-        if self.frame_length < 1:
-            raise ValueError("frame_length must be at least 1")
-        for node_id, slot in self.assignments.items():
-            if not 0 <= slot < self.frame_length:
-                raise ValueError(f"slot {slot} of node {node_id} outside [0, {self.frame_length})")
-
-    def co_slot_mask(self, node_ids):
-        """mask[j, i] is true iff nodes j and i transmit in the same sub-slot."""
-        missing = [nid for nid in node_ids if nid not in self.assignments]
-        if missing:
-            raise ValueError(f"nodes {missing} have no slot assignment")
-        slots = np.array([self.assignments[nid] for nid in node_ids])
-        return slots[:, None] == slots[None, :]
+def tdma_schedule(num_nodes, frame_length):
+    """Slot index per node: round-robin in node order, so collision-free."""
+    if frame_length < num_nodes:
+        raise ValueError(f"frame of {frame_length} slots cannot hold {num_nodes} nodes")
+    return np.arange(num_nodes)
 
 
-def tdma_schedule(node_ids, frame_length):
-    """Pre-assign one slot per node, round-robin in id order; collision-free."""
-    ids = sorted(node_ids)
-    if len(set(ids)) != len(ids):
-        raise ValueError("node ids must be unique")
-    if frame_length < len(ids):
-        raise ValueError(f"frame of {frame_length} slots cannot hold {len(ids)} nodes")
-    return SlotAssignment(frame_length=frame_length,
-                          assignments={nid: i for i, nid in enumerate(ids)})
+def th_ss_assign(shape, frame_length, rng):
+    """Slot index per node, each drawn uniformly from ``frame_length`` sub-slots.
 
-
-def th_ss_assign(node_ids, frame_length, rng):
-    """Each node independently picks one of N sub-slots uniformly at random."""
-    ids = list(node_ids)
+    ``shape`` is the node count, or a tuple whose last axis is the nodes and
+    whose leading axes index independent frames.
+    """
     if frame_length < 1:
         raise ValueError("frame_length must be at least 1")
-    slots = rng.integers(0, frame_length, size=len(ids))
-    return SlotAssignment(frame_length=frame_length,
-                          assignments={nid: int(s) for nid, s in zip(ids, slots)})
+    return rng.integers(0, frame_length, size=shape)
+
+
+def co_slot_mask(slots):
+    """mask[..., j, i] is true iff nodes j and i transmit in the same sub-slot."""
+    return slots[..., :, None] == slots[..., None, :]
 
 
 def th_ss_collision_probability(num_links, frame_length):
@@ -100,7 +77,7 @@ def aggregate_interference(emitted_w, gain):
     independent populations and broadcast. Receiver i sees every node's
     emission except its own link's: incoherent power sum over j != i,
     first-order reflections only. Under TDMA or time hopping pass the gain
-    matrix times ``SlotAssignment.co_slot_mask`` so that only co-slot nodes
+    matrix times ``co_slot_mask(slots)`` so that only co-slot nodes
     count.
     """
     n = gain.shape[-1]

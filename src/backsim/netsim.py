@@ -73,11 +73,9 @@ def _padded_gains(config, topologies):
     distance for ``friis_gain`` and are then zeroed.
     """
     present = np.arange(max(map(len, topologies))) < np.array([[len(t)] for t in topologies])
-    nodes = [nd for topology in topologies for nd in topology]
-    positions = np.zeros(present.shape + (2,))
-    rx_positions = np.zeros(present.shape + (2,))
-    positions[present] = np.reshape([nd.position for nd in nodes], (-1, 2))
-    rx_positions[present] = np.reshape([nd.receiver_position for nd in nodes], (-1, 2))
+    padded = np.zeros(present.shape + (2, 2))
+    padded[present] = np.concatenate(topologies)
+    positions, rx_positions = padded[..., 0, :], padded[..., 1, :]
 
     wavelength, aperture = config.wavelength_m, config.aperture_m2
     pb_distance = np.where(present, np.hypot(positions[..., 0], positions[..., 1]), 1.0)
@@ -89,7 +87,7 @@ def _padded_gains(config, topologies):
     return pb_gain, gain_to_rx, present
 
 
-def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm, num_slots=None):
+def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm):
     """Run populations of one kind at every beacon power over padded topologies.
 
     Every (power, topology) pair is an independent population; all of them
@@ -97,10 +95,6 @@ def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm, num_slot
     fraction and the BER sample count, each (P, T), and the final
     (P, T, N) energy ledger.
     """
-    if num_slots is None:
-        num_slots = config.num_slots
-    if config.warmup_slots >= num_slots:
-        raise ValueError("warmup_slots must be smaller than the slot count")
     profile = ConsumptionProfile.for_kind(kind, config)
     incident = dbm_to_watts(pb_power_dbm)[:, None, None] * pb_gain  # (P, T, N)
     link_gain = np.diagonal(gain_to_rx, axis1=-2, axis2=-1)          # (T, N)
@@ -111,7 +105,7 @@ def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm, num_slot
     ber_samples = np.zeros(incident.shape[:2], dtype=np.int64)
     active_share_sum = np.zeros(incident.shape[:2])
 
-    for slot in range(num_slots):
+    for slot in range(config.num_slots):
         active, emitted = step_population(ledger, incident, profile, config)
         if slot < config.warmup_slots:
             continue
@@ -130,25 +124,27 @@ def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm, num_slot
                            f"{tuple(np.argwhere(drifted)[0])}")
 
     mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
-    active_fraction = np.where(nodes > 0, active_share_sum / (num_slots - config.warmup_slots),
-                               math.nan)
+    measured_slots = config.num_slots - config.warmup_slots
+    active_fraction = np.where(nodes > 0, active_share_sum / measured_slots, math.nan)
     return mean_ber, active_fraction, ber_samples, ledger
 
 
-def run_population(config, kind, topology, pb_power_dbm, num_slots=None):
+def run_population(config, kind, topology, pb_power_dbm):
     """Run one population of a single kind over a fixed topology.
 
-    Per slot: every node harvests from the beacon carrier and steps its
-    energy model; the active set is then frozen and each active link's SINR
-    is signal / (co-active interference + noise). BER samples are collected
-    after the warmup slots; a slot with no active node contributes no BER
-    sample. Active fraction is the per-slot active share averaged over the
+    ``topology`` is an (n, 2, 2) array of node and receiver positions as
+    ``place_nodes`` returns it. Per slot: every node harvests from the
+    beacon carrier and steps its energy model; the active set is then
+    frozen and each active link's SINR is signal / (co-active interference
+    + noise). BER samples are collected after the warmup slots; a slot with
+    no active node contributes no BER sample. Active fraction is the per-slot active share averaged over the
     measured slots. An empty topology yields no samples for either metric.
     BER is semi-analytic, Q(sqrt(2 * SINR)) per active link. This is the
     sweep engine of ``run_comparison`` at one power and one topology.
     """
+    config.validate()
     mean_ber, active_fraction, ber_samples, ledger = _run_kind(
-        config, kind, *_padded_gains(config, [topology]), [pb_power_dbm], num_slots)
+        config, kind, *_padded_gains(config, [topology]), [pb_power_dbm])
     return PopulationResult(
         mean_ber=float(mean_ber[0, 0]), active_fraction=float(active_fraction[0, 0]),
         ber_samples=int(ber_samples[0, 0]),
@@ -168,7 +164,7 @@ def _mean_ci(values):
     return mean, half
 
 
-def run_comparison(config, num_topologies=200, num_slots=None):
+def run_comparison(config, num_topologies=200):
     """Sweep beacon power for both node kinds over paired topologies.
 
     All topologies are placed first and padded into one batch; each kind
@@ -187,7 +183,7 @@ def run_comparison(config, num_topologies=200, num_slots=None):
                   for t in range(num_topologies)]
     gains = _padded_gains(config, topologies)
     kinds = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)
-    per_kind = {kind: _run_kind(config, kind, *gains, config.pb_power_dbm_sweep, num_slots)
+    per_kind = {kind: _run_kind(config, kind, *gains, config.pb_power_dbm_sweep)
                 for kind in kinds}
 
     results = []

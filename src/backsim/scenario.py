@@ -144,24 +144,6 @@ class ScenarioConfig:
         return self.node_density * self.annulus_area_m2
 
 
-@dataclass
-class NodeState:
-    """One sensor node's geometry; the population that runs it sets the kind."""
-
-    id: int
-    position: np.ndarray          # (2,) metres, beacon at origin
-    receiver_position: np.ndarray  # (2,) metres
-
-    @property
-    def pb_distance_m(self):
-        return float(np.hypot(self.position[0], self.position[1]))
-
-    @property
-    def rx_distance_m(self):
-        d = self.receiver_position - self.position
-        return float(np.hypot(d[0], d[1]))
-
-
 def derive_stream(master_seed, node_id, purpose_tag):
     """Deterministic, statistically independent stream per (node, purpose).
 
@@ -178,7 +160,9 @@ def place_nodes(config, rng):
     The node count is Poisson with mean density * annulus area unless
     ``config.fixed_node_count`` pins it. Positions are uniform over the
     annulus, each receiver sits at ``rx_distance_m`` from its node at a
-    uniformly random angle.
+    uniformly random angle. Returns an (n, 2, 2) array in metres with the
+    beacon at the origin: ``[:, 0]`` the node positions, ``[:, 1]`` their
+    receivers' positions.
     """
     config.validate()
     mean_count = config.expected_node_count
@@ -196,14 +180,11 @@ def place_nodes(config, rng):
     angles = rng.random(n) * 2.0 * math.pi
     rx_angles = rng.random(n) * 2.0 * math.pi
 
-    nodes = []
-    for i in range(n):
-        pos = np.array([radii[i] * math.cos(angles[i]), radii[i] * math.sin(angles[i])])
-        rx_pos = pos + config.rx_distance_m * np.array(
-            [math.cos(rx_angles[i]), math.sin(rx_angles[i])]
-        )
-        nodes.append(NodeState(id=i, position=pos, receiver_position=rx_pos))
-    return nodes
+    topology = np.empty((n, 2, 2))
+    topology[:, 0] = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    topology[:, 1] = topology[:, 0] + config.rx_distance_m * np.stack(
+        [np.cos(rx_angles), np.sin(rx_angles)], axis=-1)
+    return topology
 
 
 # Flat key = value config files -----------------------------------------

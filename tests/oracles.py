@@ -91,30 +91,56 @@ def emitted_power(outcome, incident_w):
     return outcome.tx_power_w + incident_w * outcome.reflect_fraction
 
 
-def interference_at(receiver, topology, emitted_w, config, assignment=None):
+def place_nodes_loop(config, rng):
+    """``place_nodes`` one node at a time with scalar ``math.cos``/``math.sin``.
+
+    Draws the node count, radii, angles and receiver angles in the same
+    order as ``place_nodes`` and returns the same (n, 2, 2) layout: node
+    position in ``[:, 0]``, receiver position in ``[:, 1]``.
+    """
+    config.validate()
+    if config.fixed_node_count is not None:
+        n = int(config.fixed_node_count)
+    else:
+        n = int(rng.poisson(config.expected_node_count))
+    r_min2 = config.min_pb_distance_m**2
+    r_max2 = config.region_radius**2
+    radii = np.sqrt(r_min2 + rng.random(n) * (r_max2 - r_min2))
+    angles = rng.random(n) * 2.0 * math.pi
+    rx_angles = rng.random(n) * 2.0 * math.pi
+
+    topology = np.empty((n, 2, 2))
+    for i in range(n):
+        pos = np.array([radii[i] * math.cos(angles[i]), radii[i] * math.sin(angles[i])])
+        topology[i, 0] = pos
+        topology[i, 1] = pos + config.rx_distance_m * np.array(
+            [math.cos(rx_angles[i]), math.sin(rx_angles[i])])
+    return topology
+
+
+def interference_at(receiver, topology, emitted_w, config, slots=None):
     """Interference power at node ``receiver``'s receiver, in watts.
 
     Sums ``emitted_w[j] * friis_gain(distance j -> receiver)`` over every
-    other node j, one scalar gain per pair. With a slot ``assignment``
-    (TDMA or time hopping) only nodes sharing the receiver's sub-slot count.
+    other node j of the (n, 2, 2) ``topology``, one scalar gain per pair.
+    With per-node sub-slot indices ``slots`` (TDMA or time hopping) only
+    nodes sharing the receiver's sub-slot count.
     """
-    rx = topology[receiver]
+    rx = topology[receiver, 1]
     lam, ap = config.wavelength_m, config.aperture_m2
     total = 0.0
-    for j, node in enumerate(topology):
+    for j, (position, _) in enumerate(topology):
         if j == receiver:
             continue
-        if (assignment is not None
-                and assignment.assignments[node.id] != assignment.assignments[rx.id]):
+        if slots is not None and slots[j] != slots[receiver]:
             continue
-        d = math.hypot(node.position[0] - rx.receiver_position[0],
-                       node.position[1] - rx.receiver_position[1])
+        d = math.hypot(position[0] - rx[0], position[1] - rx[1])
         total += emitted_w[j] * friis_gain(d, lam, ap, ap)
     return total
 
 
-def population_loop(config, kind, topology, pb_power_dbm, num_slots=None,
-                    bit_level_rng=None, bits_per_slot=1000):
+def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
+                    bits_per_slot=1000):
     """One population over one topology at one beacon power, unbatched.
 
     The network engine before it was batched over powers and topologies:
@@ -127,8 +153,6 @@ def population_loop(config, kind, topology, pb_power_dbm, num_slots=None,
     link (the same expectation under the Gaussian detector model).
     """
     kind = NodeKind(kind)
-    if num_slots is None:
-        num_slots = config.num_slots
     n = len(topology)
     ledger = EnergyLedger.empty(n)
     if n == 0:
@@ -136,8 +160,7 @@ def population_loop(config, kind, topology, pb_power_dbm, num_slots=None,
 
     lam, ap = config.wavelength_m, config.aperture_m2
     profile = ConsumptionProfile.for_kind(kind, config)
-    positions = np.array([nd.position for nd in topology])
-    rx_positions = np.array([nd.receiver_position for nd in topology])
+    positions, rx_positions = topology[:, 0], topology[:, 1]
     incident = float(dbm_to_watts(pb_power_dbm)) * np.atleast_1d(
         friis_gain(np.hypot(positions[:, 0], positions[:, 1]), lam, ap, ap))
     diff = positions[:, None, :] - rx_positions[None, :, :]
@@ -147,7 +170,7 @@ def population_loop(config, kind, topology, pb_power_dbm, num_slots=None,
     ber_sum = 0.0
     ber_samples = 0
     active_share_sum = 0.0
-    for slot in range(num_slots):
+    for slot in range(config.num_slots):
         active, emitted = step_population(ledger, incident, profile, config)
         if slot < config.warmup_slots:
             continue
@@ -167,7 +190,7 @@ def population_loop(config, kind, topology, pb_power_dbm, num_slots=None,
         ber_samples += n_active
 
     mean_ber = ber_sum / ber_samples if ber_samples else math.nan
-    return (mean_ber, active_share_sum / (num_slots - config.warmup_slots),
+    return (mean_ber, active_share_sum / (config.num_slots - config.warmup_slots),
             ber_samples, ledger)
 
 

@@ -181,7 +181,8 @@ def test_criterion_08_energy_conservation():
     worst = 0.0
     pb_w = float(dbm_to_watts(40.0))
     lam, ap = config.wavelength_m, config.aperture_m2
-    incident = pb_w * friis_gain(np.array([n.pb_distance_m for n in topology]), lam, ap, ap)
+    pb_distance = np.hypot(topology[:, 0, 0], topology[:, 0, 1])
+    incident = pb_w * friis_gain(pb_distance, lam, ap, ap)
     for kind in (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL):
         profile = ConsumptionProfile.for_kind(kind, config)
         ledger = EnergyLedger.empty(len(topology))

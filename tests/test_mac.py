@@ -4,32 +4,32 @@ import numpy as np
 import pytest
 
 from backsim.channel import dbm_to_watts, friis_gain
-from backsim.mac import (SlotAssignment, aggregate_interference,
-                         count_interference_components, tdma_schedule, th_ss_assign,
-                         th_ss_collision_probability, th_ss_collision_rate_mc)
-from backsim.scenario import NodeState, ScenarioConfig, derive_stream
+from backsim.mac import (aggregate_interference, co_slot_mask, count_interference_components,
+                         tdma_schedule, th_ss_assign, th_ss_collision_probability,
+                         th_ss_collision_rate_mc)
+from backsim.scenario import ScenarioConfig, derive_stream
 from oracles import interference_at
 
 
 class TestTdma:
     def test_round_robin_bijection(self):
-        sched = tdma_schedule([0, 1, 2], 3)
-        assert sched.assignments == {0: 0, 1: 1, 2: 2}
+        assert tdma_schedule(3, 3).tolist() == [0, 1, 2]
 
     def test_pigeonhole(self):
         with pytest.raises(ValueError):
-            tdma_schedule([0, 1], 1)
+            tdma_schedule(2, 1)
 
     def test_no_collisions(self):
-        sched = tdma_schedule(list(range(17)), 32)
-        slots = list(sched.assignments.values())
-        assert len(set(slots)) == len(slots)
+        slots = tdma_schedule(17, 32)
+        assert len(set(slots.tolist())) == len(slots)
+        assert np.array_equal(co_slot_mask(slots), np.eye(17, dtype=bool))
 
 
 class TestThSs:
     def test_single_slot_collides(self):
-        sched = th_ss_assign([0, 1, 2], 1, derive_stream(1, 0, 1))
-        assert set(sched.assignments.values()) == {0}
+        slots = th_ss_assign(3, 1, derive_stream(1, 0, 1))
+        assert slots.tolist() == [0, 0, 0]
+        assert co_slot_mask(slots).all()
 
     def test_closed_form_examples(self):
         assert th_ss_collision_probability(2, 10) == pytest.approx(0.1, rel=1e-12)
@@ -72,22 +72,20 @@ class TestInterferenceCount:
 
 
 def _grid(config):
-    """Four nodes on a small cross around the beacon, and their gain matrix
-    (node j's antenna to node i's receiver)."""
-    coords = [(2.0, 0.0), (0.0, 3.0), (-4.0, 0.0), (0.0, -5.0)]
-    nodes = [NodeState(id=i, position=np.array([x, y]),
-                       receiver_position=np.array([x, y + config.rx_distance_m]))
-             for i, (x, y) in enumerate(coords)]
+    """Four nodes on a small cross around the beacon as an (n, 2, 2)
+    topology, and their gain matrix (node j's antenna to node i's receiver)."""
+    coords = np.array([(2.0, 0.0), (0.0, 3.0), (-4.0, 0.0), (0.0, -5.0)])
+    nodes = np.stack([coords, coords + [0.0, config.rx_distance_m]], axis=1)
     lam, ap = config.wavelength_m, config.aperture_m2
-    gain = np.array([[friis_gain(float(np.hypot(*(tx.position - rx.receiver_position))),
-                                 lam, ap, ap) for rx in nodes] for tx in nodes])
+    gain = np.array([[friis_gain(float(np.hypot(*(tx[0] - rx[1]))), lam, ap, ap)
+                      for rx in nodes] for tx in nodes])
     return nodes, gain
 
 
 def _reflected(nodes, pb_w, config):
     """Power each node reflects when it backscatters the full beacon wave."""
     lam, ap = config.wavelength_m, config.aperture_m2
-    return np.array([pb_w * friis_gain(n.pb_distance_m, lam, ap, ap) for n in nodes])
+    return np.array([pb_w * friis_gain(float(np.hypot(*n[0])), lam, ap, ap) for n in nodes])
 
 
 class TestAggregateInterference:
@@ -110,9 +108,10 @@ class TestAggregateInterference:
         emitted = np.where(np.arange(4) == 1, _reflected(nodes, pb_w, config), 0.0)
         got = aggregate_interference(emitted, gain)[0]
         lam, ap = config.wavelength_m, config.aperture_m2
-        d = float(np.hypot(*(intf.position - rx.receiver_position)))
+        d = float(np.hypot(*(intf[0] - rx[1])))
         # beacon -> tag, full reflection, tag -> receiver
-        expected = pb_w * friis_gain(intf.pb_distance_m, lam, ap, ap) * friis_gain(d, lam, ap, ap)
+        pb_distance = float(np.hypot(*intf[0]))
+        expected = pb_w * friis_gain(pb_distance, lam, ap, ap) * friis_gain(d, lam, ap, ap)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_traditional_interferer(self, config):
@@ -120,7 +119,7 @@ class TestAggregateInterference:
         rx, intf = nodes[0], nodes[2]
         got = aggregate_interference(np.array([0.0, 0.0, 2e-6, 0.0]), gain)[0]
         lam, ap = config.wavelength_m, config.aperture_m2
-        d = float(np.hypot(*(intf.position - rx.receiver_position)))
+        d = float(np.hypot(*(intf[0] - rx[1])))
         assert got == pytest.approx(2e-6 * friis_gain(d, lam, ap, ap), rel=1e-12)
 
     def test_additivity(self, config):
@@ -135,25 +134,22 @@ class TestAggregateInterference:
 
     def test_tdma_is_silent_between_scheduled_tags(self, config):
         nodes, gain = _grid(config)
-        ids = [n.id for n in nodes]
-        sched = tdma_schedule(ids, 4)
         got = aggregate_interference(_reflected(nodes, 5.0, config),
-                                     gain * sched.co_slot_mask(ids))
+                                     gain * co_slot_mask(tdma_schedule(4, 4)))
         assert got.tolist() == [0.0] * 4
 
     def test_th_ss_thins_interference(self, config):
         nodes, gain = _grid(config)
-        ids = [n.id for n in nodes]
         emitted = _reflected(nodes, 5.0, config)
         means = []
         for frame_length in (1, 4, 16, 64):
             rng = derive_stream(23, frame_length, 1)
             totals = []
             for _ in range(400):
-                sched = th_ss_assign(ids, frame_length, rng)
-                got = aggregate_interference(emitted, gain * sched.co_slot_mask(ids))[0]
+                slots = th_ss_assign(4, frame_length, rng)
+                got = aggregate_interference(emitted, gain * co_slot_mask(slots))[0]
                 assert got == pytest.approx(
-                    interference_at(0, nodes, emitted, config, sched), rel=1e-9)
+                    interference_at(0, nodes, emitted, config, slots), rel=1e-9)
                 totals.append(got)
             means.append(np.mean(totals))
         assert all(a > b for a, b in zip(means, means[1:]))
@@ -163,12 +159,10 @@ class TestAggregateInterference:
         # (populations, topologies, nodes): each batch item must equal the
         # unbatched call on its own emissions and gain matrix
         nodes, gain = _grid(config)
-        ids = [n.id for n in nodes]
         gains = np.stack([gain, gain[::-1, ::-1], gain * 0.5])          # (3, 4, 4)
         if masked:
             rng = derive_stream(5, 0, 1)
-            gains = gains * np.stack([th_ss_assign(ids, 2, rng).co_slot_mask(ids)
-                                      for _ in range(3)])
+            gains = gains * co_slot_mask(th_ss_assign((3, 4), 2, rng))
         emitted = derive_stream(6, 0, 1).random((2, 3, 4)) * 1e-6     # (2, 3, 4)
         emitted[0, 1, 2] = 0.0
         got = aggregate_interference(emitted, gains)
@@ -179,16 +173,20 @@ class TestAggregateInterference:
                 np.testing.assert_allclose(got[p, t], expected, rtol=1e-15, atol=0.0)
 
     def test_mode_validation(self, config):
-        # a co-slot mask needs a slot for every node; the gain matrix must
-        # match the emitters
+        # a co-slot mask must cover every node of the gain matrix; the gain
+        # matrix must match the emitters
         nodes, gain = _grid(config)
         with pytest.raises(ValueError):
-            SlotAssignment(frame_length=4, assignments={0: 0, 1: 1}).co_slot_mask([0, 1, 2])
+            gain * co_slot_mask(tdma_schedule(3, 4))
         with pytest.raises(ValueError):
             aggregate_interference(np.ones(3), gain)
 
 
-class TestSlotAssignment:
-    def test_slot_bounds_checked(self):
-        with pytest.raises(ValueError):
-            SlotAssignment(frame_length=4, assignments={0: 4})
+class TestCoSlotMask:
+    def test_batches_over_leading_axes(self):
+        slots = th_ss_assign((2, 3, 5), 3, derive_stream(8, 0, 1))
+        mask = co_slot_mask(slots)
+        assert mask.shape == (2, 3, 5, 5)
+        for p in range(2):
+            for t in range(3):
+                assert np.array_equal(mask[p, t], co_slot_mask(slots[p, t]))

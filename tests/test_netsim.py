@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -54,10 +55,10 @@ class TestRunPopulation:
         cfg = ScenarioConfig(fixed_node_count=1, num_slots=40, warmup_slots=5).validate()
         topo = _topology(cfg)
         res = run_population(cfg, NodeKind.BACKSCATTER, topo, pb_power_dbm=40.0)
-        node = topo[0]
+        pb_distance = float(np.hypot(*topo[0, 0]))
         lam, ap = cfg.wavelength_m, cfg.aperture_m2
         signal = (float(dbm_to_watts(40.0))
-                  * friis_gain(node.pb_distance_m, lam, ap, ap)
+                  * friis_gain(pb_distance, lam, ap, ap)
                   * friis_gain(cfg.rx_distance_m, lam, ap, ap))
         expected = float(bpsk_ber(signal / cfg.noise_w))
         assert res.ber_samples > 0
@@ -73,7 +74,9 @@ class TestRunPopulation:
 
     def test_empty_topology_reports_absent(self):
         cfg = ScenarioConfig(fixed_node_count=0).validate()
-        res = run_population(cfg, NodeKind.BACKSCATTER, [], pb_power_dbm=40.0)
+        topo = _topology(cfg)
+        assert topo.shape == (0, 2, 2)
+        res = run_population(cfg, NodeKind.BACKSCATTER, topo, pb_power_dbm=40.0)
         assert math.isnan(res.mean_ber) and math.isnan(res.active_fraction)
 
     def test_energy_ledgers_conserved(self):
@@ -85,6 +88,19 @@ class TestRunPopulation:
             assert np.all(np.abs(ledger.drift_j())
                           <= 1e-9 * np.maximum(ledger.harvested_j, 1e-30))
             assert np.all(ledger.battery_j >= 0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_dbm", math.nan),
+        ("pa_efficiency", 2.0),
+        ("warmup_slots", 40),     # not smaller than num_slots
+    ])
+    def test_invalid_config_rejected(self, field, value):
+        cfg = ScenarioConfig(fixed_node_count=3, num_slots=40, warmup_slots=5).validate()
+        topo = _topology(cfg)
+        bad = dataclasses.replace(cfg, **{field: value})
+        for kind in KINDS:
+            with pytest.raises(ValueError, match=field):
+                run_population(bad, kind, topo, pb_power_dbm=40.0)
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=_valid_configs(), pb=st.floats(0.0, 60.0), kind=st.sampled_from(KINDS))
@@ -116,12 +132,12 @@ class TestRunPopulation:
                 assert got[i] == pytest.approx(interference_at(i, topo, emitted, cfg), rel=1e-9)
 
         emitted, gain, _ = calls[-1]
-        ids = [n.id for n in topo]
-        for assignment in (mac.tdma_schedule(ids, len(ids)),
-                           mac.th_ss_assign(ids, 2, derive_stream(cfg.seed, 0, PURPOSE_MAC))):
-            got = mac.aggregate_interference(emitted, gain * assignment.co_slot_mask(ids))
-            for i in range(len(topo)):
-                expected = interference_at(i, topo, emitted, cfg, assignment)
+        n = len(topo)
+        for slots in (mac.tdma_schedule(n, n),
+                      mac.th_ss_assign(n, 2, derive_stream(cfg.seed, 0, PURPOSE_MAC))):
+            got = mac.aggregate_interference(emitted, gain * mac.co_slot_mask(slots))
+            for i in range(n):
+                expected = interference_at(i, topo, emitted, cfg, slots)
                 assert got[i] == pytest.approx(expected, rel=1e-9)
 
     def test_bit_level_mode_matches_semi_analytic(self):
@@ -163,7 +179,7 @@ class TestRunPopulation:
         topo = _topology(cfg)
         order = [i for i in shuffle if i < n]  # a uniform permutation of the n nodes
         base = run_population(cfg, kind, topo, pb)
-        shuffled = run_population(cfg, kind, [topo[i] for i in order], pb)
+        shuffled = run_population(cfg, kind, topo[order], pb)
         assert _close(shuffled.mean_ber, base.mean_ber)
         assert _close(shuffled.active_fraction, base.active_fraction)
         assert shuffled.ber_samples == base.ber_samples

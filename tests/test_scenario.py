@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backsim.scenario import (PURPOSE_PLACEMENT, ScenarioConfig,
                               derive_stream, load_config, place_nodes)
+from oracles import place_nodes_loop
 
 
 def test_default_config_is_valid():
@@ -43,12 +45,11 @@ class TestPlaceNodes:
 
     def test_determinism(self):
         cfg = ScenarioConfig(seed=7)
-        nodes_a = place_nodes(cfg, derive_stream(cfg.seed, 0, PURPOSE_PLACEMENT))
-        nodes_b = place_nodes(cfg, derive_stream(cfg.seed, 0, PURPOSE_PLACEMENT))
-        assert len(nodes_a) == len(nodes_b)
-        for a, b in zip(nodes_a, nodes_b):
-            assert np.array_equal(a.position, b.position)
-            assert np.array_equal(a.receiver_position, b.receiver_position)
+        topo_a = place_nodes(cfg, derive_stream(cfg.seed, 0, PURPOSE_PLACEMENT))
+        topo_b = place_nodes(cfg, derive_stream(cfg.seed, 0, PURPOSE_PLACEMENT))
+        assert len(topo_a) == len(topo_b)
+        assert np.array_equal(topo_a[:, 0], topo_b[:, 0])   # node positions
+        assert np.array_equal(topo_a[:, 1], topo_b[:, 1])   # receiver positions
 
     def test_poisson_mean_matches(self):
         cfg = ScenarioConfig()
@@ -60,12 +61,25 @@ class TestPlaceNodes:
 
     def test_geometry_invariants(self):
         cfg = ScenarioConfig(fixed_node_count=500)
-        nodes = place_nodes(cfg, derive_stream(3, 0, PURPOSE_PLACEMENT))
-        assert len(nodes) == 500
-        for node in nodes:
-            r = node.pb_distance_m
-            assert cfg.min_pb_distance_m <= r <= cfg.region_radius
-            assert abs(node.rx_distance_m - cfg.rx_distance_m) < 1e-12 * cfg.rx_distance_m
+        topo = place_nodes(cfg, derive_stream(3, 0, PURPOSE_PLACEMENT))
+        assert topo.shape == (500, 2, 2)
+        r = np.hypot(topo[:, 0, 0], topo[:, 0, 1])
+        assert np.all((cfg.min_pb_distance_m <= r) & (r <= cfg.region_radius))
+        link = topo[:, 1] - topo[:, 0]
+        rx_distance = np.hypot(link[:, 0], link[:, 1])
+        assert np.all(np.abs(rx_distance - cfg.rx_distance_m) < 1e-12 * cfg.rx_distance_m)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), count=st.one_of(st.none(), st.integers(0, 40)),
+           density=st.floats(0.001, 0.2))
+    def test_matches_scalar_oracle(self, seed, count, density):
+        # the array placement equals the per-node scalar loop bit for bit,
+        # for pinned and Poisson node counts alike
+        cfg = ScenarioConfig(node_density=density, fixed_node_count=count, seed=seed)
+        topo = place_nodes(cfg, derive_stream(seed, 0, PURPOSE_PLACEMENT))
+        expected = place_nodes_loop(cfg, derive_stream(seed, 0, PURPOSE_PLACEMENT))
+        assert topo.shape == expected.shape
+        assert np.array_equal(topo, expected)
 
 
 class TestDeriveStream:
