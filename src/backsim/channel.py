@@ -1,4 +1,4 @@
-"""Free-space path gains and per-link power budgets.
+"""Free-space path gains and dBm-to-watt conversion.
 
 All links use the aperture form of the Friis transmission equation,
 gain = A_tx * A_rx / (wavelength^2 * distance^2), because node antennas
@@ -9,8 +9,6 @@ exclusion zone around the power beacon.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,33 +39,3 @@ def friis_gain(distance_m, wavelength_m, aperture_tx_m2, aperture_rx_m2):
 def dbm_to_watts(p_dbm):
     """Convert dBm to watts, 10**((p - 30) / 10)."""
     return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Powers seen by one receiver in one slot, all in watts."""
-
-    tx_power_w: float
-    gain: float
-    rx_signal_w: float
-    interference_w: float
-    noise_w: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gain <= 1.0:
-            raise ValueError("gain must lie in (0, 1]")
-        if self.tx_power_w < 0.0 or self.rx_signal_w < 0.0 or self.interference_w < 0.0:
-            raise ValueError("powers must be non-negative")
-        if self.noise_w <= 0.0:
-            raise ValueError("noise power must be strictly positive")
-        expected = self.tx_power_w * self.gain
-        if abs(self.rx_signal_w - expected) > 1e-9 * max(expected, 1e-300):
-            raise ValueError("rx_signal_w must equal tx_power_w * gain")
-
-    @classmethod
-    def from_gain(cls, tx_power_w, gain, interference_w, noise_w):
-        return cls(tx_power_w, gain, tx_power_w * gain, interference_w, noise_w)
-
-    @property
-    def sinr(self):
-        return self.rx_signal_w / (self.interference_w + self.noise_w)

@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from .channel import LinkBudget, dbm_to_watts
+from .channel import dbm_to_watts, friis_gain
 from .dyadic import simulate_dyadic_ber
 from .energymodel import duty_cycle_tradeoff
 from .mac import (count_interference_components, th_ss_collision_probability,
@@ -21,9 +21,6 @@ from .mac import (count_interference_components, th_ss_collision_probability,
 from .netsim import CSV_HEADER, run_comparison
 from .phylink import ReflectionConstellation, energy_rate_frontier
 from .scenario import PURPOSE_MAC, ScenarioConfig, derive_stream, load_config
-
-EXPERIMENTS = ("fig3a", "fig3b", "tradeoff_beta", "tradeoff_duty", "thss",
-               "interference_count", "dyadic")
 
 BETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DUTY_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -61,7 +58,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="backsim",
         description="Run a backscatter-network experiment and write a CSV file.")
-    parser.add_argument("--experiment", required=True, choices=EXPERIMENTS,
+    parser.add_argument("--experiment", required=True, choices=list(_DISPATCH),
                         help="which experiment to run")
     parser.add_argument("--config", default=None,
                         help="flat key = value config file (defaults built in)")
@@ -88,12 +85,9 @@ def _fig3_rows(config, trials):
     return CSV_HEADER, [r.csv_row() for r in results]
 
 
-def _tradeoff_beta_rows(config, _trials):
-    noise = config.noise_w
-    link = LinkBudget.from_gain(tx_power_w=float(dbm_to_watts(40.0)),
-                                gain=BETA_REFERENCE_SNR * noise / float(dbm_to_watts(40.0)),
-                                interference_w=0.0, noise_w=noise)
-    frontier = energy_rate_frontier(ReflectionConstellation.bpsk(), BETA_GRID, link)
+def _tradeoff_beta_rows(_config, _trials):
+    frontier = energy_rate_frontier(ReflectionConstellation.bpsk(), BETA_GRID,
+                                    BETA_REFERENCE_SNR)
     rows = [f"{beta!r},{harvested!r},{ber!r}"
             for beta, (harvested, ber) in zip(sorted(BETA_GRID), frontier)]
     return "beta,harvested_fraction,ber", rows
@@ -101,8 +95,8 @@ def _tradeoff_beta_rows(config, _trials):
 
 def _tradeoff_duty_rows(config, _trials):
     # Incident power of a mid-region node under a 40 dBm beacon.
-    incident = float(dbm_to_watts(40.0)) * config.aperture_m2**2 / (
-        config.wavelength_m**2 * 5.0**2)
+    incident = float(dbm_to_watts(40.0)) * friis_gain(
+        5.0, config.wavelength_m, config.aperture_m2, config.aperture_m2)
     rows = []
     for alpha in DUTY_GRID:
         harvest_w, rate = duty_cycle_tradeoff(alpha, incident, 1.0, config)

@@ -19,42 +19,6 @@ import numpy as np
 from .scenario import NodeKind
 
 
-@dataclass(frozen=True)
-class ConsumptionProfile:
-    """Active-mode power draws of one node kind."""
-
-    kind: NodeKind
-    digital_w: float
-    mixer_w: float          # zero for backscatter
-    dac_w: float            # zero for backscatter
-    pa_efficiency: float    # unused for backscatter
-    sense_energy_j: float
-    min_radiated_w: float   # smallest useful PA output, traditional only
-
-    def __post_init__(self):
-        for name in ("digital_w", "mixer_w", "dac_w", "pa_efficiency",
-                     "sense_energy_j", "min_radiated_w"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.kind == NodeKind.BACKSCATTER and (self.mixer_w != 0.0 or self.dac_w != 0.0):
-            raise ValueError("backscatter profile must have zero mixer/DAC draw")
-
-    @classmethod
-    def for_kind(cls, kind, config):
-        kind = NodeKind(kind)
-        if kind == NodeKind.BACKSCATTER:
-            return cls(kind=kind, digital_w=config.digital_circuit_w, mixer_w=0.0,
-                       dac_w=0.0, pa_efficiency=1.0,
-                       sense_energy_j=config.sense_energy_j, min_radiated_w=0.0)
-        min_radiated = config.min_pa_radiated_w
-        if min_radiated is None:
-            # Activity below the receiver noise floor is pointless.
-            min_radiated = config.noise_w
-        return cls(kind=kind, digital_w=config.digital_circuit_w, mixer_w=config.mixer_w,
-                   dac_w=config.dac_w, pa_efficiency=config.pa_efficiency,
-                   sense_energy_j=config.sense_energy_j, min_radiated_w=min_radiated)
-
-
 @dataclass
 class EnergyLedger:
     """Per-node battery and cumulative energy flows of populations.
@@ -90,22 +54,27 @@ def harvested_energy(incident_w, efficiency, duration_s):
     return incident_w * efficiency * duration_s
 
 
-def required_active_energy(profile, config):
-    """Battery level needed to run the active sub-slot, in joules.
+def _traditional_overhead_j(config):
+    """Sensing plus digital, mixer and DAC draws over the active window."""
+    return config.sense_energy_j + (
+        config.digital_circuit_w + config.mixer_w + config.dac_w) * config.active_s
+
+
+def required_active_energy(kind, config):
+    """Battery level a node of ``kind`` needs to run the active sub-slot, in joules.
 
     Backscatter: one sensing task plus the digital circuit for the window.
     Traditional: sensing plus digital, mixer and DAC draws, plus the PA
-    drain needed to radiate at least ``min_radiated_w``.
+    drain needed to radiate at least the receiver noise power (activity
+    below the noise floor is pointless).
     """
-    active_s = config.active_s
-    if profile.kind == NodeKind.BACKSCATTER:
-        return profile.sense_energy_j + profile.digital_w * active_s
-    overhead_w = profile.digital_w + profile.mixer_w + profile.dac_w
-    pa_drain_j = profile.min_radiated_w * active_s / profile.pa_efficiency
-    return profile.sense_energy_j + overhead_w * active_s + pa_drain_j
+    if NodeKind(kind) == NodeKind.BACKSCATTER:
+        return config.sense_energy_j + config.digital_circuit_w * config.active_s
+    pa_drain_j = config.noise_w * config.active_s / config.pa_efficiency
+    return _traditional_overhead_j(config) + pa_drain_j
 
 
-def activation_decision(battery_j, profile, config):
+def activation_decision(battery_j, kind, config):
     """True (active) iff the battery covers the active-mode requirement.
 
     The boundary is inclusive: a battery exactly at the requirement
@@ -114,26 +83,24 @@ def activation_decision(battery_j, profile, config):
     """
     if (np.asarray(battery_j) < 0.0).any():
         raise ValueError("battery must be non-negative")
-    return battery_j >= required_active_energy(profile, config)
+    return battery_j >= required_active_energy(kind, config)
 
 
-def traditional_tx_power(battery_j, profile, config):
+def traditional_tx_power(battery_j, config):
     """Radiated power of an active traditional node under the greedy policy.
 
     Everything left after sensing and circuit overheads is pushed through
     the class-AB amplifier over the active window; the battery is empty by
     the end of the slot. Accepts a scalar or an array of battery levels.
     """
-    overhead_j = profile.sense_energy_j + (
-        profile.digital_w + profile.mixer_w + profile.dac_w) * config.active_s
-    drain_j = battery_j - overhead_j
+    drain_j = battery_j - _traditional_overhead_j(config)
     if (np.asarray(drain_j) < 0.0).any():
         raise ValueError("node lacks the active-mode overhead; it should be silent")
-    return profile.pa_efficiency * drain_j / config.active_s
+    return config.pa_efficiency * drain_j / config.active_s
 
 
-def step_population(ledger, incident_w, profile, config):
-    """Advance every node of one or more populations through one slot.
+def step_population(ledger, incident_w, kind, config):
+    """Advance every node of one or more populations of ``kind`` through one slot.
 
     ``incident_w`` is the carrier power reaching each node, shaped like the
     ledger arrays. Each node harvests during the harvesting sub-slot only
@@ -146,15 +113,15 @@ def step_population(ledger, incident_w, profile, config):
     """
     harvested = harvested_energy(incident_w, config.harvest_efficiency, config.harvest_s)
     battery = ledger.battery_j + harvested
-    active = activation_decision(battery, profile, config)
+    active = activation_decision(battery, kind, config)
 
-    if profile.kind == NodeKind.BACKSCATTER:
-        consumed = np.where(active, required_active_energy(profile, config), 0.0)
+    if NodeKind(kind) == NodeKind.BACKSCATTER:
+        consumed = np.where(active, required_active_energy(kind, config), 0.0)
         emitted = np.where(active, incident_w, 0.0)
     else:
         consumed = np.where(active, battery, 0.0)  # greedy: overheads plus full PA drain
         emitted = np.zeros(battery.shape)
-        emitted[active] = traditional_tx_power(battery[active], profile, config)
+        emitted[active] = traditional_tx_power(battery[active], config)
 
     battery_after = battery - consumed
     if (battery_after < 0.0).any():

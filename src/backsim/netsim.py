@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dbm_to_watts, friis_gain
-from .energymodel import ConsumptionProfile, EnergyLedger, step_population
+from .energymodel import EnergyLedger, step_population
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
 from .scenario import NodeKind, PURPOSE_PLACEMENT, derive_stream, place_nodes
@@ -95,7 +95,6 @@ def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm):
     fraction and the BER sample count, each (P, T), and the final
     (P, T, N) energy ledger.
     """
-    profile = ConsumptionProfile.for_kind(kind, config)
     incident = dbm_to_watts(pb_power_dbm)[:, None, None] * pb_gain  # (P, T, N)
     link_gain = np.diagonal(gain_to_rx, axis1=-2, axis2=-1)          # (T, N)
     nodes = present.sum(axis=-1)
@@ -106,7 +105,7 @@ def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm):
     active_share_sum = np.zeros(incident.shape[:2])
 
     for slot in range(config.num_slots):
-        active, emitted = step_population(ledger, incident, profile, config)
+        active, emitted = step_population(ledger, incident, kind, config)
         if slot < config.warmup_slots:
             continue
         n_active = active.sum(axis=-1)
@@ -137,8 +136,9 @@ def run_population(config, kind, topology, pb_power_dbm):
     beacon carrier and steps its energy model; the active set is then
     frozen and each active link's SINR is signal / (co-active interference
     + noise). BER samples are collected after the warmup slots; a slot with
-    no active node contributes no BER sample. Active fraction is the per-slot active share averaged over the
-    measured slots. An empty topology yields no samples for either metric.
+    no active node contributes no BER sample. Active fraction is the
+    per-slot active share averaged over the measured slots. An empty
+    topology yields no samples for either metric.
     BER is semi-analytic, Q(sqrt(2 * SINR)) per active link. This is the
     sweep engine of ``run_comparison`` at one power and one topology.
     """

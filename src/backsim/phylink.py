@@ -31,7 +31,7 @@ def bpsk_ber(sinr_linear):
     Q(sqrt(2 * sinr)); accepts scalars or arrays.
     """
     s = np.asarray(sinr_linear, dtype=float)
-    if np.any(s < 0.0):
+    if not np.all(s >= 0.0):  # also rejects NaN
         raise ValueError("SINR must be non-negative")
     return q_function(np.sqrt(2.0 * s))
 
@@ -85,18 +85,17 @@ def scale_constellation(constellation, beta):
     return scaled, harvested_fraction
 
 
-def energy_rate_frontier(constellation, beta_grid, link):
+def energy_rate_frontier(constellation, beta_grid, snr):
     """Energy-rate tradeoff curve swept over constellation scalings.
 
-    For each beta the received signal power shrinks by beta^2 while the
-    harvested fraction grows; points are returned as
-    (harvested_fraction, ber) in ascending beta order.
+    ``snr`` is the linear SINR of the unscaled constellation. For each beta
+    the received signal power shrinks by beta^2 while the harvested
+    fraction grows; points are returned as (harvested_fraction, ber) in
+    ascending beta order.
     """
     betas = sorted(float(b) for b in beta_grid)
     frontier = []
     for beta in betas:
         _, harvested = scale_constellation(constellation, beta)
-        sinr = beta**2 * link.rx_signal_w / (link.interference_w + link.noise_w)
-        frontier.append((harvested, float(bpsk_ber(sinr))))
+        frontier.append((harvested, float(bpsk_ber(beta**2 * snr))))
     return frontier
-

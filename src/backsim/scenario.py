@@ -60,9 +60,6 @@ class ScenarioConfig:
     seed: int = 42
     # Optional: pin the node count instead of drawing it Poisson (tests).
     fixed_node_count: int | None = None
-    # Optional: minimum radiated power a traditional node must be able to
-    # afford before it activates; defaults to the receiver noise power.
-    min_pa_radiated_w: float | None = None
 
     def validate(self):
         for f in fields(self):

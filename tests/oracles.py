@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from backsim.channel import dbm_to_watts, friis_gain
-from backsim.energymodel import (ConsumptionProfile, EnergyLedger, activation_decision,
-                                 harvested_energy, step_population, traditional_tx_power)
+from backsim.energymodel import (EnergyLedger, activation_decision, harvested_energy,
+                                 step_population, traditional_tx_power)
 from backsim.mac import aggregate_interference
 from backsim.phylink import bpsk_ber, q_function
 from backsim.scenario import NodeKind
@@ -46,7 +46,7 @@ class SlotOutcome:
     battery_after_j: float
 
 
-def step_slot(node, incident_w, profile, config):
+def step_slot(node, incident_w, kind, config):
     """Advance one node through one slot, mutating it, and report the flows.
 
     Harvesting happens only during the harvesting sub-slot (an active
@@ -55,17 +55,17 @@ def step_slot(node, incident_w, profile, config):
     """
     harvested = harvested_energy(incident_w, config.harvest_efficiency, config.harvest_s)
     battery = node.battery_j + harvested
-    active = activation_decision(battery, profile, config)
+    active = activation_decision(battery, kind, config)
 
     tx_power = 0.0
     reflect = 0.0
     if not active:
         consumed = 0.0
-    elif profile.kind == NodeKind.BACKSCATTER:
-        consumed = profile.sense_energy_j + profile.digital_w * config.active_s
+    elif NodeKind(kind) == NodeKind.BACKSCATTER:
+        consumed = config.sense_energy_j + config.digital_circuit_w * config.active_s
         reflect = 1.0
     else:
-        tx_power = traditional_tx_power(battery, profile, config)
+        tx_power = traditional_tx_power(battery, config)
         consumed = battery  # greedy: overheads plus full PA drain
 
     battery_after = battery - consumed
@@ -159,7 +159,6 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
         return math.nan, math.nan, 0, ledger
 
     lam, ap = config.wavelength_m, config.aperture_m2
-    profile = ConsumptionProfile.for_kind(kind, config)
     positions, rx_positions = topology[:, 0], topology[:, 1]
     incident = float(dbm_to_watts(pb_power_dbm)) * np.atleast_1d(
         friis_gain(np.hypot(positions[:, 0], positions[:, 1]), lam, ap, ap))
@@ -171,7 +170,7 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
     ber_samples = 0
     active_share_sum = 0.0
     for slot in range(config.num_slots):
-        active, emitted = step_population(ledger, incident, profile, config)
+        active, emitted = step_population(ledger, incident, kind, config)
         if slot < config.warmup_slots:
             continue
         n_active = int(active.sum())

@@ -13,11 +13,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from backsim.channel import LinkBudget, dbm_to_watts, friis_gain
+from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import ExperimentSpec, run as cli_run
 from backsim.dyadic import estimate_diversity_order, simulate_dyadic_ber
-from backsim.energymodel import (ConsumptionProfile, EnergyLedger, duty_cycle_tradeoff,
-                                 step_population)
+from backsim.energymodel import EnergyLedger, duty_cycle_tradeoff, step_population
 from backsim.mac import (count_interference_components,
                          th_ss_collision_probability, th_ss_collision_rate_mc)
 from backsim.netsim import run_comparison
@@ -184,10 +183,9 @@ def test_criterion_08_energy_conservation():
     pb_distance = np.hypot(topology[:, 0, 0], topology[:, 0, 1])
     incident = pb_w * friis_gain(pb_distance, lam, ap, ap)
     for kind in (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL):
-        profile = ConsumptionProfile.for_kind(kind, config)
         ledger = EnergyLedger.empty(len(topology))
         for _ in range(config.num_slots):
-            step_population(ledger, incident, profile, config)
+            step_population(ledger, incident, kind, config)
             ok &= bool(np.all(ledger.battery_j >= 0.0))
         rel = np.abs(ledger.drift_j()) / np.maximum(ledger.harvested_j, 1e-30)
         worst = max(worst, float(rel.max()))
@@ -200,10 +198,8 @@ def test_criterion_09_energy_rate_frontiers():
     grid {0, .2, ..., 1}: harvested quantity strictly decreases while the
     rate quantity strictly increases."""
     config = ScenarioConfig().validate()
-    noise = config.noise_w
-    link = LinkBudget.from_gain(1.0, 10**1.2 * noise, 0.0, noise)
     frontier = energy_rate_frontier(ReflectionConstellation.bpsk(),
-                                    [0.0, 0.25, 0.5, 0.75, 1.0], link)
+                                    [0.0, 0.25, 0.5, 0.75, 1.0], 10**1.2)
     harvested = [h for h, _ in frontier]
     bers = [b for _, b in frontier]
     beta_ok = (all(a > b for a, b in zip(harvested, harvested[1:]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from backsim.channel import LinkBudget, dbm_to_watts, friis_gain
+from backsim.channel import dbm_to_watts, friis_gain
 
 
 class TestFriisGain:
@@ -49,19 +49,3 @@ class TestDbmConversion:
         grid = np.linspace(-120.0, 60.0, 181)
         back = 10.0 * np.log10(dbm_to_watts(grid)) + 30.0
         assert np.max(np.abs(back - grid) / np.maximum(np.abs(grid), 1.0)) < 1e-12
-
-
-class TestLinkBudget:
-    def test_consistent_budget(self):
-        link = LinkBudget.from_gain(10.0, 2.56e-6, 1e-12, 1e-13)
-        assert link.rx_signal_w == pytest.approx(2.56e-5)
-        assert link.sinr == pytest.approx(2.56e-5 / 1.1e-12)
-
-    def test_inconsistent_signal_rejected(self):
-        with pytest.raises(ValueError):
-            LinkBudget(tx_power_w=10.0, gain=0.5, rx_signal_w=1.0,
-                       interference_w=0.0, noise_w=1e-13)
-
-    def test_gain_above_unity_rejected(self):
-        with pytest.raises(ValueError):
-            LinkBudget.from_gain(10.0, 1.5, 0.0, 1e-13)

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backsim.energymodel import (ConsumptionProfile, EnergyLedger, activation_decision,
-                                 duty_cycle_tradeoff, harvested_energy,
-                                 required_active_energy, step_population,
+from backsim.energymodel import (EnergyLedger, activation_decision, duty_cycle_tradeoff,
+                                 harvested_energy, required_active_energy, step_population,
                                  traditional_tx_power)
 from backsim.scenario import NodeKind, ScenarioConfig
 from oracles import ScalarNode, emitted_power, step_slot
@@ -15,39 +16,21 @@ def config():
     return ScenarioConfig().validate()
 
 
-@pytest.fixture
-def back_profile(config):
-    return ConsumptionProfile.for_kind(NodeKind.BACKSCATTER, config)
+BACK, TRAD = NodeKind.BACKSCATTER, NodeKind.TRADITIONAL
 
 
-@pytest.fixture
-def trad_profile(config):
-    return ConsumptionProfile.for_kind(NodeKind.TRADITIONAL, config)
-
-
-def _slot(battery_j, incident_w, profile, config):
+def _slot(battery_j, incident_w, kind, config):
     """Step one node with the given battery through one slot on a fresh
     ledger, whose totals are then exactly that slot's flows."""
     ledger = EnergyLedger.empty(1)
     ledger.battery_j[0] = battery_j
-    active, emitted = step_population(ledger, np.array([incident_w]), profile, config)
+    active, emitted = step_population(ledger, np.array([incident_w]), kind, config)
     return active[0], emitted[0], ledger
 
 
-class TestConsumptionProfile:
-    def test_backscatter_has_no_mixer_or_dac(self, back_profile):
-        assert back_profile.mixer_w == 0.0 and back_profile.dac_w == 0.0
-
-    def test_backscatter_mixer_draw_rejected(self):
-        with pytest.raises(ValueError):
-            ConsumptionProfile(kind=NodeKind.BACKSCATTER, digital_w=2.5e-6,
-                               mixer_w=15e-6, dac_w=0.0, pa_efficiency=1.0,
-                               sense_energy_j=1e-7, min_radiated_w=0.0)
-
-    def test_traditional_draws_from_config(self, trad_profile, config):
-        assert trad_profile.mixer_w == config.mixer_w
-        assert trad_profile.dac_w == config.dac_w
-        assert trad_profile.min_radiated_w == config.noise_w
+def _traditional_overhead(config):
+    return (config.sense_energy_j
+            + (config.digital_circuit_w + config.mixer_w + config.dac_w) * config.active_s)
 
 
 class TestHarvestedEnergy:
@@ -66,104 +49,121 @@ class TestHarvestedEnergy:
 
 
 class TestActivation:
-    def test_backscatter_requirement(self, back_profile, config):
+    def test_backscatter_requirement(self, config):
         # sensing 0.1 uJ + digital 2.5 uW over 80 ms = 0.3 uJ
-        assert required_active_energy(back_profile, config) == pytest.approx(3e-7, rel=1e-12)
+        assert required_active_energy(BACK, config) == pytest.approx(3e-7, rel=1e-12)
 
-    def test_boundary_is_inclusive(self, back_profile, config):
-        req = required_active_energy(back_profile, config)
-        assert activation_decision(req, back_profile, config)
-        assert not activation_decision(req * (1 - 1e-9), back_profile, config)
+    @pytest.mark.parametrize("kind,expected", [
+        (BACK, 1e-7 + 2.5e-6 * 0.08),
+        # plus mixer and DAC, and the PA drain to radiate the 1 uW noise power
+        (TRAD, 1e-7 + (2.5e-6 + 15e-6 + 1e-4) * 0.08 + 1e-6 * 0.08 / 0.5),
+    ], ids=["backscatter", "traditional"])
+    def test_closed_form_requirement(self, kind, expected):
+        # -30 dBm noise makes the PA term 1.6% of the traditional
+        # requirement; at the default -100 dBm it is below 1e-8 of it
+        config = ScenarioConfig(noise_dbm=-30.0).validate()
+        assert required_active_energy(kind, config) == pytest.approx(expected, rel=1e-12)
 
-    def test_empty_battery_is_silent(self, back_profile, trad_profile, config):
-        assert not activation_decision(0.0, back_profile, config)
-        assert not activation_decision(0.0, trad_profile, config)
+    @pytest.mark.parametrize("field,value", [
+        ("mixer_w", 1e-3), ("dac_w", 1e-2), ("pa_efficiency", 0.05)])
+    def test_backscatter_ignores_radio_chain(self, config, field, value):
+        changed = replace(config, **{field: value}).validate()
+        assert required_active_energy(TRAD, changed) != required_active_energy(TRAD, config)
+        assert required_active_energy(BACK, changed) == required_active_energy(BACK, config)
+        incident = np.geomspace(1e-7, 1e-3, 9)  # silent, saving and active nodes
+        base, other = EnergyLedger.empty(9), EnergyLedger.empty(9)
+        for _ in range(5):
+            active, emitted = step_population(base, incident, BACK, config)
+            active_changed, emitted_changed = step_population(other, incident, BACK, changed)
+            assert np.array_equal(active, active_changed)
+            assert np.array_equal(emitted, emitted_changed)
+        assert 0 < np.count_nonzero(base.slots_active) < base.slots_active.size
+        for name, flows in vars(base).items():
+            assert np.array_equal(flows, getattr(other, name))
 
-    def test_abundance_is_active(self, back_profile, trad_profile, config):
-        assert activation_decision(1.0, back_profile, config)
-        assert activation_decision(1.0, trad_profile, config)
+    def test_boundary_is_inclusive(self, config):
+        req = required_active_energy(BACK, config)
+        assert activation_decision(req, BACK, config)
+        assert not activation_decision(req * (1 - 1e-9), BACK, config)
 
-    def test_traditional_requirement_larger(self, back_profile, trad_profile, config):
-        assert (required_active_energy(trad_profile, config)
-                > required_active_energy(back_profile, config))
+    def test_empty_battery_is_silent(self, config):
+        assert not activation_decision(0.0, BACK, config)
+        assert not activation_decision(0.0, TRAD, config)
 
-    def test_monotone_in_battery(self, trad_profile, config):
-        req = required_active_energy(trad_profile, config)
+    def test_abundance_is_active(self, config):
+        assert activation_decision(1.0, BACK, config)
+        assert activation_decision(1.0, TRAD, config)
+
+    def test_traditional_requirement_larger(self, config):
+        assert required_active_energy(TRAD, config) > required_active_energy(BACK, config)
+
+    def test_monotone_in_battery(self, config):
+        req = required_active_energy(TRAD, config)
         grid = np.linspace(0.0, 2 * req, 101)
-        decisions = [activation_decision(b, trad_profile, config) for b in grid]
+        decisions = [activation_decision(b, TRAD, config) for b in grid]
         # once active, never flips back as battery grows
         assert decisions == sorted(decisions)
 
 
 class TestTraditionalTxPower:
-    def test_fifty_percent_amplifier(self, trad_profile, config):
+    def test_fifty_percent_amplifier(self, config):
         # battery holding overhead plus a 100 uW drain for the window
-        overhead = (trad_profile.sense_energy_j
-                    + (trad_profile.digital_w + trad_profile.mixer_w + trad_profile.dac_w)
-                    * config.active_s)
-        battery = overhead + 100e-6 * config.active_s
-        assert traditional_tx_power(battery, trad_profile, config) == pytest.approx(
-            50e-6, rel=1e-12)
+        battery = _traditional_overhead(config) + 100e-6 * config.active_s
+        assert traditional_tx_power(battery, config) == pytest.approx(50e-6, rel=1e-12)
 
     def test_lossless_amplifier(self, config):
-        profile = ConsumptionProfile(kind=NodeKind.TRADITIONAL, digital_w=2.5e-6,
-                                     mixer_w=15e-6, dac_w=1e-4, pa_efficiency=1.0,
-                                     sense_energy_j=1e-7, min_radiated_w=0.0)
+        lossless = replace(config, pa_efficiency=1.0).validate()
         overhead = 1e-7 + (2.5e-6 + 15e-6 + 1e-4) * config.active_s
         battery = overhead + 100e-6 * config.active_s
-        assert traditional_tx_power(battery, profile, config) == pytest.approx(
-            100e-6, rel=1e-12)
+        assert traditional_tx_power(battery, lossless) == pytest.approx(100e-6, rel=1e-12)
 
-    def test_zero_residual_radiates_nothing(self, trad_profile, config):
-        overhead = (trad_profile.sense_energy_j
-                    + (trad_profile.digital_w + trad_profile.mixer_w + trad_profile.dac_w)
-                    * config.active_s)
-        assert traditional_tx_power(overhead, trad_profile, config) == 0.0
+    def test_zero_residual_radiates_nothing(self, config):
+        assert traditional_tx_power(_traditional_overhead(config), config) == 0.0
 
-    def test_negative_residual_is_contract_violation(self, trad_profile, config):
+    def test_negative_residual_is_contract_violation(self, config):
         with pytest.raises(ValueError):
-            traditional_tx_power(0.0, trad_profile, config)
+            traditional_tx_power(0.0, config)
 
 
 class TestStepSlot:
-    def test_dead_node_stays_silent(self, back_profile, config):
-        active, emitted, slot = _slot(0.0, 0.0, back_profile, config)
+    def test_dead_node_stays_silent(self, config):
+        active, emitted, slot = _slot(0.0, 0.0, BACK, config)
         assert not active and emitted == 0.0
         assert slot.harvested_j[0] == 0.0 and slot.consumed_j[0] == 0.0
         assert slot.battery_j[0] == 0.0
 
-    def test_backscatter_activation_chain(self, back_profile, config):
+    def test_backscatter_activation_chain(self, config):
         # 1 mW incident harvests 10 uJ in the 20 ms window, well over 0.3 uJ.
-        active, emitted, slot = _slot(0.0, 1e-3, back_profile, config)
+        active, emitted, slot = _slot(0.0, 1e-3, BACK, config)
         assert slot.harvested_j[0] == pytest.approx(1e-5, rel=1e-12)
         assert active
         assert emitted == 1e-3  # the full incident wave is reflected
         assert slot.consumed_j[0] == pytest.approx(3e-7, rel=1e-12)
         assert slot.battery_j[0] == pytest.approx(1e-5 - 3e-7, rel=1e-12)
 
-    def test_traditional_full_drain(self, trad_profile, config):
-        active, emitted, slot = _slot(0.0, 1e-3, trad_profile, config)
+    def test_traditional_full_drain(self, config):
+        active, emitted, slot = _slot(0.0, 1e-3, TRAD, config)
         assert active
         assert slot.battery_j[0] == 0.0
         assert slot.consumed_j[0] == pytest.approx(1e-5, rel=1e-12)
         drain = 1e-5 - (1e-7 + (2.5e-6 + 15e-6 + 1e-4) * config.active_s)
         assert emitted == pytest.approx(0.5 * drain / config.active_s, rel=1e-9)
 
-    def test_conservation_identity_every_slot(self, back_profile, config):
+    def test_conservation_identity_every_slot(self, config):
         battery = 0.0
         rng = np.random.default_rng(11)
         for _ in range(500):
-            _, _, slot = _slot(battery, float(rng.random() * 1e-5), back_profile, config)
+            _, _, slot = _slot(battery, float(rng.random() * 1e-5), BACK, config)
             harvested, consumed = slot.harvested_j[0], slot.consumed_j[0]
             assert slot.battery_j[0] == pytest.approx(battery + harvested - consumed, abs=1e-24)
             assert consumed <= battery + harvested + 1e-24
             battery = slot.battery_j[0]
 
-    def test_cumulative_ledger_over_many_slots(self, trad_profile, config):
+    def test_cumulative_ledger_over_many_slots(self, config):
         ledger = EnergyLedger.empty(1)
         rng = np.random.default_rng(5)
         for _ in range(10_000):
-            step_population(ledger, np.array([rng.random() * 2e-6]), trad_profile, config)
+            step_population(ledger, np.array([rng.random() * 2e-6]), TRAD, config)
             assert ledger.battery_j[0] >= 0.0
         assert abs(ledger.drift_j()[0]) <= 1e-9 * ledger.harvested_j[0]
 
@@ -175,14 +175,12 @@ class TestActiveSetDominance:
         # and never less often.
         rng = np.random.default_rng(2)
         incidents = rng.random(40) * 3e-5
-        bp = ConsumptionProfile.for_kind(NodeKind.BACKSCATTER, config)
-        tp = ConsumptionProfile.for_kind(NodeKind.TRADITIONAL, config)
         for power_scale in (0.1, 1.0, 10.0):
             back = EnergyLedger.empty(incidents.size)
             trad = EnergyLedger.empty(incidents.size)
             for _ in range(100):
-                step_population(back, incidents * power_scale, bp, config)
-                step_population(trad, incidents * power_scale, tp, config)
+                step_population(back, incidents * power_scale, BACK, config)
+                step_population(trad, incidents * power_scale, TRAD, config)
             ever_back = set(np.flatnonzero(back.slots_active))
             ever_trad = set(np.flatnonzero(trad.slots_active))
             assert ever_trad <= ever_back
@@ -203,13 +201,12 @@ class TestArrayStepMatchesOracle:
                st.lists(_INCIDENT, min_size=n, max_size=n), min_size=1, max_size=40)))
     def test_exact_agreement(self, kind, slots):
         config = ScenarioConfig().validate()
-        profile = ConsumptionProfile.for_kind(kind, config)
         n = len(slots[0])
         ledger = EnergyLedger.empty(n)
         nodes = [ScalarNode() for _ in range(n)]
         for incident in slots:
-            active, emitted = step_population(ledger, np.array(incident), profile, config)
-            outcomes = [step_slot(node, inc, profile, config)
+            active, emitted = step_population(ledger, np.array(incident), kind, config)
+            outcomes = [step_slot(node, inc, kind, config)
                         for node, inc in zip(nodes, incident)]
             assert active.tolist() == [o.was_active for o in outcomes]
             assert emitted.tolist() == [emitted_power(o, inc)

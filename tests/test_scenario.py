@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ def test_default_config_is_valid():
     ("warmup_slots", 100),         # not smaller than num_slots
     ("noise_dbm", math.nan),
     ("carrier_hz", math.inf),
-    ("min_pa_radiated_w", math.nan),
+    ("dac_w", -1e-4),              # energymodel reads circuit draws unchecked
     ("pb_power_dbm_sweep", [30.0, math.nan]),
     ("seed", -1),
     ("seed", 2**64),
@@ -121,6 +123,19 @@ class TestConfigFile:
         assert cfg.num_slots == 60 and cfg.warmup_slots == 10 and cfg.seed == 99
         # untouched fields keep their defaults
         assert cfg.harvest_ms == 20.0
+
+    def test_readme_example_is_the_defaults(self, tmp_path):
+        # README says omitted keys keep "the defaults above"; its example
+        # file must therefore spell out exactly ScenarioConfig(), naming
+        # every key but the test-only fixed_node_count
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Config files\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert load_config(path) == ScenarioConfig()
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+        assert keys == {f.name for f in fields(ScenarioConfig)} - {"fixed_node_count"}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
