@@ -2,13 +2,12 @@
 
 from .channel import dbm_to_watts, friis_gain
 from .dyadic import estimate_diversity_order, simulate_dyadic_ber
-from .energymodel import (EnergyLedger, activation_decision, duty_cycle_tradeoff,
+from .energymodel import (EnergyLedger, activation_decision, duty_cycle_harvest,
                           harvested_energy, step_population, traditional_tx_power)
 from .mac import (aggregate_interference, co_slot_mask, count_interference_components,
                   tdma_schedule, th_ss_assign, th_ss_collision_probability)
 from .netsim import ExperimentResult, run_comparison, run_population
-from .phylink import (ReflectionConstellation, bpsk_ber, energy_rate_frontier, q_function,
-                      scale_constellation)
+from .phylink import bpsk_ber, energy_rate_frontier, q_function
 from .scenario import NodeKind, ScenarioConfig, derive_stream, load_config, place_nodes
 
 __version__ = "0.1.0"

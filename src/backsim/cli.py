@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 
 from .channel import dbm_to_watts, friis_gain
 from .dyadic import simulate_dyadic_ber
-from .energymodel import duty_cycle_tradeoff
+from .energymodel import duty_cycle_harvest
 from .mac import (count_interference_components, th_ss_collision_probability,
                   th_ss_collision_rate_mc)
 from .netsim import CSV_HEADER, run_comparison
-from .phylink import ReflectionConstellation, energy_rate_frontier
+from .phylink import energy_rate_frontier
 from .scenario import PURPOSE_MAC, ScenarioConfig, derive_stream, load_config
 
 BETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -27,7 +27,7 @@ DUTY_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 THSS_CASES = ((2, 10), (10, 100), (50, 10))
 INTERFERENCE_KS = (1, 2, 5, 10, 20)
 DYADIC_SNR_GRID = tuple(float(s) for s in range(0, 40, 5))
-# Reference detection-limited link for the constellation-scaling sweep: a
+# Reference detection-limited link for the reflection-scaling sweep: a
 # 12 dB SNR keeps every grid point's BER distinct in double precision.
 BETA_REFERENCE_SNR = 10.0 ** (12.0 / 10.0)
 
@@ -86,10 +86,9 @@ def _fig3_rows(config, trials):
 
 
 def _tradeoff_beta_rows(_config, _trials):
-    frontier = energy_rate_frontier(ReflectionConstellation.bpsk(), BETA_GRID,
-                                    BETA_REFERENCE_SNR)
+    frontier = energy_rate_frontier(BETA_GRID, BETA_REFERENCE_SNR)
     rows = [f"{beta!r},{harvested!r},{ber!r}"
-            for beta, (harvested, ber) in zip(sorted(BETA_GRID), frontier)]
+            for beta, (harvested, ber) in zip(BETA_GRID, frontier)]
     return "beta,harvested_fraction,ber", rows
 
 
@@ -97,10 +96,8 @@ def _tradeoff_duty_rows(config, _trials):
     # Incident power of a mid-region node under a 40 dBm beacon.
     incident = float(dbm_to_watts(40.0)) * friis_gain(
         5.0, config.wavelength_m, config.aperture_m2, config.aperture_m2)
-    rows = []
-    for alpha in DUTY_GRID:
-        harvest_w, rate = duty_cycle_tradeoff(alpha, incident, 1.0, config)
-        rows.append(f"{alpha!r},{harvest_w!r},{rate!r}")
+    rows = [f"{alpha!r},{duty_cycle_harvest(alpha, incident, config)!r},{alpha!r}"
+            for alpha in DUTY_GRID]
     return "alpha,avg_harvest_w,relative_rate", rows
 
 

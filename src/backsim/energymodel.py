@@ -134,19 +134,15 @@ def step_population(ledger, incident_w, kind, config):
     return active, emitted
 
 
-def duty_cycle_tradeoff(alpha, incident_w, reflect_mean_fraction, config):
-    """Average harvest rate and relative rate for a duty cycle ``alpha``.
+def duty_cycle_harvest(alpha, incident_w, config):
+    """Average harvested power of a tag active for a fraction ``alpha`` of the time.
 
-    A tag silent for a fraction 1 - alpha of the time harvests the full
-    incident wave then; while active it harvests only the unreflected part.
-    The achievable information rate is proportional to the active fraction.
+    An active tag reflects the whole incident wave and harvests nothing;
+    a silent one harvests all of it. The information rate is proportional
+    to ``alpha``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if not 0.0 <= reflect_mean_fraction <= 1.0:
-        raise ValueError("reflect_mean_fraction must lie in [0, 1]")
     if incident_w < 0.0:
         raise ValueError("incident power must be non-negative")
-    avg_harvest_w = config.harvest_efficiency * incident_w * (
-        (1.0 - alpha) + alpha * (1.0 - reflect_mean_fraction))
-    return avg_harvest_w, alpha
+    return config.harvest_efficiency * incident_w * (1.0 - alpha)

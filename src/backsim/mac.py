@@ -51,7 +51,7 @@ def th_ss_collision_rate_mc(num_links, frame_length, trials, rng):
     """Empirical per-node collision frequency over independent frames."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    slots = rng.integers(0, frame_length, size=(trials, num_links))
+    slots = th_ss_assign((trials, num_links), frame_length, rng)
     collided = (slots[:, 1:] == slots[:, :1]).any(axis=1)
     return float(collided.mean())
 

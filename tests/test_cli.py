@@ -12,6 +12,16 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# golden file -> (experiment, trial override); each was recorded by its
+# experiment at the default config and seed (42)
+GOLDENS = {
+    "dyadic_seed42_t100000.csv": ("dyadic", 100_000),
+    "tradeoff_beta_seed42.csv": ("tradeoff_beta", None),
+    "tradeoff_duty_seed42.csv": ("tradeoff_duty", None),
+    "thss_seed42.csv": ("thss", None),
+    "interference_count_seed42.csv": ("interference_count", None),
+}
+
 SMALL_CONFIG = (
     "pb_power_dbm_sweep = 25, 40\n"
     "num_slots = 30\n"
@@ -117,8 +127,13 @@ class TestRun:
         assert lines[0] == "tag_antennas,rx_antennas,snr_db,ber"
         ells = {int(l.split(",")[0]) for l in lines[1:]}
         assert ells == {1, 2}
-        # recorded by this experiment at the default seed (42) and 1e5 trials
-        assert out.read_bytes() == (DATA / "dyadic_seed42_t100000.csv").read_bytes()
+
+    @pytest.mark.parametrize("golden", list(GOLDENS))
+    def test_matches_golden(self, tmp_path, golden):
+        name, trials = GOLDENS[golden]
+        out = tmp_path / golden
+        assert run(ExperimentSpec(name, None, str(out), trials_override=trials)) == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes()
 
     @pytest.mark.parametrize("line,key", [
         ("noise_dbm = nan", "noise_dbm"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backsim.energymodel import (EnergyLedger, activation_decision, duty_cycle_tradeoff,
+from backsim.energymodel import (EnergyLedger, activation_decision, duty_cycle_harvest,
                                  harvested_energy, required_active_energy, step_population,
                                  traditional_tx_power)
 from backsim.scenario import NodeKind, ScenarioConfig
@@ -219,30 +219,22 @@ class TestArrayStepMatchesOracle:
 
 class TestDutyCycleTradeoff:
     def test_always_silent(self, config):
-        harvest, rate = duty_cycle_tradeoff(0.0, 1e-3, 1.0, config)
-        assert harvest == pytest.approx(0.5 * 1e-3)
-        assert rate == 0.0
+        assert duty_cycle_harvest(0.0, 1e-3, config) == pytest.approx(0.5 * 1e-3)
 
     def test_always_reflecting(self, config):
-        harvest, rate = duty_cycle_tradeoff(1.0, 1e-3, 1.0, config)
-        assert harvest == 0.0
-        assert rate == 1.0
+        assert duty_cycle_harvest(1.0, 1e-3, config) == 0.0
 
     def test_default_slot_split(self, config):
         # the 80/100 ms active share of the slotted experiment
         alpha = config.active_ms / config.slot_ms
-        harvest, rate = duty_cycle_tradeoff(alpha, 1e-3, 1.0, config)
-        assert rate == pytest.approx(0.8)
+        harvest = duty_cycle_harvest(alpha, 1e-3, config)
+        assert alpha == pytest.approx(0.8)
         assert harvest == pytest.approx(0.5 * 1e-3 * 0.2, rel=1e-12)
 
     def test_monotone_frontier(self, config):
-        grid = np.linspace(0.0, 1.0, 11)
-        points = [duty_cycle_tradeoff(a, 1e-3, 1.0, config) for a in grid]
-        harvests = [p[0] for p in points]
-        rates = [p[1] for p in points]
+        harvests = [duty_cycle_harvest(a, 1e-3, config) for a in np.linspace(0.0, 1.0, 11)]
         assert all(h1 > h2 for h1, h2 in zip(harvests, harvests[1:]))
-        assert all(r1 < r2 for r1, r2 in zip(rates, rates[1:]))
 
     def test_alpha_out_of_range(self, config):
         with pytest.raises(ValueError):
-            duty_cycle_tradeoff(1.5, 1e-3, 1.0, config)
+            duty_cycle_harvest(1.5, 1e-3, config)

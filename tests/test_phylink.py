@@ -4,8 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from backsim.phylink import (ReflectionConstellation, bpsk_ber, energy_rate_frontier,
-                             q_function, scale_constellation)
+from backsim.phylink import bpsk_ber, energy_rate_frontier, q_function
 
 
 def q_oracle(x):
@@ -55,49 +54,6 @@ class TestBpskBer:
             bpsk_ber([1.0, float("nan")])
 
 
-class TestConstellation:
-    def test_bpsk_points(self):
-        c = ReflectionConstellation.bpsk()
-        assert c.points == (1 + 0j, -1 + 0j)
-        assert c.mean_reflected_power == 1.0
-
-    def test_magnitude_bound_enforced(self):
-        with pytest.raises(ValueError):
-            ReflectionConstellation(points=(1.5, -1.0), labels=("1", "0"))
-
-    def test_labels_unique(self):
-        with pytest.raises(ValueError):
-            ReflectionConstellation(points=(1.0, -1.0), labels=("1", "1"))
-
-    def test_at_least_two_points(self):
-        with pytest.raises(ValueError):
-            ReflectionConstellation(points=(1.0,), labels=("1",))
-
-
-class TestScaleConstellation:
-    def test_identity_scaling(self):
-        c, harvested = scale_constellation(ReflectionConstellation.bpsk(), 1.0)
-        assert c.points == (1 + 0j, -1 + 0j)
-        assert harvested == 0.0
-
-    def test_full_absorption(self):
-        c, harvested = scale_constellation(ReflectionConstellation.bpsk(), 0.0)
-        assert all(p == 0 for p in c.points)
-        assert harvested == 1.0
-
-    def test_half_scaling(self):
-        _, harvested = scale_constellation(ReflectionConstellation.bpsk(), 0.5)
-        assert harvested == pytest.approx(0.75, rel=1e-12)
-
-    def test_fractions_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        pts = rng.random(6) * np.exp(2j * math.pi * rng.random(6))
-        c = ReflectionConstellation(points=tuple(pts), labels=tuple("abcdef"))
-        for beta in (0.0, 0.3, 0.77, 1.0):
-            scaled, harvested = scale_constellation(c, beta)
-            assert scaled.mean_reflected_power + harvested == pytest.approx(1.0, abs=1e-15)
-
-
 class TestEnergyRateFrontier:
     @pytest.fixture
     def snr(self):
@@ -105,20 +61,30 @@ class TestEnergyRateFrontier:
         return 10 ** 1.2
 
     def test_tradeoff_direction(self, snr):
-        frontier = energy_rate_frontier(ReflectionConstellation.bpsk(), [0.5, 1.0], snr)
+        frontier = energy_rate_frontier([0.5, 1.0], snr)
         (h_half, ber_half), (h_full, ber_full) = frontier
         assert ber_half > ber_full
         assert h_half > h_full
 
     def test_zero_beta_is_pure_guessing(self, snr):
-        frontier = energy_rate_frontier(ReflectionConstellation.bpsk(), [0.0], snr)
+        frontier = energy_rate_frontier([0.0], snr)
         assert frontier[0] == (1.0, 0.5)
 
     def test_monotone_in_both_coordinates(self, snr):
         grid = np.linspace(0.0, 1.0, 9)
-        frontier = energy_rate_frontier(ReflectionConstellation.bpsk(), grid, snr)
+        frontier = energy_rate_frontier(grid, snr)
         harvested = [h for h, _ in frontier]
         bers = [b for _, b in frontier]
         assert all(a > b for a, b in zip(harvested, harvested[1:]))
         assert all(a > b for a, b in zip(bers, bers[1:]))
 
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_closed_form(self, snr, beta):
+        [(harvested, ber)] = energy_rate_frontier([beta], snr)
+        assert harvested == 1.0 - beta**2
+        assert ber == bpsk_ber(beta**2 * snr)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.5, math.nan])
+    def test_beta_out_of_range_rejected(self, snr, beta):
+        with pytest.raises(ValueError):
+            energy_rate_frontier([0.5, beta], snr)

@@ -20,19 +20,20 @@ def test_default_config_is_valid():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("node_density", 0.0),
-    ("node_density", -1.0),
-    ("harvest_efficiency", 1.5),
-    ("pa_efficiency", 0.0),
-    ("min_pb_distance_m", 10.0),
-    ("harvest_ms", 30.0),          # breaks harvest + active = slot
-    ("warmup_slots", 100),         # not smaller than num_slots
-    ("noise_dbm", math.nan),
-    ("carrier_hz", math.inf),
-    ("dac_w", -1e-4),              # energymodel reads circuit draws unchecked
-    ("pb_power_dbm_sweep", [30.0, math.nan]),
-    ("seed", -1),
-    ("seed", 2**64),
+    pytest.param("node_density", 0.0, id="node_density-0.0"),
+    pytest.param("node_density", -1.0, id="node_density--1.0"),
+    pytest.param("harvest_efficiency", 1.5, id="harvest_efficiency-1.5"),
+    pytest.param("pa_efficiency", 0.0, id="pa_efficiency-0.0"),
+    pytest.param("min_pb_distance_m", 10.0, id="min_pb_distance_m-10.0"),
+    pytest.param("harvest_ms", 30.0, id="harvest_ms-30.0"),  # breaks harvest + active = slot
+    pytest.param("warmup_slots", 100, id="warmup_slots-100"),  # not smaller than num_slots
+    pytest.param("noise_dbm", math.nan, id="noise_dbm-nan"),
+    pytest.param("carrier_hz", math.inf, id="carrier_hz-inf"),
+    pytest.param("dac_w", -1e-4, id="dac_w--0.0001"),  # energymodel reads circuit draws unchecked
+    # a list value has no readable auto id; this keeps the one the case has run under
+    pytest.param("pb_power_dbm_sweep", [30.0, math.nan], id="pb_power_dbm_sweep-value10"),
+    pytest.param("seed", -1, id="seed--1"),
+    pytest.param("seed", 2**64, id="seed-18446744073709551616"),
 ])
 def test_invalid_configs_rejected(field, value):
     cfg = ScenarioConfig(**{field: value})
