@@ -20,7 +20,8 @@ from .mac import (count_interference_components, th_ss_collision_probability,
                   th_ss_collision_rate_mc)
 from .netsim import CSV_HEADER, run_comparison
 from .phylink import energy_rate_frontier
-from .scenario import PURPOSE_MAC, ScenarioConfig, derive_stream, load_config
+from .scenario import (PURPOSE_FADING, PURPOSE_MAC, ScenarioConfig, derive_stream,
+                       load_config)
 
 BETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DUTY_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -121,7 +122,7 @@ def _dyadic_rows(config, trials):
     n_trials = 200_000 if trials is None else trials
     rows = []
     for ell in (1, 2):
-        rng = derive_stream(config.seed, ell, PURPOSE_MAC)
+        rng = derive_stream(config.seed, ell, PURPOSE_FADING)
         curve = simulate_dyadic_ber(ell, 2, 2, DYADIC_SNR_GRID, n_trials, rng)
         rows.extend(f"{ell},2,{snr!r},{ber!r}" for snr, ber in curve)
     return "tag_antennas,rx_antennas,snr_db,ber", rows

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from backsim.dyadic import _complex_normal, estimate_diversity_order, simulate_dyadic_ber
+from backsim.dyadic import (_CHUNK, _conditional_ber, _dual_branch_equal_ber,
+                            estimate_diversity_order, simulate_dyadic_ber)
 from backsim.scenario import PURPOSE_FADING, derive_stream
-from oracles import bit_level_dyadic_ber, semi_dyadic_ber
+from oracles import _complex_normal, bit_level_dyadic_ber, dyadic_quadrature, semi_dyadic_ber
 
 
 def rayleigh_bpsk_oracle(snr):
@@ -29,9 +30,9 @@ def double_rayleigh_oracle(snr_db, num_rx):
 
 class TestComposite:
     def test_composite_statistics(self):
-        # Both hops drawn with the estimator's own complex-normal draw: the
-        # composite entries are zero-mean with variance equal to the
-        # tag-antenna count only if each hop has unit variance.
+        # Both hops drawn with the oracles' complex-normal draw: the composite
+        # entries are zero-mean with variance equal to the tag-antenna count
+        # only if each hop has unit variance.
         rng = derive_stream(4, 0, PURPOSE_FADING)
         n = 100_000
         fwd = _complex_normal(rng, (n, 2))
@@ -75,6 +76,46 @@ class TestSimulate:
         oracle = double_rayleigh_oracle(20.0, 1)
         assert ber == pytest.approx(oracle, abs=max(4 * se, 0.02 * oracle))
 
+    @pytest.mark.parametrize("ell,m_r", [(1, 2), (2, 2), (1, 8)], ids=["(1,2)", "(2,2)", "(1,8)"])
+    def test_matches_quadrature(self, ell, m_r):
+        grid = [10.0, 20.0, 30.0]
+        rng = derive_stream(13, 10 * ell + m_r, PURPOSE_FADING)
+        curve = simulate_dyadic_ber(ell, 2, m_r, grid, 100_000, rng, with_stderr=True)
+        for snr_db, ber, se in curve:
+            assert abs(ber - dyadic_quadrature(ell, m_r, snr_db)) <= 5.0 * se
+
+    @pytest.mark.parametrize("m_r", [2, 8])
+    def test_quadrature_oracles_agree(self, m_r):
+        # Craig/MGF form against direct integration over the Gamma density
+        for snr_db in (10.0, 30.0):
+            assert dyadic_quadrature(1, m_r, snr_db) == pytest.approx(
+                double_rayleigh_oracle(snr_db, m_r), rel=1e-6)
+
+    def test_grid_points_share_draws(self):
+        # common random numbers: a point does not depend on the rest of the grid
+        def curve(grid):
+            return simulate_dyadic_ber(2, 2, 2, grid, 100_000, derive_stream(6, 0, PURPOSE_FADING),
+                                       with_stderr=True)
+        paired = curve([20.0, 30.0])
+        assert curve([20.0])[0] == paired[0]
+        assert curve([30.0])[0] == paired[1]
+
+    def test_returns_python_floats(self):
+        curve = simulate_dyadic_ber(1, 2, 2, [10.0, 20.0], 100_000,
+                                    derive_stream(6, 1, PURPOSE_FADING), with_stderr=True)
+        assert all(type(x) is float for point in curve for x in point)
+
+    def test_equal_branch_gains(self):
+        # the partial-fraction form is 0/0 at equal gains; the dual-branch
+        # formula takes over and joins it continuously
+        gains = np.array([[3.0, 3.0], [3.0, 3.0 * (1 + 1e-9)], [3.0, 3.0003], [1.0, 4.0]])
+        out = _conditional_ber(gains)
+        assert out[0] == _dual_branch_equal_ber(3.0)
+        assert out[1] == pytest.approx(out[0], rel=1e-8)
+        assert out[2] == pytest.approx(out[0], rel=1e-3)
+        partial = (rayleigh_bpsk_oracle(1.0) - 4.0 * rayleigh_bpsk_oracle(4.0)) / (1.0 - 4.0)
+        assert out[3] == pytest.approx(partial, rel=1e-12)
+
     def test_keyhole_worse_than_single_rayleigh(self):
         rng = derive_stream(11, 1, PURPOSE_FADING)
         curve = simulate_dyadic_ber(1, 1, 1, [20.0], 200_000, rng)
@@ -93,6 +134,13 @@ class TestSimulate:
     def test_deterministic_given_seed(self):
         a = simulate_dyadic_ber(2, 2, 2, [10.0], 100_000, derive_stream(5, 0, PURPOSE_FADING))
         b = simulate_dyadic_ber(2, 2, 2, [10.0], 100_000, derive_stream(5, 0, PURPOSE_FADING))
+        assert a == b
+
+    @pytest.mark.parametrize("trials", [100_007, _CHUNK + 7])
+    def test_deterministic_for_partial_chunks(self, trials):
+        # trial counts that are not a multiple of the draw block size
+        a = simulate_dyadic_ber(2, 2, 2, [10.0, 20.0], trials, derive_stream(5, 1, PURPOSE_FADING))
+        b = simulate_dyadic_ber(2, 2, 2, [10.0, 20.0], trials, derive_stream(5, 1, PURPOSE_FADING))
         assert a == b
 
 
