@@ -67,21 +67,17 @@ def count_interference_components(num_links):
     return (num_links - 1) * num_links
 
 
-def aggregate_interference(emitted_w, gain):
+def aggregate_interference(emitted_w, cross_gain):
     """Interference power at every receiver, in watts.
 
     ``emitted_w[..., j]`` is the power node j radiates in this slot (the
     beacon carrier reflected off a backscatter tag, the amplifier output of
-    a traditional radio, zero for a silent node) and ``gain[..., j, i]`` the
-    path gain from node j to link i's receiver; leading axes index
-    independent populations and broadcast. Receiver i sees every node's
-    emission except its own link's: incoherent power sum over j != i,
-    first-order reflections only. Under TDMA or time hopping pass the gain
-    matrix times ``co_slot_mask(slots)`` so that only co-slot nodes
-    count.
+    a traditional radio, zero for a silent node) and ``cross_gain[..., j, i]``
+    the path gain from node j to link i's receiver, with a zero diagonal:
+    receiver i sees every node's emission except its own link's. Leading
+    axes index independent populations and broadcast. The result is the
+    incoherent power sum over j, first-order reflections only. Under TDMA
+    or time hopping pass the cross gains times ``co_slot_mask(slots)`` so
+    that only co-slot nodes count.
     """
-    n = gain.shape[-1]
-    cross = gain.copy()
-    # zero the diagonal: every (n + 1)-th entry of each flattened matrix
-    cross.reshape(*gain.shape[:-2], n * n)[..., ::n + 1] = 0.0
-    return (emitted_w[..., None, :] @ cross)[..., 0, :]
+    return (emitted_w[..., None, :] @ cross_gain)[..., 0, :]

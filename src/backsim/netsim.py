@@ -27,6 +27,10 @@ from .scenario import NodeKind, PURPOSE_PLACEMENT, derive_stream, place_nodes
 
 CSV_HEADER = "pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,trials,seed"
 
+# Active link-slots collected before one bpsk_ber call: large enough to
+# amortise its per-call cost over many slots, small enough to bound memory.
+_BER_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -67,10 +71,11 @@ class PopulationResult:
 def _padded_gains(config, topologies):
     """Gains of topologies padded to the largest node count N.
 
-    Returns beacon-to-node gains (T, N), node-to-receiver gains (T, N, N)
-    with ``gain[t, j, i]`` from node j's antenna to link i's receiver, and
-    the (T, N) mask of real nodes. Padded entries get a placeholder 1 m
-    distance for ``friis_gain`` and are then zeroed.
+    Returns beacon-to-node gains (T, N), each link's own gain (T, N), the
+    cross gains (T, N, N) with ``cross[t, j, i]`` from node j's antenna to
+    link i's receiver and a zero diagonal (a link is not its own
+    interferer), and the (T, N) mask of real nodes. Padded entries get a
+    placeholder 1 m distance for ``friis_gain`` and are then zeroed.
     """
     present = np.arange(max(map(len, topologies))) < np.array([[len(t)] for t in topologies])
     padded = np.zeros(present.shape + (2, 2))
@@ -83,26 +88,32 @@ def _padded_gains(config, topologies):
     pairs = present[:, :, None] & present[:, None, :]
     diff = positions[:, :, None, :] - rx_positions[:, None, :, :]
     distance = np.where(pairs, np.hypot(diff[..., 0], diff[..., 1]), 1.0)
-    gain_to_rx = np.where(pairs, friis_gain(distance, wavelength, aperture, aperture), 0.0)
-    return pb_gain, gain_to_rx, present
+    cross_gain = np.where(pairs, friis_gain(distance, wavelength, aperture, aperture), 0.0)
+    own = np.arange(present.shape[-1])
+    link_gain = cross_gain[:, own, own]
+    cross_gain[:, own, own] = 0.0
+    return pb_gain, link_gain, cross_gain, present
 
 
-def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm):
+def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present, pb_power_dbm):
     """Run populations of one kind at every beacon power over padded topologies.
 
     Every (power, topology) pair is an independent population; all of them
-    advance together, one slot at a time. Returns the mean BER, the active
-    fraction and the BER sample count, each (P, T), and the final
-    (P, T, N) energy ledger.
+    advance together, one slot at a time. Each slot's active links are
+    queued with the flat index of their population, and BER is evaluated
+    on blocks of at least ``_BER_BLOCK`` queued link-slots. Returns the
+    mean BER, the active fraction and the BER sample count, each (P, T),
+    and the final (P, T, N) energy ledger.
     """
     incident = dbm_to_watts(pb_power_dbm)[:, None, None] * pb_gain  # (P, T, N)
-    link_gain = np.diagonal(gain_to_rx, axis1=-2, axis2=-1)          # (T, N)
+    populations, num_nodes = incident.shape[:2], incident.shape[-1]
     nodes = present.sum(axis=-1)
 
     ledger = EnergyLedger.empty(incident.shape)
-    ber_sum = np.zeros(incident.shape[:2])
-    ber_samples = np.zeros(incident.shape[:2], dtype=np.int64)
-    active_share_sum = np.zeros(incident.shape[:2])
+    ber_sum = np.zeros(math.prod(populations))
+    ber_samples = np.zeros(populations, dtype=np.int64)
+    active_share_sum = np.zeros(populations)
+    queued, queued_links = [], 0  # (SINR, population index) of link-slots awaiting BER
 
     for slot in range(config.num_slots):
         active, emitted = step_population(ledger, incident, kind, config)
@@ -110,12 +121,18 @@ def _run_kind(config, kind, pb_gain, gain_to_rx, present, pb_power_dbm):
             continue
         n_active = active.sum(axis=-1)
         active_share_sum += n_active / np.maximum(nodes, 1)
-        interference = aggregate_interference(emitted, gain_to_rx)
-        sinr = (emitted * link_gain)[active] / (interference[active] + config.noise_w)
-        ber = np.zeros(active.shape)
-        ber[active] = bpsk_ber(sinr)
-        ber_sum += ber.sum(axis=-1)
         ber_samples += n_active
+        links = np.flatnonzero(active)
+        if links.size:
+            interference = aggregate_interference(emitted, cross_gain).ravel()[links]
+            signal = (emitted * link_gain).ravel()[links]
+            queued.append((signal / (interference + config.noise_w), links // num_nodes))
+            queued_links += links.size
+        if queued and (queued_links >= _BER_BLOCK or slot == config.num_slots - 1):
+            sinr, owner = map(np.concatenate, zip(*queued))
+            ber_sum += np.bincount(owner, weights=bpsk_ber(sinr), minlength=ber_sum.size)
+            queued, queued_links = [], 0
+    ber_sum = ber_sum.reshape(populations)
 
     drifted = np.abs(ledger.drift_j()) > 1e-9 * np.maximum(ledger.harvested_j, 1e-30)
     if drifted.any():

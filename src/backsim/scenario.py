@@ -15,6 +15,9 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that cost
+# in backsim's import instead of the first experiment that draws
+from numpy.random import SeedSequence, default_rng
 
 from .channel import SPEED_OF_LIGHT_M_S, dbm_to_watts
 
@@ -147,8 +150,7 @@ def derive_stream(master_seed, node_id, purpose_tag):
     Distinct (node_id, purpose_tag) pairs seed distinct PCG64 streams; the
     same inputs always reproduce the same stream.
     """
-    seq = np.random.SeedSequence([int(master_seed), int(node_id), int(purpose_tag)])
-    return np.random.default_rng(seq)
+    return default_rng(SeedSequence([int(master_seed), int(node_id), int(purpose_tag)]))
 
 
 def place_nodes(config, rng):

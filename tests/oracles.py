@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.energymodel import (EnergyLedger, activation_decision, harvested_energy,
@@ -165,7 +165,8 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
         friis_gain(np.hypot(positions[:, 0], positions[:, 1]), lam, ap, ap))
     diff = positions[:, None, :] - rx_positions[None, :, :]
     gain_to_rx = friis_gain(np.hypot(diff[..., 0], diff[..., 1]), lam, ap, ap)
-    link_gain = np.diag(gain_to_rx)
+    link_gain = np.diag(gain_to_rx).copy()
+    np.fill_diagonal(gain_to_rx, 0.0)  # a link is not its own interferer
 
     ber_sum = 0.0
     ber_samples = 0
@@ -267,7 +268,13 @@ def bit_level_dyadic_ber(ell, num_tx, num_rx, snr_db, trials, rng):
 
 
 def _gamma_mean_inverse(t, m):
-    """E[1 / (1 + t g)] for g ~ Gamma(m, 1)."""
+    """E[1 / (1 + t g)] for g ~ Gamma(m, 1).
+
+    For m = 1 (g exponential) this is exp(1/t) E1(1/t) / t in closed form;
+    quad cannot resolve that integrand's spike at g = 0 once t is large.
+    """
+    if m == 1:
+        return math.exp(1.0 / t) * special.exp1(1.0 / t) / t
     norm = math.gamma(m)
     value, _ = integrate.quad(lambda g: g ** (m - 1) * math.exp(-g) / (norm * (1.0 + t * g)),
                               0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
@@ -281,8 +288,6 @@ def dyadic_quadrature(ell, num_rx, snr_db):
     hop) and g_l ~ Gamma(num_rx, 1) (backward branch gains), all independent.
     Craig's form of Q gives P = (1/pi) int_0^{pi/2} E[exp(-X / sin^2 t)] dt,
     and E[exp(-s a g)] = E_g[1 / (1 + s g)], raised to the L-th power.
-    Accurate for num_rx >= 2; at num_rx = 1 quad reports roundoff from
-    10 dB up.
     """
     snr = 10.0 ** (snr_db / 10.0)
 

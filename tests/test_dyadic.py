@@ -84,6 +84,13 @@ class TestSimulate:
         for snr_db, ber, se in curve:
             assert abs(ber - dyadic_quadrature(ell, m_r, snr_db)) <= 5.0 * se
 
+    @pytest.mark.parametrize("snr_db", [10.0, 15.0, 20.0, 25.0, 30.0, 35.0])
+    def test_single_antenna_quadrature(self, snr_db):
+        # one receive antenna: the Craig/MGF form's inner mean is the E1
+        # closed form, checked against direct integration over the Gamma density
+        assert dyadic_quadrature(1, 1, snr_db) == pytest.approx(
+            double_rayleigh_oracle(snr_db, 1), rel=1e-8)
+
     @pytest.mark.parametrize("m_r", [2, 8])
     def test_quadrature_oracles_agree(self, m_r):
         # Craig/MGF form against direct integration over the Gamma density

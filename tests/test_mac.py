@@ -73,12 +73,13 @@ class TestInterferenceCount:
 
 def _grid(config):
     """Four nodes on a small cross around the beacon as an (n, 2, 2)
-    topology, and their gain matrix (node j's antenna to node i's receiver)."""
+    topology, and their cross-gain matrix (node j's antenna to node i's
+    receiver, zero for j = i)."""
     coords = np.array([(2.0, 0.0), (0.0, 3.0), (-4.0, 0.0), (0.0, -5.0)])
     nodes = np.stack([coords, coords + [0.0, config.rx_distance_m]], axis=1)
     lam, ap = config.wavelength_m, config.aperture_m2
-    gain = np.array([[friis_gain(float(np.hypot(*(tx[0] - rx[1]))), lam, ap, ap)
-                      for rx in nodes] for tx in nodes])
+    gain = np.array([[friis_gain(float(np.hypot(*(tx[0] - rx[1]))), lam, ap, ap) if i != j
+                      else 0.0 for i, rx in enumerate(nodes)] for j, tx in enumerate(nodes)])
     return nodes, gain
 
 
@@ -99,6 +100,13 @@ class TestAggregateInterference:
         emitted = np.array([1e-6, 0.0, 0.0, 0.0])
         assert aggregate_interference(emitted, gain)[0] == 0.0
         assert aggregate_interference(np.zeros(0), np.zeros((0, 0))).shape == (0,)
+
+    def test_plain_product_with_given_diagonal(self):
+        # the caller owns the zero diagonal: whatever it holds is summed
+        gain = derive_stream(3, 0, 1).random((2, 3, 3))
+        emitted = np.array([1.0, 2.0, 4.0])
+        got = aggregate_interference(emitted, gain)
+        np.testing.assert_allclose(got, np.einsum("j,tji->ti", emitted, gain), rtol=1e-15)
 
     def test_single_backscatter_interferer_matches_cascade(self, config):
         # dual route: the one-term sum must equal the closed-form two-hop power

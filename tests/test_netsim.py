@@ -256,6 +256,17 @@ class TestRunComparison:
             assert all(math.isnan(r.mean_ber) and math.isnan(r.active_fraction)
                        for r in results)
 
+    def test_ber_block_size_only_regroups_sums(self, small_config, monkeypatch):
+        # BER is evaluated on queued blocks of link-slots; the block size may
+        # change the order of the sums, never which link-slots they hold
+        def means(block):
+            monkeypatch.setattr(netsim, "_BER_BLOCK", block)
+            return np.array([(r.mean_ber, r.active_fraction)
+                             for r in run_comparison(small_config, 6)])
+        whole = means(1 << 30)
+        for block in (1, 7):
+            np.testing.assert_allclose(means(block), whole, rtol=1e-14, atol=0.0)
+
     def test_csv_schema(self, small_config, tmp_path):
         results = run_comparison(small_config, num_topologies=2)
         cfg = tmp_path / "small.cfg"

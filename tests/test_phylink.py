@@ -1,21 +1,95 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import backsim
+from backsim.cli import BETA_GRID, BETA_REFERENCE_SNR
 from backsim.phylink import bpsk_ber, energy_rate_frontier, q_function
+
+TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def q_oracle(x):
     """High-precision Gaussian tail via an independent erfc implementation."""
-    with mpmath.workdps(25):
-        return float(mpmath.erfc(x / mpmath.sqrt(2)) / 2)
+    with mpmath.workdps(40):
+        return float(mpmath.erfc(mpmath.mpf(float(x)) / mpmath.sqrt(2)) / 2)
+
+
+def ber_oracle(sinr):
+    """High-precision Q(sqrt(2 * sinr)) = erfc(sqrt(sinr)) / 2."""
+    with mpmath.workdps(40):
+        return float(mpmath.erfc(mpmath.sqrt(mpmath.mpf(float(sinr)))) / 2)
+
+
+def _around(x, ulps=3):
+    """x and its neighbouring doubles, up to ``ulps`` steps either side."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def _assert_relative(ours, oracle, rel):
+    """Relative error bound where the oracle is a normal double; an
+    underflowing oracle must come out below the normal range too."""
+    ours, oracle = np.asarray(ours), np.asarray(oracle)
+    normal = oracle >= TINY
+    assert np.all(np.abs(ours[normal] - oracle[normal]) <= rel * oracle[normal])
+    assert np.all(np.abs(ours[~normal] - oracle[~normal]) <= TINY)
+
+
+def test_import_leaves_scipy_unloaded():
+    # the runtime depends on numpy only; importing scipy would cost most of
+    # a CLI run's start-up
+    src = Path(backsim.__file__).resolve().parents[1]
+    code = "import sys, backsim, backsim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 class TestQFunction:
     def test_half_at_zero(self):
         assert q_function(0.0) == 0.5
+
+    def test_special_values(self):
+        assert q_function(math.inf) == 0.0
+        assert q_function(-math.inf) == 1.0
+        assert math.isnan(q_function(math.nan))
+        # exp(-x^2 / 2) underflows beyond x = 38.6
+        assert q_function(38.7) == 0.0
+        assert q_function(1e300) == 0.0 and q_function(-1e300) == 1.0
+
+    def test_relative_error_across_branches(self):
+        # Cephes' three rational forms meet at |x| / sqrt(2) = 1 and 8; Q
+        # leaves the normal doubles near x = 37.5 and underflows near 38.6
+        edges = [math.sqrt(2.0), 8.0 * math.sqrt(2.0)]
+        grid = np.concatenate([np.linspace(0.0, 39.0, 1561), np.linspace(37.0, 38.8, 181),
+                               *(_around(x) for x in edges)])
+        _assert_relative(q_function(grid), [q_oracle(x) for x in grid], rel=1e-13)
+
+    def test_absolute_error_below_zero(self):
+        grid = np.linspace(-40.0, 0.0, 801)
+        worst = max(abs(o - q_oracle(x)) for x, o in zip(grid, q_function(grid)))
+        assert worst <= 1e-15
+
+    def test_scalar_in_float_out(self):
+        assert type(q_function(1.0)) is float
+        assert type(q_function(np.float64(1.0))) is float
+        assert np.shape(q_function(np.array(1.0))) == ()
+
+    def test_shape_preserved(self):
+        grid = np.linspace(-3.0, 12.0, 6).reshape(2, 3)
+        got = q_function(grid)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[q_function(x) for x in row] for row in grid]
 
     def test_ninety_percent_quantile(self):
         assert q_function(1.2816) == pytest.approx(0.1000, abs=1e-4)
@@ -46,6 +120,18 @@ class TestBpskBer:
 
     def test_range(self):
         assert 0.0 <= bpsk_ber(1e6) < bpsk_ber(1.0) <= 0.5
+
+    def test_relative_error(self):
+        # branch points at SINR 1 and 64; the result underflows near 745
+        grid = np.concatenate([np.geomspace(1e-8, 750.0, 801), _around(1.0), _around(64.0)])
+        _assert_relative(bpsk_ber(grid), [ber_oracle(s) for s in grid], rel=1e-13)
+        assert bpsk_ber(math.inf) == 0.0
+
+    @pytest.mark.parametrize("beta", BETA_GRID)
+    def test_tradeoff_beta_points(self, beta):
+        # the SINRs of the tradeoff_beta experiment
+        sinr = beta**2 * BETA_REFERENCE_SNR
+        assert bpsk_ber(sinr) == pytest.approx(ber_oracle(sinr), rel=1e-14)
 
     def test_negative_sinr_rejected(self):
         with pytest.raises(ValueError):
