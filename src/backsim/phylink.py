@@ -53,7 +53,10 @@ def _erfc(a, gauss):
     ``gauss`` = exp(-a^2), which callers compute from the exact argument.
 
     The [1, 8) form is evaluated on every value and the two outer ranges are
-    patched by index, since network SINRs mostly fall in [1, 64).
+    patched by index. Network SINRs mostly fall in [1, 64): 69-85% of them on
+    the default and dense fig3 sweeps. Evaluating each form only on its own
+    index set measured 20-30% slower there, the gathers costing more than
+    the skipped Horner passes.
     """
     y = _horner(_ERFC_P, a)
     y /= _horner(_ERFC_Q, a)
@@ -73,22 +76,25 @@ def _as_output(values, shape):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
+def _half_erfc_sqrt(s):
+    """erfc(sqrt(s)) / 2 for a flat array ``s`` of non-negative values (or NaN)."""
+    s = np.minimum(s, _ERFC_ARG_CAP**2)
+    y = _erfc(np.sqrt(s), np.exp(-s))
+    y *= 0.5
+    return y
+
+
 def q_function(x):
     """Standard normal tail probability, Q(x) = erfc(x / sqrt(2)) / 2.
 
-    Relative error about 1e-15 wherever Q(x) is a normal double; 0.0 once
-    it underflows (x above about 38.6), 1.0 at -inf and NaN for NaN.
+    Relative error below 8e-14 wherever Q(x) is a normal double (rounding
+    x^2 / 2 once, carried through exp(-x^2 / 2)); 0.0 once it underflows
+    (x above about 38.6), 1.0 at -inf and NaN for NaN.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     c = np.minimum(np.abs(flat), _ERFC_ARG_CAP * math.sqrt(2.0))
-    # exp(-c^2 / 2) with c = hi + lo, hi on a 1/64 grid so that hi^2 / 2 is
-    # exact: rounding c^2 would cost up to c^2 ulps of relative error
-    hi = np.round(c * 64.0) / 64.0
-    lo = c - hi
-    gauss = np.exp(-0.5 * hi * hi) * np.exp(-lo * (hi + 0.5 * lo))
-    q = _erfc(c / math.sqrt(2.0), gauss)
-    q *= 0.5
+    q = _half_erfc_sqrt(0.5 * c * c)
     neg = np.flatnonzero(flat < 0.0)
     q[neg] = 1.0 - q[neg]
     return _as_output(q, x.shape)
@@ -103,10 +109,7 @@ def bpsk_ber(sinr_linear):
     s = np.asarray(sinr_linear, dtype=float)
     if not np.all(s >= 0.0):  # also rejects NaN
         raise ValueError("SINR must be non-negative")
-    flat = np.minimum(s.ravel(), _ERFC_ARG_CAP**2)
-    ber = _erfc(np.sqrt(flat), np.exp(-flat))
-    ber *= 0.5
-    return _as_output(ber, s.shape)
+    return _as_output(_half_erfc_sqrt(s.ravel()), s.shape)
 
 
 def energy_rate_frontier(beta_grid, snr):

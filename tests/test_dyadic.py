@@ -24,7 +24,8 @@ def double_rayleigh_oracle(snr_db, num_rx):
     """
     s = 10.0 ** (snr_db / 10.0)
     density = lambda g: g ** (num_rx - 1) * math.exp(-g) / math.factorial(num_rx - 1)
-    val, _ = quad(lambda g: rayleigh_bpsk_oracle(s * g) * density(g), 0.0, 200.0, limit=400)
+    val, _ = quad(lambda g: rayleigh_bpsk_oracle(s * g) * density(g), 0.0, 200.0,
+                  epsabs=0.0, epsrel=1e-12, limit=400)
     return val
 
 
