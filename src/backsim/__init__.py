@@ -1,7 +1,7 @@
 """Seeded Monte Carlo simulator of wirelessly powered backscatter networks."""
 
 from .channel import dbm_to_watts, friis_gain
-from .dyadic import estimate_diversity_order, simulate_dyadic_ber
+from .dyadic import simulate_dyadic_ber
 from .energymodel import (EnergyLedger, activation_decision, duty_cycle_harvest,
                           harvested_energy, step_population, traditional_tx_power)
 from .mac import (aggregate_interference, co_slot_mask, count_interference_components,

@@ -17,45 +17,65 @@ import math
 
 import numpy as np
 
+# Trials per block: it fixes how each point's BER sum is grouped, and so the
+# output bytes; the draws are one stream whatever the block size.
 _CHUNK = 1 << 17
 
 
-def _rayleigh_bpsk_ber(snr_mean):
-    """E[Q(sqrt(2 g))] for exponentially distributed g with the given mean.
-
-    Stable form of (1 - sqrt(a / (1 + a))) / 2, valid for any a >= 0.
-    """
-    a = np.asarray(snr_mean, dtype=float)
-    return 0.5 / ((1.0 + a) + np.sqrt(a * (1.0 + a)))
+def _rayleigh_ber_into(a, out, tmp):
+    """E[Q(sqrt(2 g))] for exponential g of mean ``a`` >= 0 into ``out`` (``tmp`` is
+    scratch), in the stable form 0.5 / ((1 + a) + sqrt(a (1 + a)))."""
+    np.add(1.0, a, out=out)
+    np.multiply(a, out, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.add(out, tmp, out=out)
+    return np.divide(0.5, out, out=out)
 
 
 def _dual_branch_equal_ber(snr_mean):
     """E[Q(sqrt(2 g))] for g ~ Gamma(2, mean/2 per branch): two equal branches."""
-    a = np.asarray(snr_mean, dtype=float)
-    mu = np.sqrt(a / (1.0 + a))
+    mu = np.sqrt(snr_mean / (1.0 + snr_mean))
     return (0.5 * (1.0 - mu)) ** 2 * (2.0 + mu)
 
 
-def _conditional_ber(beta):
-    """Exact BPSK error probability given the per-antenna branch gains.
+def _near_equal(b1, b2, bound, gap=None, scale=None):
+    """Rows whose branch means differ by at most ``bound`` relative (floored at 1e-300)."""
+    gap = np.abs(np.subtract(b1, b2, out=gap), out=gap)
+    scale = np.maximum(np.maximum(b1, b2, out=scale), 1e-300, out=scale)
+    return gap <= np.multiply(bound, scale, out=scale)
 
-    ``beta`` has shape (n, L): the post-combining SNR is a sum of L
-    independent exponentials with these means, and the expectation of
-    Q(sqrt(2 x)) over that sum has a closed form (partial fractions for
-    distinct means, the dual-branch formula for near-equal ones).
+
+def _conditional_bers(gains, snrs, work):
+    """Exact BPSK error probability of every row of ``gains`` at each SNR in turn.
+
+    At linear SNR ``snr`` the post-combining SNR sums L independent exponentials
+    of means ``snr * gains[k]`` ((n, L), non-negative): partial fractions give
+    E[Q(sqrt(2 x))], or the dual-branch formula for near-equal means. Each (n,)
+    result is a view into ``work`` ((5, >= n) scratch) that the next overwrites.
+    A row near-equal at any grid SNR has a gap below 1.000001e-6 of its larger
+    gain or 1.000001e-306 / snr, so it passes the test at twice the bound at the
+    lowest SNR; only those candidate rows get the exact per-point test.
     """
-    if beta.shape[1] == 1:
-        return _rayleigh_bpsk_ber(beta[:, 0])
-    b1 = beta[:, 0]
-    b2 = beta[:, 1]
-    den = b1 - b2
-    scale = np.maximum(np.maximum(b1, b2), 1e-300)
-    near_equal = np.abs(den) <= 1e-6 * scale
-    num = b1 * _rayleigh_bpsk_ber(b1) - b2 * _rayleigh_bpsk_ber(b2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    out[near_equal] = _dual_branch_equal_ber(0.5 * (b1[near_equal] + b2[near_equal]))
-    return np.clip(out, 0.0, 0.5)
+    n, ell = gains.shape
+    b1, b2, num, den, tmp = work[:, :n]
+    if ell == 2:
+        np.multiply(min(snrs, default=1.0), gains.T, out=work[:2, :n])
+        candidates = np.flatnonzero(_near_equal(b1, b2, 2e-6, num, den))
+    for snr in snrs:
+        np.multiply(snr, gains.T, out=work[:ell, :n])
+        if ell == 1:
+            yield _rayleigh_ber_into(b1, num, tmp)
+            continue
+        np.multiply(b1, _rayleigh_ber_into(b1, num, tmp), out=num)
+        np.multiply(b2, _rayleigh_ber_into(b2, den, tmp), out=den)
+        np.subtract(num, den, out=num)
+        np.subtract(b1, b2, out=den)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(num, den, out=num)
+        c1, c2 = b1[candidates], b2[candidates]
+        near = _near_equal(c1, c2, 1e-6)
+        num[candidates[near]] = _dual_branch_equal_ber(0.5 * (c1[near] + c2[near]))
+        yield np.clip(num, 0.0, 0.5, out=num)
 
 
 def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_grid,
@@ -92,12 +112,15 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     total = np.zeros(len(grid))
     total_sq = np.zeros(len(grid))
+    draws = np.empty((min(_CHUNK, trials), num_tag_antennas))
+    work = np.empty((5, len(draws)))
     for done in range(0, trials, _CHUNK):
-        gains = rng.gamma(num_reader_rx, size=(min(_CHUNK, trials - done), num_tag_antennas))
-        for i, snr in enumerate(snrs):
-            vals = _conditional_ber(snr * gains)
+        n = min(_CHUNK, trials - done)  # the rng.gamma(num_reader_rx) stream, drawn in place
+        gains = rng.standard_gamma(num_reader_rx, size=(n, num_tag_antennas), out=draws[:n])
+        for i, vals in enumerate(_conditional_bers(gains, snrs, work)):
             total[i] += vals.sum()
-            total_sq[i] += (vals**2).sum()
+            if with_stderr:
+                total_sq[i] += np.dot(vals, vals)
     curve = []
     for snr_db, point_total, point_sq in zip(grid, total, total_sq):
         mean = float(point_total) / trials
@@ -107,27 +130,3 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
         else:
             curve.append((snr_db, mean))
     return curve
-
-
-def estimate_diversity_order(curve, min_resolved_ber=0.0):
-    """Diversity order: negative slope of log10(BER) against SNR_dB / 10.
-
-    Fitted over the top decade of the SNR grid. Points at or below
-    ``min_resolved_ber`` (and exact zeros) are discarded as statistically
-    unresolved; fewer than three surviving points is an error asking for
-    more trials.
-    """
-    points = [(float(p[0]), float(p[1])) for p in curve]
-    if not points:
-        raise ValueError("empty BER curve")
-    top = max(s for s, _ in points)
-    window = [(s, b) for s, b in points if s >= top - 10.0 - 1e-9]
-    resolved = [(s, b) for s, b in window if b > min_resolved_ber and b > 0.0]
-    if len(resolved) < 3:
-        raise ValueError(
-            "fewer than 3 statistically resolved points in the top decade; "
-            "increase the trial count or lower the SNR window")
-    x = np.array([s / 10.0 for s, _ in resolved])
-    y = np.log10([b for _, b in resolved])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(-slope)

@@ -4,7 +4,8 @@ The network oracles follow a single node or a single receiver with plain
 Python floats, the way the physics reads in the paper's model, so the array
 engine in ``backsim`` can be checked against it term by term. The dyadic
 oracles estimate the same error rate as ``simulate_dyadic_ber`` by drawing
-both hops instead of integrating one out, or compute it by quadrature.
+both hops instead of integrating one out, or compute it by quadrature, or
+repeat its conditional estimator one allocating array expression at a time.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from scipy import integrate, special
 
 from backsim.channel import dbm_to_watts, friis_gain
+from backsim.dyadic import _CHUNK
 from backsim.energymodel import (EnergyLedger, activation_decision, harvested_energy,
                                  step_population, traditional_tx_power)
 from backsim.mac import aggregate_interference
@@ -298,3 +300,86 @@ def dyadic_quadrature(ell, num_rx, snr_db):
     value, _ = integrate.quad(integrand, 0.0, math.pi / 2.0, epsabs=0.0, epsrel=1e-10,
                               limit=200)
     return value / math.pi
+
+
+def rayleigh_bpsk_ber(snr_mean):
+    """E[Q(sqrt(2 g))] for exponentially distributed g with the given mean."""
+    a = np.asarray(snr_mean, dtype=float)
+    return 0.5 / ((1.0 + a) + np.sqrt(a * (1.0 + a)))
+
+
+def dual_branch_equal_ber(snr_mean):
+    """E[Q(sqrt(2 g))] for g ~ Gamma(2, mean/2 per branch): two equal branches."""
+    a = np.asarray(snr_mean, dtype=float)
+    mu = np.sqrt(a / (1.0 + a))
+    return (0.5 * (1.0 - mu)) ** 2 * (2.0 + mu)
+
+
+def conditional_ber(beta):
+    """BPSK error probability given the (n, L) per-antenna branch means ``beta``.
+
+    Partial fractions for distinct means, the dual-branch formula where the
+    two means are within 1e-6 relative (floored at 1e-300), clipped to
+    [0, 0.5]; one fresh array per operation.
+    """
+    if beta.shape[1] == 1:
+        return rayleigh_bpsk_ber(beta[:, 0])
+    b1 = beta[:, 0]
+    b2 = beta[:, 1]
+    den = b1 - b2
+    scale = np.maximum(np.maximum(b1, b2), 1e-300)
+    near_equal = np.abs(den) <= 1e-6 * scale
+    num = b1 * rayleigh_bpsk_ber(b1) - b2 * rayleigh_bpsk_ber(b2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    out[near_equal] = dual_branch_equal_ber(0.5 * (b1[near_equal] + b2[near_equal]))
+    return np.clip(out, 0.0, 0.5)
+
+
+def conditional_dyadic_curve(num_tag_antennas, num_reader_rx, snr_db_grid, trials, rng):
+    """``simulate_dyadic_ber``'s curve with stderr, evaluated point by point.
+
+    Draws Gamma(num_reader_rx, 1) branch gains in blocks of the simulator's
+    ``_CHUNK`` trials, scales the block by each grid SNR and sums
+    ``conditional_ber`` and its square per block, so the BER sums group as
+    the simulator's do.
+    """
+    grid = [float(snr_db) for snr_db in snr_db_grid]
+    total = np.zeros(len(grid))
+    total_sq = np.zeros(len(grid))
+    for done in range(0, trials, _CHUNK):
+        gains = rng.gamma(num_reader_rx, size=(min(_CHUNK, trials - done), num_tag_antennas))
+        for i, snr_db in enumerate(grid):
+            vals = conditional_ber(10.0 ** (snr_db / 10.0) * gains)
+            total[i] += vals.sum()
+            total_sq[i] += (vals**2).sum()
+    curve = []
+    for snr_db, point_total, point_sq in zip(grid, total, total_sq):
+        mean = float(point_total) / trials
+        var = max(float(point_sq) / trials - mean**2, 0.0)
+        curve.append((snr_db, mean, math.sqrt(var / trials)))
+    return curve
+
+
+def estimate_diversity_order(curve, min_resolved_ber=0.0):
+    """Diversity order: negative slope of log10(BER) against SNR_dB / 10.
+
+    Fitted over the top decade of the SNR grid. Points at or below
+    ``min_resolved_ber`` (and exact zeros) are discarded as statistically
+    unresolved; fewer than three surviving points is an error asking for
+    more trials.
+    """
+    points = [(float(p[0]), float(p[1])) for p in curve]
+    if not points:
+        raise ValueError("empty BER curve")
+    top = max(s for s, _ in points)
+    window = [(s, b) for s, b in points if s >= top - 10.0 - 1e-9]
+    resolved = [(s, b) for s, b in window if b > min_resolved_ber and b > 0.0]
+    if len(resolved) < 3:
+        raise ValueError(
+            "fewer than 3 statistically resolved points in the top decade; "
+            "increase the trial count or lower the SNR window")
+    x = np.array([s / 10.0 for s, _ in resolved])
+    y = np.log10([b for _, b in resolved])
+    slope = np.polyfit(x, y, 1)[0]
+    return float(-slope)

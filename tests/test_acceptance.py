@@ -15,7 +15,7 @@ import pytest
 
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import ExperimentSpec, run as cli_run
-from backsim.dyadic import estimate_diversity_order, simulate_dyadic_ber
+from backsim.dyadic import simulate_dyadic_ber
 from backsim.energymodel import EnergyLedger, duty_cycle_harvest, step_population
 from backsim.mac import (count_interference_components,
                          th_ss_collision_probability, th_ss_collision_rate_mc)
@@ -24,6 +24,7 @@ from backsim.phylink import energy_rate_frontier, q_function
 from backsim.scenario import (NodeKind, PURPOSE_FADING, PURPOSE_MAC,
                               PURPOSE_PLACEMENT, ScenarioConfig, derive_stream,
                               place_nodes)
+from oracles import estimate_diversity_order
 
 
 def _report(number, name, ok, detail=""):

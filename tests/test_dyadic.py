@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from backsim.dyadic import (_CHUNK, _conditional_ber, _dual_branch_equal_ber,
-                            estimate_diversity_order, simulate_dyadic_ber)
+from backsim.dyadic import (_CHUNK, _conditional_bers, _dual_branch_equal_ber,
+                            simulate_dyadic_ber)
 from backsim.scenario import PURPOSE_FADING, derive_stream
-from oracles import _complex_normal, bit_level_dyadic_ber, dyadic_quadrature, semi_dyadic_ber
+from oracles import (_complex_normal, bit_level_dyadic_ber, conditional_ber,
+                     conditional_dyadic_curve, dyadic_quadrature, estimate_diversity_order,
+                     semi_dyadic_ber)
 
 
 def rayleigh_bpsk_oracle(snr):
@@ -27,6 +29,42 @@ def double_rayleigh_oracle(snr_db, num_rx):
     val, _ = quad(lambda g: rayleigh_bpsk_oracle(s * g) * density(g), 0.0, 200.0,
                   epsabs=0.0, epsrel=1e-12, limit=400)
     return val
+
+
+def kernel_bers(gains, snrs):
+    """The in-place kernel's BER rows at each linear SNR, copied out of its buffer."""
+    work = np.empty((5, len(gains)))
+    return [vals.copy() for vals in _conditional_bers(gains, snrs, work)]
+
+
+def near_bound_rows(snr, base):
+    """Gain pairs whose gap, after scaling by ``snr``, is a few ulps either
+    side of the near-equal test's bound of 1e-6 of the larger gain."""
+    rows = []
+    for g1 in base:
+        b1 = snr * g1
+        for edge in (b1 - 1e-6 * b1, b1 / (1.0 - 1e-6)):  # g2 below, then above g1
+            g2 = edge / snr
+            for _ in range(5):
+                g2 = np.nextafter(g2, 0.0)
+            for _ in range(11):
+                rows.append((g1, g2))
+                g2 = np.nextafter(g2, math.inf)
+    return rows
+
+
+def floor_rows(snr):
+    """Tiny gain pairs whose scaled means fall under the test's 1e-300 floor,
+    so that a gap up to 1e-306 counts as near-equal however large relatively."""
+    rows = [(1e-300, 1e-300), (1e-300, 0.0), (2e-300, 1.5e-300), (1e-310, 0.0)]
+    for gap in (1e-306, 2e-306):
+        g = gap / snr
+        for _ in range(3):
+            g = np.nextafter(g, 0.0)
+        for _ in range(7):
+            rows.extend([(g, 0.0), (0.0, g), (g, g / 3.0)])
+            g = np.nextafter(g, math.inf)
+    return rows
 
 
 class TestComposite:
@@ -117,7 +155,7 @@ class TestSimulate:
         # the partial-fraction form is 0/0 at equal gains; the dual-branch
         # formula takes over and joins it continuously
         gains = np.array([[3.0, 3.0], [3.0, 3.0 * (1 + 1e-9)], [3.0, 3.0003], [1.0, 4.0]])
-        out = _conditional_ber(gains)
+        out = kernel_bers(gains, [1.0])[0]
         assert out[0] == _dual_branch_equal_ber(3.0)
         assert out[1] == pytest.approx(out[0], rel=1e-8)
         assert out[2] == pytest.approx(out[0], rel=1e-3)
@@ -150,6 +188,65 @@ class TestSimulate:
         a = simulate_dyadic_ber(2, 2, 2, [10.0, 20.0], trials, derive_stream(5, 1, PURPOSE_FADING))
         b = simulate_dyadic_ber(2, 2, 2, [10.0, 20.0], trials, derive_stream(5, 1, PURPOSE_FADING))
         assert a == b
+
+
+class TestAgainstAllocatingReference:
+    """The in-place kernel must reproduce the allocating per-point reference
+    (``oracles.conditional_ber``) bit for bit: the CLI's curves are golden."""
+
+    @pytest.mark.parametrize("with_stderr", [False, True], ids=["ber", "stderr"])
+    @pytest.mark.parametrize("trials", [100_007, _CHUNK + 7])
+    @pytest.mark.parametrize("ell,m_r", [(1, 1), (1, 2), (2, 2), (1, 8), (2, 8)],
+                             ids=["(1,1)", "(1,2)", "(2,2)", "(1,8)", "(2,8)"])
+    def test_curve_matches_reference(self, ell, m_r, trials, with_stderr):
+        grid = [-5.0, 10.0, 30.0]
+        curve = simulate_dyadic_ber(ell, 2, m_r, grid, trials,
+                                    derive_stream(8, 10 * ell + m_r, PURPOSE_FADING),
+                                    with_stderr=with_stderr)
+        reference = conditional_dyadic_curve(ell, m_r, grid, trials,
+                                             derive_stream(8, 10 * ell + m_r, PURPOSE_FADING))
+        assert [p[:2] for p in curve] == [p[:2] for p in reference]
+        if with_stderr:
+            for (_, _, se), (_, _, ref_se) in zip(curve, reference):
+                assert se == pytest.approx(ref_se, rel=1e-12)
+        else:
+            assert all(len(p) == 2 for p in curve)
+
+    def test_near_equal_edge_rows(self):
+        # rows at the edge of the near-equal fallback, at SNRs below and above 1
+        snrs = [10.0 ** (snr_db / 10.0) for snr_db in (-3.0, 0.0, 10.0, 25.0, 27.5, 35.0)]
+        rows = [(3.0, 3.0), (1e-3, 1e-3), (0.0, 0.0), (1.0, 4.0)]
+        # huge means just past the bound: partial fractions cancel below zero
+        rows += [(g, g * (1.0 + k * 1e-6)) for g in (1e12, 3e13, 1e14)
+                 for k in (1.5, 2.0, 3.0, 5.0, 10.0, 30.0)]
+        for snr in snrs:
+            rows += near_bound_rows(snr, (0.37, 1.0, 5.3)) + floor_rows(snr)
+        gains = np.array(rows)
+        for snr, out in zip(snrs, kernel_bers(gains, snrs)):
+            np.testing.assert_array_equal(out, conditional_ber(snr * gains))
+
+
+class TestGammaStream:
+    """The simulator draws with ``standard_gamma(..., out=)`` into one buffer,
+    block by block; the CLI golden was recorded from ``gamma`` in one call."""
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_standard_gamma_into_buffer_is_gamma_stream(self, m):
+        expected = np.random.default_rng(9).gamma(m, size=(1000, 2))
+        out = np.empty((1000, 2))
+        np.random.default_rng(9).standard_gamma(m, size=(1000, 2), out=out)
+        assert np.array_equal(out, expected), (
+            f"standard_gamma({m}, out=) no longer draws the gamma({m}) stream")
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_split_draws_are_one_stream(self, m):
+        expected = np.random.default_rng(9).standard_gamma(m, size=(1000, 2))
+        rng = np.random.default_rng(9)
+        out = np.empty((1000, 2))
+        rng.standard_gamma(m, size=(600, 2), out=out[:600])
+        rng.standard_gamma(m, size=(400, 2), out=out[600:])
+        assert np.array_equal(out, expected), (
+            f"two standard_gamma({m}) draws no longer continue one stream")
 
 
 class TestDiversityOrder:
