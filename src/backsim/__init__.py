@@ -5,8 +5,8 @@ from .dyadic import simulate_dyadic_ber
 from .energymodel import (EnergyLedger, activation_decision, duty_cycle_harvest,
                           harvested_energy, step_population, traditional_tx_power)
 from .mac import (aggregate_interference, co_slot_mask, count_interference_components,
-                  tdma_schedule, th_ss_assign, th_ss_collision_probability)
-from .netsim import ExperimentResult, run_comparison, run_population
+                  th_ss_assign, th_ss_collision_probability)
+from .netsim import ExperimentResult, run_comparison
 from .phylink import bpsk_ber, energy_rate_frontier, q_function
 from .scenario import NodeKind, ScenarioConfig, derive_stream, load_config, place_nodes
 

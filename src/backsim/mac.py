@@ -1,4 +1,4 @@
-"""Multiple access: TDMA, time-hopping spread spectrum and interference.
+"""Multiple access: time-hopping spread spectrum, co-slot masks and interference.
 
 A backscatter node reflects every wave that hits it, so each co-slot tag
 contributes a regenerated copy of every carrier it is illuminated by; with
@@ -10,15 +10,6 @@ free-space factor and is numerically negligible at these ranges.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def tdma_schedule(num_nodes, frame_length):
-    """Slot index per node: round-robin in node order, so collision-free."""
-    if frame_length < num_nodes:
-        raise ValueError(f"frame of {frame_length} slots cannot hold {num_nodes} nodes")
-    return np.arange(num_nodes)
 
 
 def th_ss_assign(shape, frame_length, rng):

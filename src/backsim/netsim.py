@@ -58,16 +58,6 @@ class ExperimentResult:
         ])
 
 
-@dataclass
-class PopulationResult:
-    """Outcome of one population over one topology at one beacon power."""
-
-    mean_ber: float        # NaN when no link was ever active
-    active_fraction: float
-    ber_samples: int
-    ledger: EnergyLedger   # final per-node energy ledgers, in topology order
-
-
 def _padded_gains(config, topologies):
     """Gains of topologies padded to the largest node count N.
 
@@ -143,29 +133,6 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present, pb_power_db
     measured_slots = config.num_slots - config.warmup_slots
     active_fraction = np.where(nodes > 0, active_share_sum / measured_slots, math.nan)
     return mean_ber, active_fraction, ber_samples, ledger
-
-
-def run_population(config, kind, topology, pb_power_dbm):
-    """Run one population of a single kind over a fixed topology.
-
-    ``topology`` is an (n, 2, 2) array of node and receiver positions as
-    ``place_nodes`` returns it. Per slot: every node harvests from the
-    beacon carrier and steps its energy model; the active set is then
-    frozen and each active link's SINR is signal / (co-active interference
-    + noise). BER samples are collected after the warmup slots; a slot with
-    no active node contributes no BER sample. Active fraction is the
-    per-slot active share averaged over the measured slots. An empty
-    topology yields no samples for either metric.
-    BER is semi-analytic, Q(sqrt(2 * SINR)) per active link. This is the
-    sweep engine of ``run_comparison`` at one power and one topology.
-    """
-    config.validate()
-    mean_ber, active_fraction, ber_samples, ledger = _run_kind(
-        config, kind, *_padded_gains(config, [topology]), [pb_power_dbm])
-    return PopulationResult(
-        mean_ber=float(mean_ber[0, 0]), active_fraction=float(active_fraction[0, 0]),
-        ber_samples=int(ber_samples[0, 0]),
-        ledger=EnergyLedger(**{name: flows[0, 0] for name, flows in vars(ledger).items()}))
 
 
 def _mean_ci(values):

@@ -25,7 +25,6 @@ from .channel import SPEED_OF_LIGHT_M_S, dbm_to_watts
 PURPOSE_PLACEMENT = 0
 PURPOSE_MAC = 1
 PURPOSE_FADING = 2
-PURPOSE_BITLEVEL = 3
 
 
 class NodeKind(str, Enum):
@@ -61,8 +60,6 @@ class ScenarioConfig:
     num_slots: int = 100
     warmup_slots: int = 20
     seed: int = 42
-    # Optional: pin the node count instead of drawing it Poisson (tests).
-    fixed_node_count: int | None = None
 
     def validate(self):
         for f in fields(self):
@@ -109,8 +106,6 @@ class ScenarioConfig:
             raise ValueError("warmup_slots must be smaller than num_slots")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.fixed_node_count is not None and self.fixed_node_count < 0:
-            raise ValueError("fixed_node_count must be non-negative")
         return self
 
     # Derived quantities -------------------------------------------------
@@ -118,10 +113,6 @@ class ScenarioConfig:
     @property
     def wavelength_m(self):
         return SPEED_OF_LIGHT_M_S / self.carrier_hz
-
-    @property
-    def slot_s(self):
-        return self.slot_ms * 1e-3
 
     @property
     def harvest_s(self):
@@ -156,21 +147,17 @@ def derive_stream(master_seed, node_id, purpose_tag):
 def place_nodes(config, rng):
     """Drop nodes over the annulus around the beacon.
 
-    The node count is Poisson with mean density * annulus area unless
-    ``config.fixed_node_count`` pins it. Positions are uniform over the
-    annulus, each receiver sits at ``rx_distance_m`` from its node at a
-    uniformly random angle. Returns an (n, 2, 2) array in metres with the
-    beacon at the origin: ``[:, 0]`` the node positions, ``[:, 1]`` their
-    receivers' positions.
+    The node count is Poisson with mean density * annulus area. Positions
+    are uniform over the annulus, each receiver sits at ``rx_distance_m``
+    from its node at a uniformly random angle. Returns an (n, 2, 2) array
+    in metres with the beacon at the origin: ``[:, 0]`` the node positions,
+    ``[:, 1]`` their receivers' positions.
     """
     config.validate()
     mean_count = config.expected_node_count
     if mean_count <= 0.0:
         raise ValueError("expected node count is zero; nothing to place")
-    if config.fixed_node_count is not None:
-        n = int(config.fixed_node_count)
-    else:
-        n = int(rng.poisson(mean_count))
+    n = int(rng.poisson(mean_count))
 
     r_min2 = config.min_pb_distance_m**2
     r_max2 = config.region_radius**2
@@ -188,7 +175,7 @@ def place_nodes(config, rng):
 
 # Flat key = value config files -----------------------------------------
 
-_INT_FIELDS = {"num_slots", "warmup_slots", "seed", "fixed_node_count"}
+_INT_FIELDS = {"num_slots", "warmup_slots", "seed"}
 _LIST_FIELDS = {"pb_power_dbm_sweep"}
 
 

@@ -6,6 +6,8 @@ engine in ``backsim`` can be checked against it term by term. The dyadic
 oracles estimate the same error rate as ``simulate_dyadic_ber`` by drawing
 both hops instead of integrating one out, or compute it by quadrature, or
 repeat its conditional estimator one allocating array expression at a time.
+``run_population`` and ``tdma_schedule`` are not oracles but small test
+helpers: the sweep engine on one population, and a round-robin schedule.
 """
 
 import math
@@ -19,6 +21,7 @@ from backsim.dyadic import _CHUNK
 from backsim.energymodel import (EnergyLedger, activation_decision, harvested_energy,
                                  step_population, traditional_tx_power)
 from backsim.mac import aggregate_interference
+from backsim.netsim import _padded_gains, _run_kind
 from backsim.phylink import bpsk_ber, q_function
 from backsim.scenario import NodeKind
 
@@ -94,17 +97,17 @@ def emitted_power(outcome, incident_w):
     return outcome.tx_power_w + incident_w * outcome.reflect_fraction
 
 
-def place_nodes_loop(config, rng):
+def place_nodes_loop(config, rng, n=None):
     """``place_nodes`` one node at a time with scalar ``math.cos``/``math.sin``.
 
     Draws the node count, radii, angles and receiver angles in the same
     order as ``place_nodes`` and returns the same (n, 2, 2) layout: node
-    position in ``[:, 0]``, receiver position in ``[:, 1]``.
+    position in ``[:, 0]``, receiver position in ``[:, 1]``. An integer
+    ``n`` pins the node count: the count draw is skipped and the position
+    draws are unchanged.
     """
     config.validate()
-    if config.fixed_node_count is not None:
-        n = int(config.fixed_node_count)
-    else:
+    if n is None:
         n = int(rng.poisson(config.expected_node_count))
     r_min2 = config.min_pb_distance_m**2
     r_max2 = config.region_radius**2
@@ -119,6 +122,13 @@ def place_nodes_loop(config, rng):
         topology[i, 1] = pos + config.rx_distance_m * np.array(
             [math.cos(rx_angles[i]), math.sin(rx_angles[i])])
     return topology
+
+
+def tdma_schedule(num_nodes, frame_length):
+    """Slot index per node: round-robin in node order, so collision-free."""
+    if frame_length < num_nodes:
+        raise ValueError(f"frame of {frame_length} slots cannot hold {num_nodes} nodes")
+    return np.arange(num_nodes)
 
 
 def interference_at(receiver, topology, emitted_w, config, slots=None):
@@ -195,6 +205,19 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
     mean_ber = ber_sum / ber_samples if ber_samples else math.nan
     return (mean_ber, active_share_sum / (config.num_slots - config.warmup_slots),
             ber_samples, ledger)
+
+
+def run_population(config, kind, topology, pb_power_dbm):
+    """The batched sweep engine of ``run_comparison`` on one population.
+
+    Runs one topology at one beacon power and returns (mean_ber,
+    active_fraction, ber_samples, ledger) as ``population_loop`` does, the
+    ledger's arrays holding one entry per node of ``topology``.
+    """
+    mean_ber, active_fraction, ber_samples, ledger = _run_kind(
+        config, kind, *_padded_gains(config, [topology]), [pb_power_dbm])
+    ledger = EnergyLedger(*(flows[0, 0] for flows in vars(ledger).values()))
+    return mean_ber[0, 0], active_fraction[0, 0], ber_samples[0, 0], ledger
 
 
 # Dyadic MIMO estimators ----------------------------------------------------

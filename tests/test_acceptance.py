@@ -22,9 +22,8 @@ from backsim.mac import (count_interference_components,
 from backsim.netsim import run_comparison
 from backsim.phylink import energy_rate_frontier, q_function
 from backsim.scenario import (NodeKind, PURPOSE_FADING, PURPOSE_MAC,
-                              PURPOSE_PLACEMENT, ScenarioConfig, derive_stream,
-                              place_nodes)
-from oracles import estimate_diversity_order
+                              PURPOSE_PLACEMENT, ScenarioConfig, derive_stream)
+from oracles import estimate_diversity_order, place_nodes_loop
 
 
 def _report(number, name, ok, detail=""):
@@ -174,8 +173,8 @@ def test_criterion_08_energy_conservation():
     """Cumulative harvested minus consumed equals the final battery to 1e-9
     relative error for every node, and batteries never go negative,
     checked each slot over full runs of both populations."""
-    config = ScenarioConfig(fixed_node_count=15, num_slots=300, warmup_slots=20).validate()
-    topology = place_nodes(config, derive_stream(config.seed, 0, PURPOSE_PLACEMENT))
+    config = ScenarioConfig(num_slots=300, warmup_slots=20).validate()
+    topology = place_nodes_loop(config, derive_stream(config.seed, 0, PURPOSE_PLACEMENT), n=15)
     ok = True
     worst = 0.0
     pb_w = float(dbm_to_watts(40.0))

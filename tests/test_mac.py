@@ -5,10 +5,9 @@ import pytest
 
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.mac import (aggregate_interference, co_slot_mask, count_interference_components,
-                         tdma_schedule, th_ss_assign, th_ss_collision_probability,
-                         th_ss_collision_rate_mc)
+                         th_ss_assign, th_ss_collision_probability, th_ss_collision_rate_mc)
 from backsim.scenario import ScenarioConfig, derive_stream
-from oracles import interference_at
+from oracles import interference_at, tdma_schedule
 
 
 class TestTdma:

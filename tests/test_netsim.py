@@ -9,19 +9,23 @@ from hypothesis import example, given, settings, strategies as st
 from backsim import mac, netsim
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import main
-from backsim.netsim import CSV_HEADER, _mean_ci, run_comparison, run_population
+from backsim.netsim import CSV_HEADER, _mean_ci, run_comparison
 from backsim.phylink import bpsk_ber
-from backsim.scenario import (NodeKind, PURPOSE_BITLEVEL, PURPOSE_MAC, PURPOSE_PLACEMENT,
-                              ScenarioConfig, derive_stream, place_nodes)
-from oracles import interference_at, population_loop
+from backsim.scenario import (NodeKind, PURPOSE_MAC, PURPOSE_PLACEMENT, ScenarioConfig,
+                              derive_stream)
+from oracles import (interference_at, place_nodes_loop, population_loop, run_population,
+                     tdma_schedule)
 
 KINDS = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)
 DATA = Path(__file__).parent / "data"
+PURPOSE_BITLEVEL = 3  # derive_stream tag of the bit-level oracle's noise draws
 
 
-def _topology(config, topo_index=0):
+def _topology(config, topo_index=0, n=None):
+    """Topology ``topo_index`` of ``config``'s sweep; an integer ``n`` pins
+    the node count and keeps the position draws."""
     rng = derive_stream(config.seed, topo_index, PURPOSE_PLACEMENT)
-    return place_nodes(config, rng)
+    return place_nodes_loop(config, rng, n)
 
 
 @st.composite
@@ -52,38 +56,39 @@ class TestRunPopulation:
     def test_single_link_matches_closed_form(self):
         # One backscatter node, no interferers: every sample must equal the
         # hand-computed Q(sqrt(2 * signal / noise)) of its link budget.
-        cfg = ScenarioConfig(fixed_node_count=1, num_slots=40, warmup_slots=5).validate()
-        topo = _topology(cfg)
-        res = run_population(cfg, NodeKind.BACKSCATTER, topo, pb_power_dbm=40.0)
+        cfg = ScenarioConfig(num_slots=40, warmup_slots=5).validate()
+        topo = _topology(cfg, n=1)
+        mean_ber, _, samples, _ = run_population(cfg, NodeKind.BACKSCATTER, topo, 40.0)
         pb_distance = float(np.hypot(*topo[0, 0]))
         lam, ap = cfg.wavelength_m, cfg.aperture_m2
         signal = (float(dbm_to_watts(40.0))
                   * friis_gain(pb_distance, lam, ap, ap)
                   * friis_gain(cfg.rx_distance_m, lam, ap, ap))
         expected = float(bpsk_ber(signal / cfg.noise_w))
-        assert res.ber_samples > 0
-        assert res.mean_ber == pytest.approx(expected, rel=1e-12)
+        assert samples > 0
+        assert mean_ber == pytest.approx(expected, rel=1e-12)
 
     def test_starved_network_has_no_samples(self):
-        cfg = ScenarioConfig(fixed_node_count=6, num_slots=50, warmup_slots=10).validate()
-        topo = _topology(cfg)
-        res = run_population(cfg, NodeKind.BACKSCATTER, topo, pb_power_dbm=-20.0)
-        assert res.active_fraction == 0.0
-        assert res.ber_samples == 0
-        assert math.isnan(res.mean_ber)
+        cfg = ScenarioConfig(num_slots=50, warmup_slots=10).validate()
+        topo = _topology(cfg, n=6)
+        mean_ber, active_fraction, samples, _ = run_population(
+            cfg, NodeKind.BACKSCATTER, topo, -20.0)
+        assert active_fraction == 0.0
+        assert samples == 0
+        assert math.isnan(mean_ber)
 
     def test_empty_topology_reports_absent(self):
-        cfg = ScenarioConfig(fixed_node_count=0).validate()
-        topo = _topology(cfg)
+        cfg = ScenarioConfig().validate()
+        topo = _topology(cfg, n=0)
         assert topo.shape == (0, 2, 2)
-        res = run_population(cfg, NodeKind.BACKSCATTER, topo, pb_power_dbm=40.0)
-        assert math.isnan(res.mean_ber) and math.isnan(res.active_fraction)
+        mean_ber, active_fraction, _, _ = run_population(cfg, NodeKind.BACKSCATTER, topo, 40.0)
+        assert math.isnan(mean_ber) and math.isnan(active_fraction)
 
     def test_energy_ledgers_conserved(self):
-        cfg = ScenarioConfig(fixed_node_count=12, num_slots=150, warmup_slots=20).validate()
-        topo = _topology(cfg, 3)
+        cfg = ScenarioConfig(num_slots=150, warmup_slots=20).validate()
+        topo = _topology(cfg, 3, n=12)
         for kind in (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL):
-            ledger = run_population(cfg, kind, topo, pb_power_dbm=40.0).ledger
+            ledger = run_population(cfg, kind, topo, 40.0)[3]
             assert ledger.battery_j.shape == (len(topo),)
             assert np.all(np.abs(ledger.drift_j())
                           <= 1e-9 * np.maximum(ledger.harvested_j, 1e-30))
@@ -95,17 +100,16 @@ class TestRunPopulation:
         ("warmup_slots", 40),     # not smaller than num_slots
     ])
     def test_invalid_config_rejected(self, field, value):
-        cfg = ScenarioConfig(fixed_node_count=3, num_slots=40, warmup_slots=5).validate()
-        topo = _topology(cfg)
+        # the sweep engine's one public entry names the field it rejects
+        cfg = ScenarioConfig(num_slots=40, warmup_slots=5).validate()
         bad = dataclasses.replace(cfg, **{field: value})
-        for kind in KINDS:
-            with pytest.raises(ValueError, match=field):
-                run_population(bad, kind, topo, pb_power_dbm=40.0)
+        with pytest.raises(ValueError, match=field):
+            run_comparison(bad, num_topologies=1)
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=_valid_configs(), pb=st.floats(0.0, 60.0), kind=st.sampled_from(KINDS))
     def test_energy_conserved_for_any_valid_config(self, cfg, pb, kind):
-        ledger = run_population(cfg, kind, _topology(cfg), pb).ledger
+        ledger = run_population(cfg, kind, _topology(cfg), pb)[3]
         assert np.all(np.abs(ledger.drift_j()) <= 1e-9 * ledger.harvested_j)
 
     @pytest.mark.parametrize("kind", [NodeKind.BACKSCATTER, NodeKind.TRADITIONAL])
@@ -114,8 +118,8 @@ class TestRunPopulation:
         # must match the scalar per-receiver sum over Friis gains; the same
         # mac function under TDMA and time-hopping co-slot masks must match
         # the scalar sum restricted to co-slot nodes.
-        cfg = ScenarioConfig(fixed_node_count=5, num_slots=30, warmup_slots=2).validate()
-        topo = _topology(cfg, 1)
+        cfg = ScenarioConfig(num_slots=30, warmup_slots=2).validate()
+        topo = _topology(cfg, 1, n=5)
         calls = []
 
         def recording(emitted_w, gain):
@@ -125,15 +129,15 @@ class TestRunPopulation:
             return out
 
         monkeypatch.setattr(netsim, "aggregate_interference", recording)
-        res = run_population(cfg, kind, topo, pb_power_dbm=42.0)
-        assert len(calls) > 0 and res.ber_samples > 0
+        samples = run_population(cfg, kind, topo, 42.0)[2]
+        assert len(calls) > 0 and samples > 0
         for emitted, _, got in calls:
             for i in range(len(topo)):
                 assert got[i] == pytest.approx(interference_at(i, topo, emitted, cfg), rel=1e-9)
 
         emitted, gain, _ = calls[-1]
         n = len(topo)
-        for slots in (mac.tdma_schedule(n, n),
+        for slots in (tdma_schedule(n, n),
                       mac.th_ss_assign(n, 2, derive_stream(cfg.seed, 0, PURPOSE_MAC))):
             got = mac.aggregate_interference(emitted, gain * mac.co_slot_mask(slots))
             for i in range(n):
@@ -144,28 +148,26 @@ class TestRunPopulation:
         # Energy dynamics are deterministic, so the bit-counting oracle sees
         # the same per-slot SINRs as run_population; its estimate must agree
         # with the Q-function average to within binomial error.
-        cfg = ScenarioConfig(fixed_node_count=8, num_slots=60, warmup_slots=10).validate()
-        topo = _topology(cfg, 4)
-        semi = run_population(cfg, NodeKind.BACKSCATTER, topo, pb_power_dbm=45.0)
+        cfg = ScenarioConfig(num_slots=60, warmup_slots=10).validate()
+        topo = _topology(cfg, 4, n=8)
+        semi_ber, _, samples, _ = run_population(cfg, NodeKind.BACKSCATTER, topo, 45.0)
         bits = 2000
         counted_ber, _, counted_samples, _ = population_loop(
             cfg, NodeKind.BACKSCATTER, topo, 45.0,
             bit_level_rng=derive_stream(cfg.seed, 0, PURPOSE_BITLEVEL), bits_per_slot=bits)
-        assert counted_samples == semi.ber_samples
-        n_bits = semi.ber_samples * bits
-        stderr = math.sqrt(max(semi.mean_ber * (1 - semi.mean_ber), 1e-12) / n_bits)
-        assert abs(counted_ber - semi.mean_ber) < 5 * stderr + 1e-9
+        assert counted_samples == samples
+        n_bits = samples * bits
+        stderr = math.sqrt(max(semi_ber * (1 - semi_ber), 1e-12) / n_bits)
+        assert abs(counted_ber - semi_ber) < 5 * stderr + 1e-9
 
     def test_backscatter_active_set_dominates(self):
-        cfg = ScenarioConfig(fixed_node_count=10, num_slots=100, warmup_slots=20).validate()
-        topo = _topology(cfg, 2)
+        cfg = ScenarioConfig(num_slots=100, warmup_slots=20).validate()
+        topo = _topology(cfg, 2, n=10)
         for pb in (20.0, 30.0, 40.0, 50.0):
-            back = run_population(cfg, NodeKind.BACKSCATTER, topo, pb)
-            trad = run_population(cfg, NodeKind.TRADITIONAL, topo, pb)
-            ever_back = set(np.flatnonzero(back.ledger.slots_active))
-            ever_trad = set(np.flatnonzero(trad.ledger.slots_active))
-            assert ever_trad <= ever_back
-            assert np.all(back.ledger.slots_active >= trad.ledger.slots_active)
+            back = run_population(cfg, NodeKind.BACKSCATTER, topo, pb)[3].slots_active
+            trad = run_population(cfg, NodeKind.TRADITIONAL, topo, pb)[3].slots_active
+            assert set(np.flatnonzero(trad)) <= set(np.flatnonzero(back))
+            assert np.all(back >= trad)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32), n=st.integers(1, 12), pb=st.floats(20.0, 55.0),
@@ -174,26 +176,23 @@ class TestRunPopulation:
     # sum by orders of magnitude, so the sum must not depend on node order.
     @example(seed=3, n=3, pb=30.0, kind=NodeKind.BACKSCATTER, shuffle=[1, 0, 2, *range(3, 12)])
     def test_invariant_to_node_order(self, seed, n, pb, kind, shuffle):
-        cfg = ScenarioConfig(fixed_node_count=n, num_slots=30, warmup_slots=5,
-                             seed=seed).validate()
-        topo = _topology(cfg)
+        cfg = ScenarioConfig(num_slots=30, warmup_slots=5, seed=seed).validate()
+        topo = _topology(cfg, n=n)
         order = [i for i in shuffle if i < n]  # a uniform permutation of the n nodes
-        base = run_population(cfg, kind, topo, pb)
-        shuffled = run_population(cfg, kind, topo[order], pb)
-        assert _close(shuffled.mean_ber, base.mean_ber)
-        assert _close(shuffled.active_fraction, base.active_fraction)
-        assert shuffled.ber_samples == base.ber_samples
-        for name, flows in vars(base.ledger).items():
-            assert np.array_equal(getattr(shuffled.ledger, name), flows[order])
+        ber, frac, samples, ledger = run_population(cfg, kind, topo, pb)
+        s_ber, s_frac, s_samples, s_ledger = run_population(cfg, kind, topo[order], pb)
+        assert _close(s_ber, ber) and _close(s_frac, frac)
+        assert s_samples == samples
+        for name, flows in vars(ledger).items():
+            assert np.array_equal(getattr(s_ledger, name), flows[order])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32), n=st.integers(1, 12), kind=st.sampled_from(KINDS),
            powers=st.lists(st.floats(0.0, 60.0), min_size=2, max_size=4))
     def test_activity_monotone_in_beacon_power(self, seed, n, kind, powers):
-        cfg = ScenarioConfig(fixed_node_count=n, num_slots=60, warmup_slots=10,
-                             seed=seed).validate()
-        topo = _topology(cfg)
-        slots = [run_population(cfg, kind, topo, pb).ledger.slots_active
+        cfg = ScenarioConfig(num_slots=60, warmup_slots=10, seed=seed).validate()
+        topo = _topology(cfg, n=n)
+        slots = [run_population(cfg, kind, topo, pb)[3].slots_active
                  for pb in sorted(powers)]
         for lower, higher in zip(slots, slots[1:]):
             assert np.all(lower <= higher)
@@ -226,7 +225,7 @@ class TestRunComparison:
     @pytest.mark.parametrize("overrides,empty", [
         ({"node_density": 0.05}, "none"),     # about 16 nodes: padded rows exceed 8
         ({"node_density": 0.002}, "some"),    # about 0.6 nodes per topology
-        ({"fixed_node_count": 0}, "all"),     # every row NaN
+        ({"node_density": 1e-6}, "all"),      # no node drawn: every row NaN
     ], ids=["normal", "sparse", "no_nodes"])
     def test_matches_per_population_oracle(self, overrides, empty):
         # The batched sweep must equal the unbatched per-population loop,

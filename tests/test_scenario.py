@@ -1,4 +1,6 @@
+import importlib
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -63,8 +65,8 @@ class TestPlaceNodes:
         assert abs(np.mean(counts) - mean) < 3 * stderr
 
     def test_geometry_invariants(self):
-        cfg = ScenarioConfig(fixed_node_count=500)
-        topo = place_nodes(cfg, derive_stream(3, 0, PURPOSE_PLACEMENT))
+        cfg = ScenarioConfig()
+        topo = place_nodes_loop(cfg, derive_stream(3, 0, PURPOSE_PLACEMENT), n=500)
         assert topo.shape == (500, 2, 2)
         r = np.hypot(topo[:, 0, 0], topo[:, 0, 1])
         assert np.all((cfg.min_pb_distance_m <= r) & (r <= cfg.region_radius))
@@ -73,16 +75,19 @@ class TestPlaceNodes:
         assert np.all(np.abs(rx_distance - cfg.rx_distance_m) < 1e-12 * cfg.rx_distance_m)
 
     @settings(deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), count=st.one_of(st.none(), st.integers(0, 40)),
-           density=st.floats(0.001, 0.2))
-    def test_matches_scalar_oracle(self, seed, count, density):
-        # the array placement equals the per-node scalar loop bit for bit,
-        # for pinned and Poisson node counts alike
-        cfg = ScenarioConfig(node_density=density, fixed_node_count=count, seed=seed)
+    @given(seed=st.integers(0, 2**64 - 1), density=st.floats(0.001, 0.2))
+    def test_matches_scalar_oracle(self, seed, density):
+        # the array placement equals the per-node scalar loop bit for bit;
+        # the loop given the drawn count skips that draw and makes the same
+        # position draws
+        cfg = ScenarioConfig(node_density=density, seed=seed)
         topo = place_nodes(cfg, derive_stream(seed, 0, PURPOSE_PLACEMENT))
         expected = place_nodes_loop(cfg, derive_stream(seed, 0, PURPOSE_PLACEMENT))
         assert topo.shape == expected.shape
         assert np.array_equal(topo, expected)
+        rng = derive_stream(seed, 0, PURPOSE_PLACEMENT)
+        rng.poisson(cfg.expected_node_count)
+        assert np.array_equal(place_nodes_loop(cfg, rng, n=len(topo)), topo)
 
 
 class TestDeriveStream:
@@ -128,7 +133,7 @@ class TestConfigFile:
     def test_readme_example_is_the_defaults(self, tmp_path):
         # README says omitted keys keep "the defaults above"; its example
         # file must therefore spell out exactly ScenarioConfig(), naming
-        # every key but the test-only fixed_node_count
+        # every key
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("\n## Config files\n", 1)[1]
         block = section.split("```\n", 2)[1]
@@ -136,13 +141,26 @@ class TestConfigFile:
         path.write_text(block)
         assert load_config(path) == ScenarioConfig()
         keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
-        assert keys == {f.name for f in fields(ScenarioConfig)} - {"fixed_node_count"}
+        assert keys == {f.name for f in fields(ScenarioConfig)}
+
+    def test_readme_layout_names_exist(self):
+        # every `name(...)` call form in README's Layout table is an
+        # attribute of that row's module, so a removed name cannot linger
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(backsim\.\w+)` \| (.*) \|$", table, re.M)
+        assert len(rows) == 8
+        for module, contents in rows:
+            for name in re.findall(r"`(\w+)\(", contents):
+                assert hasattr(importlib.import_module(module), name), (module, name)
 
     def test_unknown_key_rejected(self, tmp_path):
+        # a misspelt key, and fixed_node_count, which is no longer a setting
         path = tmp_path / "bad.cfg"
-        path.write_text("node_densty = 0.05\n")
-        with pytest.raises(ValueError, match="unknown config key"):
-            load_config(path)
+        for line in ("node_densty = 0.05\n", "fixed_node_count = 3\n"):
+            path.write_text(line)
+            with pytest.raises(ValueError, match="unknown config key"):
+                load_config(path)
 
     def test_malformed_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
