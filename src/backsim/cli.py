@@ -78,7 +78,7 @@ def _load(spec):
     config = load_config(spec.config_path) if spec.config_path else ScenarioConfig()
     if spec.seed_override is not None:
         config = replace(config, seed=spec.seed_override)
-    return config.validate()
+    return config
 
 
 def _fig3_rows(config, trials):

@@ -159,7 +159,6 @@ def run_comparison(config, num_topologies=200):
     order, backscatter before traditional at each power, and are
     byte-reproducible for a fixed (config, seed).
     """
-    config.validate()
     if num_topologies < 1:
         raise ValueError("need at least one topology draw")
 

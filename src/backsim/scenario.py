@@ -7,8 +7,6 @@ distance in a uniformly random direction. Every stochastic ingredient is
 derived from one 64-bit master seed so a scenario is bit-reproducible.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -32,12 +30,14 @@ class NodeKind(str, Enum):
     TRADITIONAL = "traditional"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """All physical and protocol constants of the network experiment.
 
     Units are embedded in the field names (dbm, ms, m, j, w, hz). The same
     names are used verbatim as keys of the flat ``key = value`` config file.
+    A config is checked once, when it is made (constructor, ``dataclasses.replace``,
+    ``load_config``), and cannot be modified afterwards.
     """
 
     node_density: float = 0.02            # nodes per square metre
@@ -60,6 +60,9 @@ class ScenarioConfig:
     num_slots: int = 100
     warmup_slots: int = 20
     seed: int = 42
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         for f in fields(self):
@@ -153,7 +156,6 @@ def place_nodes(config, rng):
     in metres with the beacon at the origin: ``[:, 0]`` the node positions,
     ``[:, 1]`` their receivers' positions.
     """
-    config.validate()
     mean_count = config.expected_node_count
     if mean_count <= 0.0:
         raise ValueError("expected node count is zero; nothing to place")
@@ -175,17 +177,15 @@ def place_nodes(config, rng):
 
 # Flat key = value config files -----------------------------------------
 
-_INT_FIELDS = {"num_slots", "warmup_slots", "seed"}
-_LIST_FIELDS = {"pb_power_dbm_sweep"}
-
 
 def load_config(path):
     """Read a ScenarioConfig from a flat ``key = value`` text file.
 
-    Keys match the field names exactly; ``#`` starts a comment; the power
-    sweep is a comma- or whitespace-separated list of dBm values.
+    Keys match the field names exactly; ``#`` starts a comment; each value
+    is parsed with its field's declared type, and the power sweep is a
+    comma- or whitespace-separated list of dBm values.
     """
-    known = {f.name for f in fields(ScenarioConfig)}
+    types = {f.name: f.type for f in fields(ScenarioConfig)}
     values = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -197,18 +197,15 @@ def load_config(path):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
-            if key in _LIST_FIELDS:
-                parts = value.replace(",", " ").split()
-                values[key] = [float(p) for p in parts]
-            elif key in _INT_FIELDS:
-                values[key] = int(value)
+            if types[key] is list:
+                values[key] = [float(p) for p in value.replace(",", " ").split()]
             else:
-                values[key] = float(value)
+                values[key] = types[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
-    return ScenarioConfig(**values).validate()
+    return ScenarioConfig(**values)

@@ -106,7 +106,6 @@ def place_nodes_loop(config, rng, n=None):
     ``n`` pins the node count: the count draw is skipped and the position
     draws are unchanged.
     """
-    config.validate()
     if n is None:
         n = int(rng.poisson(config.expected_node_count))
     r_min2 = config.min_pb_distance_m**2

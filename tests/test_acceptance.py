@@ -35,7 +35,7 @@ def _report(number, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def fig3():
     """Full-size paired-population sweep: defaults, seed 42, 200 topologies."""
-    config = ScenarioConfig().validate()
+    config = ScenarioConfig()
     assert config.seed == 42
     started = time.perf_counter()
     results = run_comparison(config, num_topologies=200)
@@ -173,7 +173,7 @@ def test_criterion_08_energy_conservation():
     """Cumulative harvested minus consumed equals the final battery to 1e-9
     relative error for every node, and batteries never go negative,
     checked each slot over full runs of both populations."""
-    config = ScenarioConfig(num_slots=300, warmup_slots=20).validate()
+    config = ScenarioConfig(num_slots=300, warmup_slots=20)
     topology = place_nodes_loop(config, derive_stream(config.seed, 0, PURPOSE_PLACEMENT), n=15)
     ok = True
     worst = 0.0
@@ -196,7 +196,7 @@ def test_criterion_09_energy_rate_frontiers():
     """Along the reflection-scaling grid {0, .25, .5, .75, 1} and the duty
     grid {0, .2, ..., 1}: harvested quantity strictly decreases while the
     rate quantity strictly increases."""
-    config = ScenarioConfig().validate()
+    config = ScenarioConfig()
     frontier = energy_rate_frontier([0.0, 0.25, 0.5, 0.75, 1.0], 10**1.2)
     harvested = [h for h, _ in frontier]
     bers = [b for _, b in frontier]

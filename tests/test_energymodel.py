@@ -13,7 +13,7 @@ from oracles import ScalarNode, emitted_power, step_slot
 
 @pytest.fixture
 def config():
-    return ScenarioConfig().validate()
+    return ScenarioConfig()
 
 
 BACK, TRAD = NodeKind.BACKSCATTER, NodeKind.TRADITIONAL
@@ -61,13 +61,13 @@ class TestActivation:
     def test_closed_form_requirement(self, kind, expected):
         # -30 dBm noise makes the PA term 1.6% of the traditional
         # requirement; at the default -100 dBm it is below 1e-8 of it
-        config = ScenarioConfig(noise_dbm=-30.0).validate()
+        config = ScenarioConfig(noise_dbm=-30.0)
         assert required_active_energy(kind, config) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("field,value", [
         ("mixer_w", 1e-3), ("dac_w", 1e-2), ("pa_efficiency", 0.05)])
     def test_backscatter_ignores_radio_chain(self, config, field, value):
-        changed = replace(config, **{field: value}).validate()
+        changed = replace(config, **{field: value})
         assert required_active_energy(TRAD, changed) != required_active_energy(TRAD, config)
         assert required_active_energy(BACK, changed) == required_active_energy(BACK, config)
         incident = np.geomspace(1e-7, 1e-3, 9)  # silent, saving and active nodes
@@ -112,7 +112,7 @@ class TestTraditionalTxPower:
         assert traditional_tx_power(battery, config) == pytest.approx(50e-6, rel=1e-12)
 
     def test_lossless_amplifier(self, config):
-        lossless = replace(config, pa_efficiency=1.0).validate()
+        lossless = replace(config, pa_efficiency=1.0)
         overhead = 1e-7 + (2.5e-6 + 15e-6 + 1e-4) * config.active_s
         battery = overhead + 100e-6 * config.active_s
         assert traditional_tx_power(battery, lossless) == pytest.approx(100e-6, rel=1e-12)
@@ -200,7 +200,7 @@ class TestArrayStepMatchesOracle:
            slots=st.integers(1, 6).flatmap(lambda n: st.lists(
                st.lists(_INCIDENT, min_size=n, max_size=n), min_size=1, max_size=40)))
     def test_exact_agreement(self, kind, slots):
-        config = ScenarioConfig().validate()
+        config = ScenarioConfig()
         n = len(slots[0])
         ledger = EnergyLedger.empty(n)
         nodes = [ScalarNode() for _ in range(n)]

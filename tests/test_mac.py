@@ -91,7 +91,7 @@ def _reflected(nodes, pb_w, config):
 class TestAggregateInterference:
     @pytest.fixture
     def config(self):
-        return ScenarioConfig().validate()
+        return ScenarioConfig()
 
     def test_empty_sum(self, config):
         nodes, gain = _grid(config)

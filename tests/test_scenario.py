@@ -1,7 +1,7 @@
 import importlib
 import math
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +14,13 @@ from oracles import place_nodes_loop
 
 
 def test_default_config_is_valid():
-    cfg = ScenarioConfig().validate()
+    cfg = ScenarioConfig()
     assert cfg.wavelength_m == pytest.approx(0.125)
     assert cfg.noise_w == pytest.approx(1e-13)
     assert cfg.expected_node_count == pytest.approx(0.02 * math.pi * 99.0, rel=1e-12)
     assert len(cfg.pb_power_dbm_sweep) == 9
+    with pytest.raises(FrozenInstanceError):  # valid once made, valid for good
+        cfg.noise_dbm = math.nan
 
 
 @pytest.mark.parametrize("field,value", [
@@ -26,6 +28,7 @@ def test_default_config_is_valid():
     pytest.param("node_density", -1.0, id="node_density--1.0"),
     pytest.param("harvest_efficiency", 1.5, id="harvest_efficiency-1.5"),
     pytest.param("pa_efficiency", 0.0, id="pa_efficiency-0.0"),
+    pytest.param("pa_efficiency", 2.0, id="pa_efficiency-2.0"),
     pytest.param("min_pb_distance_m", 10.0, id="min_pb_distance_m-10.0"),
     pytest.param("harvest_ms", 30.0, id="harvest_ms-30.0"),  # breaks harvest + active = slot
     pytest.param("warmup_slots", 100, id="warmup_slots-100"),  # not smaller than num_slots
@@ -37,16 +40,25 @@ def test_default_config_is_valid():
     pytest.param("seed", -1, id="seed--1"),
     pytest.param("seed", 2**64, id="seed-18446744073709551616"),
 ])
-def test_invalid_configs_rejected(field, value):
-    cfg = ScenarioConfig(**{field: value})
-    with pytest.raises(ValueError):
-        cfg.validate()
+def test_invalid_configs_rejected(field, value, tmp_path):
+    # every way of making a config runs the one check, which names the key
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        replace(ScenarioConfig(), **{field: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{field} = {str(value).strip('[]')}\n")
+    with pytest.raises(ValueError, match=field):
+        load_config(path)
 
 
 class TestPlaceNodes:
     def test_zero_density_rejected(self):
-        with pytest.raises(ValueError):
-            place_nodes(ScenarioConfig(node_density=0.0), derive_stream(1, 0, 0))
+        # valid, but its expected count underflows to 0.0: place_nodes' own check
+        cfg = ScenarioConfig(node_density=1e-310, region_radius=1.0000000000000002,
+                             min_pb_distance_m=1.0)
+        with pytest.raises(ValueError, match="expected node count is zero"):
+            place_nodes(cfg, derive_stream(1, 0, 0))
 
     def test_determinism(self):
         cfg = ScenarioConfig(seed=7)
@@ -139,7 +151,10 @@ class TestConfigFile:
         block = section.split("```\n", 2)[1]
         path = tmp_path / "readme.cfg"
         path.write_text(block)
-        assert load_config(path) == ScenarioConfig()
+        loaded, defaults = load_config(path), ScenarioConfig()
+        assert loaded == defaults
+        # equality alone cannot see a mis-parse (100.0 == 100); types can
+        assert list(map(type, vars(loaded).values())) == list(map(type, vars(defaults).values()))
         keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
         assert keys == {f.name for f in fields(ScenarioConfig)}
 
