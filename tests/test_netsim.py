@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -92,6 +93,18 @@ class TestRunPopulation:
             assert np.all(np.abs(ledger.drift_j())
                           <= 1e-9 * np.maximum(ledger.harvested_j, 1e-30))
             assert np.all(ledger.battery_j >= 0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_dbm", math.nan),
+        ("pa_efficiency", 2.0),
+        ("warmup_slots", 40),     # not smaller than num_slots
+    ])
+    def test_invalid_config_rejected(self, field, value):
+        # a bad config never reaches the sweep engine: deriving it from a
+        # valid one fails first, and the error names the field
+        cfg = ScenarioConfig(num_slots=40, warmup_slots=5)
+        with pytest.raises(ValueError, match=field):
+            run_comparison(dataclasses.replace(cfg, **{field: value}), num_topologies=1)
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=_valid_configs(), pb=st.floats(0.0, 60.0), kind=st.sampled_from(KINDS))
