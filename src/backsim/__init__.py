@@ -2,8 +2,7 @@
 
 from .channel import dbm_to_watts, friis_gain
 from .dyadic import simulate_dyadic_ber
-from .energymodel import (EnergyLedger, activation_decision, duty_cycle_harvest,
-                          harvested_energy, step_population, traditional_tx_power)
+from .energymodel import EnergyLedger, duty_cycle_harvest, step_population
 from .mac import (aggregate_interference, co_slot_mask, count_interference_components,
                   th_ss_assign, th_ss_collision_probability)
 from .netsim import ExperimentResult, run_comparison

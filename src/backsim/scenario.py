@@ -8,7 +8,8 @@ derived from one 64-bit master seed so a scenario is bit-reproducible.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -37,12 +38,13 @@ class ScenarioConfig:
     Units are embedded in the field names (dbm, ms, m, j, w, hz). The same
     names are used verbatim as keys of the flat ``key = value`` config file.
     A config is checked once, when it is made (constructor, ``dataclasses.replace``,
-    ``load_config``), and cannot be modified afterwards.
+    ``load_config``), and cannot be modified afterwards: the power sweep is
+    stored as a tuple, so a config is also hashable.
     """
 
     node_density: float = 0.02            # nodes per square metre
     region_radius: float = 10.0           # metres
-    pb_power_dbm_sweep: list = field(default_factory=lambda: [float(p) for p in range(10, 55, 5)])
+    pb_power_dbm_sweep: tuple = tuple(float(p) for p in range(10, 55, 5))
     carrier_hz: float = 2.4e9
     aperture_m2: float = 0.001            # effective antenna aperture, all nodes
     noise_dbm: float = -100.0
@@ -62,6 +64,7 @@ class ScenarioConfig:
     seed: int = 42
 
     def __post_init__(self):
+        object.__setattr__(self, "pb_power_dbm_sweep", tuple(self.pb_power_dbm_sweep))
         self.validate()
 
     def validate(self):
@@ -69,6 +72,9 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type is int and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not all(math.isfinite(p) for p in self.pb_power_dbm_sweep):
             raise ValueError(f"pb_power_dbm_sweep entries must be finite, got "
                              f"{self.pb_power_dbm_sweep}")
@@ -202,8 +208,8 @@ def load_config(path):
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
-            if types[key] is list:
-                values[key] = [float(p) for p in value.replace(",", " ").split()]
+            if types[key] is tuple:
+                values[key] = tuple(float(p) for p in value.replace(",", " ").split())
             else:
                 values[key] = types[key](value)
         except ValueError as exc:

@@ -2,7 +2,10 @@
 
 The network oracles follow a single node or a single receiver with plain
 Python floats, the way the physics reads in the paper's model, so the array
-engine in ``backsim`` can be checked against it term by term. The dyadic
+engine in ``backsim`` can be checked against it term by term. ``step_slot``
+writes out its own harvest, activation thresholds and amplifier output and
+takes none of them from ``backsim``, so a wrong formula in
+``step_population`` shows as a disagreement. The dyadic
 oracles estimate the same error rate as ``simulate_dyadic_ber`` by drawing
 both hops instead of integrating one out, or compute it by quadrature, or
 repeat its conditional estimator one allocating array expression at a time.
@@ -18,8 +21,7 @@ from scipy import integrate, special
 
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.dyadic import _CHUNK
-from backsim.energymodel import (EnergyLedger, activation_decision, harvested_energy,
-                                 step_population, traditional_tx_power)
+from backsim.energymodel import EnergyLedger, step_population
 from backsim.mac import aggregate_interference
 from backsim.netsim import _padded_gains, _run_kind
 from backsim.phylink import bpsk_ber, q_function
@@ -57,22 +59,37 @@ def step_slot(node, incident_w, kind, config):
 
     Harvesting happens only during the harvesting sub-slot (an active
     backscatter node reflects everything during the active window, so it
-    harvests nothing there). Degenerate inputs resolve to silent outcomes.
+    harvests nothing there). A node activates iff its battery covers the
+    requirement of its kind: sensing plus the digital circuit for a
+    backscatter node; sensing plus digital, mixer and DAC draws, plus the PA
+    drain that radiates the receiver noise power, for a traditional one.
+    An active traditional node pushes all it holds above those draws
+    through the amplifier.
     """
-    harvested = harvested_energy(incident_w, config.harvest_efficiency, config.harvest_s)
+    if incident_w < 0.0:
+        raise ValueError("incident power must be non-negative")
+    harvested = incident_w * config.harvest_efficiency * config.harvest_s
     battery = node.battery_j + harvested
-    active = activation_decision(battery, kind, config)
+    window_s = config.active_s
+    sensing_j = config.sense_energy_j
 
+    consumed = 0.0
     tx_power = 0.0
     reflect = 0.0
-    if not active:
-        consumed = 0.0
-    elif NodeKind(kind) == NodeKind.BACKSCATTER:
-        consumed = config.sense_energy_j + config.digital_circuit_w * config.active_s
-        reflect = 1.0
+    if NodeKind(kind) == NodeKind.BACKSCATTER:
+        required = sensing_j + config.digital_circuit_w * window_s
+        active = battery >= required
+        if active:
+            consumed = required
+            reflect = 1.0
     else:
-        tx_power = traditional_tx_power(battery, config)
-        consumed = battery  # greedy: overheads plus full PA drain
+        circuits_j = sensing_j + (config.digital_circuit_w + config.mixer_w
+                                  + config.dac_w) * window_s
+        noise_floor_j = config.noise_w * window_s / config.pa_efficiency
+        active = battery >= circuits_j + noise_floor_j
+        if active:
+            consumed = battery  # greedy: overheads plus full PA drain
+            tx_power = config.pa_efficiency * (battery - circuits_j) / window_s
 
     battery_after = battery - consumed
     if battery_after < 0.0:

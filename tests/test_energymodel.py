@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backsim.energymodel import (EnergyLedger, activation_decision, duty_cycle_harvest,
-                                 harvested_energy, required_active_energy, step_population,
-                                 traditional_tx_power)
+from backsim.energymodel import EnergyLedger, duty_cycle_harvest, step_population
 from backsim.scenario import NodeKind, ScenarioConfig
 from oracles import ScalarNode, emitted_power, step_slot
 
@@ -28,30 +26,41 @@ def _slot(battery_j, incident_w, kind, config):
     return active[0], emitted[0], ledger
 
 
+def _backscatter_requirement(config):
+    return config.sense_energy_j + config.digital_circuit_w * config.active_s
+
+
 def _traditional_overhead(config):
     return (config.sense_energy_j
             + (config.digital_circuit_w + config.mixer_w + config.dac_w) * config.active_s)
 
 
+def _traditional_requirement(config):
+    return _traditional_overhead(config) + config.noise_w * config.active_s / config.pa_efficiency
+
+
+def _harvest(incident_w, config):
+    return _slot(0.0, incident_w, BACK, config)[2].harvested_j[0]
+
+
 class TestHarvestedEnergy:
-    def test_milliwatt_for_twenty_ms(self):
-        assert harvested_energy(1e-3, 0.5, 0.02) == pytest.approx(1e-5, rel=1e-12)
+    def test_milliwatt_for_twenty_ms(self, config):
+        assert _harvest(1e-3, config) == pytest.approx(1e-3 * 0.5 * 0.02, rel=1e-12)
 
-    def test_zero_efficiency(self):
-        assert harvested_energy(1e-3, 0.0, 0.02) == 0.0
+    def test_linearity(self, config):
+        assert _harvest(2e-3, config) == pytest.approx(2 * _harvest(1e-3, config))
 
-    def test_linearity(self):
-        assert harvested_energy(2e-3, 0.5, 0.02) == pytest.approx(
-            2 * harvested_energy(1e-3, 0.5, 0.02))
-
-    def test_bounded_by_incident_energy(self):
-        assert harvested_energy(1e-3, 1.0, 0.02) <= 1e-3 * 0.02
+    def test_bounded_by_incident_energy(self, config):
+        lossless = replace(config, harvest_efficiency=1.0)
+        assert _harvest(1e-3, lossless) <= 1e-3 * 0.02
 
 
 class TestActivation:
     def test_backscatter_requirement(self, config):
         # sensing 0.1 uJ + digital 2.5 uW over 80 ms = 0.3 uJ
-        assert required_active_energy(BACK, config) == pytest.approx(3e-7, rel=1e-12)
+        assert _slot(3e-7 * (1 + 1e-9), 0.0, BACK, config)[0]
+        assert not _slot(3e-7 * (1 - 1e-9), 0.0, BACK, config)[0]
+        assert _slot(1.0, 0.0, BACK, config)[2].consumed_j[0] == pytest.approx(3e-7, rel=1e-12)
 
     @pytest.mark.parametrize("kind,expected", [
         (BACK, 1e-7 + 2.5e-6 * 0.08),
@@ -62,14 +71,16 @@ class TestActivation:
         # -30 dBm noise makes the PA term 1.6% of the traditional
         # requirement; at the default -100 dBm it is below 1e-8 of it
         config = ScenarioConfig(noise_dbm=-30.0)
-        assert required_active_energy(kind, config) == pytest.approx(expected, rel=1e-12)
+        assert _slot(expected * (1 + 1e-12), 0.0, kind, config)[0]
+        assert not _slot(expected * (1 - 1e-12), 0.0, kind, config)[0]
 
     @pytest.mark.parametrize("field,value", [
         ("mixer_w", 1e-3), ("dac_w", 1e-2), ("pa_efficiency", 0.05)])
     def test_backscatter_ignores_radio_chain(self, config, field, value):
         changed = replace(config, **{field: value})
-        assert required_active_energy(TRAD, changed) != required_active_energy(TRAD, config)
-        assert required_active_energy(BACK, changed) == required_active_energy(BACK, config)
+        # the traditional threshold moves: its old value no longer suffices
+        assert _slot(_traditional_requirement(config), 0.0, TRAD, config)[0]
+        assert not _slot(_traditional_requirement(config), 0.0, TRAD, changed)[0]
         incident = np.geomspace(1e-7, 1e-3, 9)  # silent, saving and active nodes
         base, other = EnergyLedger.empty(9), EnergyLedger.empty(9)
         for _ in range(5):
@@ -82,50 +93,71 @@ class TestActivation:
             assert np.array_equal(flows, getattr(other, name))
 
     def test_boundary_is_inclusive(self, config):
-        req = required_active_energy(BACK, config)
-        assert activation_decision(req, BACK, config)
-        assert not activation_decision(req * (1 - 1e-9), BACK, config)
+        for kind, req in ((BACK, _backscatter_requirement(config)),
+                          (TRAD, _traditional_requirement(config))):
+            assert _slot(req, 0.0, kind, config)[0]
+            assert not _slot(req * (1 - 1e-9), 0.0, kind, config)[0]
 
     def test_empty_battery_is_silent(self, config):
-        assert not activation_decision(0.0, BACK, config)
-        assert not activation_decision(0.0, TRAD, config)
+        assert not _slot(0.0, 0.0, BACK, config)[0]
+        assert not _slot(0.0, 0.0, TRAD, config)[0]
 
     def test_abundance_is_active(self, config):
-        assert activation_decision(1.0, BACK, config)
-        assert activation_decision(1.0, TRAD, config)
+        assert _slot(1.0, 0.0, BACK, config)[0]
+        assert _slot(1.0, 0.0, TRAD, config)[0]
 
     def test_traditional_requirement_larger(self, config):
-        assert required_active_energy(TRAD, config) > required_active_energy(BACK, config)
+        req = _backscatter_requirement(config)
+        assert _traditional_requirement(config) > req
+        assert _slot(req, 0.0, BACK, config)[0]
+        assert not _slot(req, 0.0, TRAD, config)[0]
 
     def test_monotone_in_battery(self, config):
-        req = required_active_energy(TRAD, config)
-        grid = np.linspace(0.0, 2 * req, 101)
-        decisions = [activation_decision(b, TRAD, config) for b in grid]
+        grid = np.linspace(0.0, 2 * _traditional_requirement(config), 101)
+        decisions = [bool(_slot(b, 0.0, TRAD, config)[0]) for b in grid]
         # once active, never flips back as battery grows
         assert decisions == sorted(decisions)
+        assert 0 < sum(decisions) < len(decisions)
 
 
 class TestTraditionalTxPower:
     def test_fifty_percent_amplifier(self, config):
         # battery holding overhead plus a 100 uW drain for the window
         battery = _traditional_overhead(config) + 100e-6 * config.active_s
-        assert traditional_tx_power(battery, config) == pytest.approx(50e-6, rel=1e-12)
+        active, emitted, _ = _slot(battery, 0.0, TRAD, config)
+        assert active
+        assert emitted == pytest.approx(50e-6, rel=1e-12)
 
     def test_lossless_amplifier(self, config):
         lossless = replace(config, pa_efficiency=1.0)
         overhead = 1e-7 + (2.5e-6 + 15e-6 + 1e-4) * config.active_s
         battery = overhead + 100e-6 * config.active_s
-        assert traditional_tx_power(battery, lossless) == pytest.approx(100e-6, rel=1e-12)
+        active, emitted, _ = _slot(battery, 0.0, TRAD, lossless)
+        assert active
+        assert emitted == pytest.approx(100e-6, rel=1e-12)
 
     def test_zero_residual_radiates_nothing(self, config):
-        assert traditional_tx_power(_traditional_overhead(config), config) == 0.0
+        # a battery at exactly the overhead leaves the amplifier nothing,
+        # which is below the noise floor, so the node stays silent
+        active, emitted, slot = _slot(_traditional_overhead(config), 0.0, TRAD, config)
+        assert not active and emitted == 0.0
+        assert slot.consumed_j[0] == 0.0
 
-    def test_negative_residual_is_contract_violation(self, config):
-        with pytest.raises(ValueError):
-            traditional_tx_power(0.0, config)
+    def test_threshold_radiates_noise_power(self):
+        # an active traditional node radiates at least the noise power
+        config = ScenarioConfig(noise_dbm=-30.0)
+        active, emitted, _ = _slot(_traditional_requirement(config), 0.0, TRAD, config)
+        assert active
+        assert emitted == pytest.approx(config.noise_w, rel=1e-9)
 
 
 class TestStepSlot:
+    def test_bad_input_rejected(self, config):
+        with pytest.raises(ValueError, match="non-negative"):
+            _slot(0.0, -1e-9, BACK, config)
+        with pytest.raises(ValueError, match="relay"):
+            _slot(0.0, 1e-3, "relay", config)
+
     def test_dead_node_stays_silent(self, config):
         active, emitted, slot = _slot(0.0, 0.0, BACK, config)
         assert not active and emitted == 0.0

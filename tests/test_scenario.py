@@ -23,6 +23,15 @@ def test_default_config_is_valid():
         cfg.noise_dbm = math.nan
 
 
+def test_config_is_hashable_and_owns_its_sweep():
+    sweep = [20.0, 30.0]
+    cfg = ScenarioConfig(pb_power_dbm_sweep=sweep, seed=np.uint64(7))
+    assert hash(cfg) == hash(ScenarioConfig(pb_power_dbm_sweep=(20.0, 30.0), seed=7))
+    assert hash(ScenarioConfig()) == hash(ScenarioConfig())
+    sweep.append(math.nan)  # the caller's list is not the config's
+    assert cfg.pb_power_dbm_sweep == (20.0, 30.0)
+
+
 @pytest.mark.parametrize("field,value", [
     pytest.param("node_density", 0.0, id="node_density-0.0"),
     pytest.param("node_density", -1.0, id="node_density--1.0"),
@@ -39,6 +48,12 @@ def test_default_config_is_valid():
     pytest.param("pb_power_dbm_sweep", [30.0, math.nan], id="pb_power_dbm_sweep-value10"),
     pytest.param("seed", -1, id="seed--1"),
     pytest.param("seed", 2**64, id="seed-18446744073709551616"),
+    # int fields take integers only: 42.5 would silently run seed 42, and
+    # True seed 1, while the CSV's seed column names the value given
+    pytest.param("seed", 42.5, id="seed-42.5"),
+    pytest.param("seed", True, id="seed-True"),
+    pytest.param("num_slots", 30.5, id="num_slots-30.5"),
+    pytest.param("warmup_slots", 2.5, id="warmup_slots-2.5"),
 ])
 def test_invalid_configs_rejected(field, value, tmp_path):
     # every way of making a config runs the one check, which names the key
@@ -136,7 +151,7 @@ class TestConfigFile:
         cfg = load_config(path)
         assert cfg.node_density == 0.05
         assert cfg.region_radius == 8.0
-        assert cfg.pb_power_dbm_sweep == [20.0, 30.0, 40.0]
+        assert cfg.pb_power_dbm_sweep == (20.0, 30.0, 40.0)
         assert cfg.noise_dbm == -95.0
         assert cfg.num_slots == 60 and cfg.warmup_slots == 10 and cfg.seed == 99
         # untouched fields keep their defaults
