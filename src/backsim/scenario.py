@@ -75,9 +75,19 @@ class ScenarioConfig:
             if f.type is int and (isinstance(value, bool)
                                   or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if not all(math.isfinite(p) for p in self.pb_power_dbm_sweep):
-            raise ValueError(f"pb_power_dbm_sweep entries must be finite, got "
-                             f"{self.pb_power_dbm_sweep}")
+        # the engine divides by the noise power and scales by the beacon power,
+        # so both must also be finite in watts; an overflow to inf is rejected
+        # below instead of warning here
+        with np.errstate(over="ignore"):
+            noise_w = self.noise_w
+            sweep_w = dbm_to_watts(self.pb_power_dbm_sweep)
+        if not (math.isfinite(noise_w) and noise_w > 0.0):
+            raise ValueError(f"noise_dbm must give a finite, positive noise power, got "
+                             f"{self.noise_dbm} dBm = {noise_w} W")
+        if not (all(math.isfinite(p) for p in self.pb_power_dbm_sweep)
+                and np.isfinite(sweep_w).all()):
+            raise ValueError(f"pb_power_dbm_sweep entries must be finite in dBm and in watts, "
+                             f"got {self.pb_power_dbm_sweep}")
         positive = [
             ("node_density", self.node_density),
             ("region_radius", self.region_radius),

@@ -16,8 +16,8 @@ helpers: the sweep engine on one population, and a round-robin schedule.
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
-from scipy import integrate, special
 
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.dyadic import _CHUNK
@@ -309,17 +309,15 @@ def bit_level_dyadic_ber(ell, num_tx, num_rx, snr_db, trials, rng):
 
 
 def _gamma_mean_inverse(t, m):
-    """E[1 / (1 + t g)] for g ~ Gamma(m, 1).
+    """E[1 / (1 + t g)] for g ~ Gamma(m, 1), m a positive integer, in closed form.
 
-    For m = 1 (g exponential) this is exp(1/t) E1(1/t) / t in closed form;
-    quad cannot resolve that integrand's spike at g = 0 once t is large.
+    With c = 1/t, dividing g^(m-1) by (g + c) leaves the polynomial
+    sum_{k<m-1} (-c)^(m-2-k) g^k and the remainder (-c)^(m-1) / (g + c),
+    whose Gamma means are k! and exp(c) E1(c). For m = 1 the sum is empty.
     """
-    if m == 1:
-        return math.exp(1.0 / t) * special.exp1(1.0 / t) / t
-    norm = math.gamma(m)
-    value, _ = integrate.quad(lambda g: g ** (m - 1) * math.exp(-g) / (norm * (1.0 + t * g)),
-                              0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-    return value
+    c = 1 / t
+    poly = mpmath.fsum((-c) ** (m - 2 - k) * mpmath.factorial(k) for k in range(m - 1))
+    return (poly + (-c) ** (m - 1) * mpmath.exp(c) * mpmath.e1(c)) / (t * mpmath.factorial(m - 1))
 
 
 def dyadic_quadrature(ell, num_rx, snr_db):
@@ -329,16 +327,15 @@ def dyadic_quadrature(ell, num_rx, snr_db):
     hop) and g_l ~ Gamma(num_rx, 1) (backward branch gains), all independent.
     Craig's form of Q gives P = (1/pi) int_0^{pi/2} E[exp(-X / sin^2 t)] dt,
     and E[exp(-s a g)] = E_g[1 / (1 + s g)], raised to the L-th power.
+    Evaluated in mpmath at 15 digits; tanh-sinh quadrature never samples
+    the endpoint theta = 0.
     """
     snr = 10.0 ** (snr_db / 10.0)
-
-    def integrand(theta):
-        s = math.sin(theta)
-        return _gamma_mean_inverse(snr / (s * s), num_rx) ** ell if s > 0.0 else 0.0
-
-    value, _ = integrate.quad(integrand, 0.0, math.pi / 2.0, epsabs=0.0, epsrel=1e-10,
-                              limit=200)
-    return value / math.pi
+    with mpmath.workdps(15):
+        value = mpmath.quad(
+            lambda theta: _gamma_mean_inverse(snr / mpmath.sin(theta) ** 2, num_rx) ** ell,
+            [0, mpmath.pi / 2])
+        return float(value / mpmath.pi)
 
 
 def rayleigh_bpsk_ber(snr_mean):

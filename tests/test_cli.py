@@ -139,6 +139,8 @@ class TestRun:
         ("noise_dbm = nan", "noise_dbm"),
         ("pb_power_dbm_sweep = 30, nan", "pb_power_dbm_sweep"),
         ("seed = 99999999999999999999999", "seed"),
+        ("noise_dbm = 4000", "noise_dbm"),  # finite in dBm, inf in watts
+        ("pb_power_dbm_sweep = 30, 4000", "pb_power_dbm_sweep"),
     ])
     def test_out_of_range_config_fails_cleanly(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"

@@ -1,8 +1,8 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from backsim.dyadic import (_CHUNK, _conditional_bers, _dual_branch_equal_ber,
                             simulate_dyadic_ber)
@@ -13,8 +13,8 @@ from oracles import (_complex_normal, bit_level_dyadic_ber, conditional_ber,
 
 
 def rayleigh_bpsk_oracle(snr):
-    """Closed-form BPSK error rate over a single Rayleigh branch."""
-    return 0.5 * (1.0 - math.sqrt(snr / (1.0 + snr)))
+    """Closed-form BPSK error rate over a single Rayleigh branch (float or mpf)."""
+    return 0.5 * (1.0 - (snr / (1.0 + snr)) ** 0.5)
 
 
 def double_rayleigh_oracle(snr_db, num_rx):
@@ -22,13 +22,15 @@ def double_rayleigh_oracle(snr_db, num_rx):
 
     Conditioned on the backward-combining gain g ~ Gamma(num_rx), the
     forward hop is exponential, so the error rate is the Rayleigh closed
-    form at mean snr * g, integrated against the Gamma density.
+    form at mean snr * g, integrated against the Gamma density (in mpmath
+    at 15 digits, truncated at g = 200).
     """
     s = 10.0 ** (snr_db / 10.0)
-    density = lambda g: g ** (num_rx - 1) * math.exp(-g) / math.factorial(num_rx - 1)
-    val, _ = quad(lambda g: rayleigh_bpsk_oracle(s * g) * density(g), 0.0, 200.0,
-                  epsabs=0.0, epsrel=1e-12, limit=400)
-    return val
+    norm = math.factorial(num_rx - 1)
+    with mpmath.workdps(15):
+        return float(mpmath.quad(
+            lambda g: rayleigh_bpsk_oracle(s * g) * g ** (num_rx - 1) * mpmath.exp(-g) / norm,
+            [0, 1, 200]))
 
 
 def kernel_bers(gains, snrs):

@@ -22,6 +22,14 @@ class TestTdma:
         slots = tdma_schedule(17, 32)
         assert len(set(slots.tolist())) == len(slots)
         assert np.array_equal(co_slot_mask(slots), np.eye(17, dtype=bool))
+        # any collision-free schedule gives the identity mask, not only the round robin
+        shuffled = derive_stream(3, 0, 1).permutation(32)[:17]
+        assert np.array_equal(co_slot_mask(shuffled), np.eye(17, dtype=bool))
+        # two nodes on one sub-slot see each other and nobody else
+        shuffled[11] = shuffled[4]
+        expected = np.eye(17, dtype=bool)
+        expected[4, 11] = expected[11, 4] = True
+        assert np.array_equal(co_slot_mask(shuffled), expected)
 
 
 class TestThSs:

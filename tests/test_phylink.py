@@ -47,12 +47,21 @@ def _assert_relative(ours, oracle, rel):
 
 def test_import_leaves_scipy_unloaded():
     # the runtime depends on numpy only; importing scipy would cost most of
-    # a CLI run's start-up
+    # a CLI run's start-up. The test oracles use mpmath: scipy stays installed
+    # for perfbench, so only this check notices a test importing it again
     src = Path(backsim.__file__).resolve().parents[1]
-    code = "import sys, backsim, backsim.cli; print('scipy' in sys.modules)"
+    tests = Path(__file__).resolve().parent
+    code = ("import sys\n"
+            "import backsim, backsim.cli\n"
+            "print('scipy' in sys.modules)\n"
+            "import oracles, test_dyadic\n"
+            "print('scipy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "False"
+                         check=True, env={**os.environ,
+                                          "PYTHONPATH": os.pathsep.join([str(src), str(tests)])})
+    runtime, oracles = out.stdout.split()
+    assert runtime == "False", "import backsim, backsim.cli loads scipy"
+    assert oracles == "False", "import oracles, test_dyadic loads scipy"
 
 
 class TestQFunction:

@@ -46,6 +46,10 @@ def test_config_is_hashable_and_owns_its_sweep():
     pytest.param("dac_w", -1e-4, id="dac_w--0.0001"),  # energymodel reads circuit draws unchecked
     # a list value has no readable auto id; this keeps the one the case has run under
     pytest.param("pb_power_dbm_sweep", [30.0, math.nan], id="pb_power_dbm_sweep-value10"),
+    # finite in dBm but not in watts: the engine would divide by 0 or inf
+    pytest.param("noise_dbm", 4000.0, id="noise_dbm-4000.0"),
+    pytest.param("noise_dbm", -4000.0, id="noise_dbm--4000.0"),
+    pytest.param("pb_power_dbm_sweep", [30.0, 4000.0], id="pb_power_dbm_sweep-4000.0"),
     pytest.param("seed", -1, id="seed--1"),
     pytest.param("seed", 2**64, id="seed-18446744073709551616"),
     # int fields take integers only: 42.5 would silently run seed 42, and
