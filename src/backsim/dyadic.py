@@ -32,50 +32,34 @@ def _rayleigh_ber_into(a, out, tmp):
     return np.divide(0.5, out, out=out)
 
 
-def _dual_branch_equal_ber(snr_mean):
-    """E[Q(sqrt(2 g))] for g ~ Gamma(2, mean/2 per branch): two equal branches."""
-    mu = np.sqrt(snr_mean / (1.0 + snr_mean))
-    return (0.5 * (1.0 - mu)) ** 2 * (2.0 + mu)
-
-
-def _near_equal(b1, b2, bound, gap=None, scale=None):
-    """Rows whose branch means differ by at most ``bound`` relative (floored at 1e-300)."""
-    gap = np.abs(np.subtract(b1, b2, out=gap), out=gap)
-    scale = np.maximum(np.maximum(b1, b2, out=scale), 1e-300, out=scale)
-    return gap <= np.multiply(bound, scale, out=scale)
-
-
 def _conditional_bers(gains, snrs, work):
     """Exact BPSK error probability of every row of ``gains`` at each SNR in turn.
 
     At linear SNR ``snr`` the post-combining SNR sums L independent exponentials
-    of means ``snr * gains[k]`` ((n, L), non-negative): partial fractions give
-    E[Q(sqrt(2 x))], or the dual-branch formula for near-equal means. Each (n,)
-    result is a view into ``work`` ((5, >= n) scratch) that the next overwrites.
-    A row near-equal at any grid SNR has a gap below 1.000001e-6 of its larger
-    gain or 1.000001e-306 / snr, so it passes the test at twice the bound at the
-    lowest SNR; only those candidate rows get the exact per-point test.
+    of means b = ``snr * gains[k]`` ((n, L), non-negative). One branch gives the
+    Rayleigh form f(b) = 0.5 / ((1 + b)(1 + m)), m = sqrt(b / (1 + b)); two give
+    E = 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), free of subtraction, equal means included.
+    That is partial fractions, (b1 f(b1) - b2 f(b2)) / (b1 - b2), divided out with
+    b f(b) = m^2 / (2 (1 + m)) and m1^2 - m2^2 = (b1 - b2) / ((1 + b1)(1 + b2)).
+    Each (n,) result is a view into ``work`` ((5, >= n) scratch) that the next overwrites.
     """
     n, ell = gains.shape
-    b1, b2, num, den, tmp = work[:, :n]
-    if ell == 2:
-        np.multiply(min(snrs, default=1.0), gains.T, out=work[:2, :n])
-        candidates = np.flatnonzero(_near_equal(b1, b2, 2e-6, num, den))
+    b1, b2, d1, d2, tmp = work[:, :n]
     for snr in snrs:
         np.multiply(snr, gains.T, out=work[:ell, :n])
         if ell == 1:
-            yield _rayleigh_ber_into(b1, num, tmp)
+            yield _rayleigh_ber_into(b1, d1, tmp)
             continue
-        np.multiply(b1, _rayleigh_ber_into(b1, num, tmp), out=num)
-        np.multiply(b2, _rayleigh_ber_into(b2, den, tmp), out=den)
-        np.subtract(num, den, out=num)
-        np.subtract(b1, b2, out=den)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(num, den, out=num)
-        c1, c2 = b1[candidates], b2[candidates]
-        near = _near_equal(c1, c2, 1e-6)
-        num[candidates[near]] = _dual_branch_equal_ber(0.5 * (c1[near] + c2[near]))
-        yield np.clip(num, 0.0, 0.5, out=num)
+        for b, d in ((b1, d1), (b2, d2)):  # b becomes m, d becomes (1 + b)(1 + m)
+            np.add(1.0, b, out=d)
+            np.sqrt(np.divide(b, d, out=b), out=b)
+            np.multiply(d, np.add(1.0, b, out=tmp), out=d)
+        np.multiply(b1, b2, out=tmp)
+        # m1 + m2 is 0 only where b1 = b2 = 0, and at least 2e-162 elsewhere
+        np.maximum(np.add(b1, b2, out=b1), 1e-300, out=b1)
+        np.add(1.0, np.divide(tmp, b1, out=tmp), out=tmp)
+        np.divide(np.divide(tmp, d1, out=tmp), d2, out=tmp)
+        yield np.multiply(0.5, tmp, out=tmp)
 
 
 def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_grid,

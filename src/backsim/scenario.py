@@ -75,6 +75,9 @@ class ScenarioConfig:
             if f.type is int and (isinstance(value, bool)
                                   or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            # a dBm level may be negative; every other float is a magnitude
+            if f.type is float and not f.name.endswith("_dbm") and value <= 0.0:
+                raise ValueError(f"{f.name} must be strictly positive, got {value}")
         # the engine divides by the noise power and scales by the beacon power,
         # so both must also be finite in watts; an overflow to inf is rejected
         # below instead of warning here
@@ -88,26 +91,6 @@ class ScenarioConfig:
                 and np.isfinite(sweep_w).all()):
             raise ValueError(f"pb_power_dbm_sweep entries must be finite in dBm and in watts, "
                              f"got {self.pb_power_dbm_sweep}")
-        positive = [
-            ("node_density", self.node_density),
-            ("region_radius", self.region_radius),
-            ("carrier_hz", self.carrier_hz),
-            ("aperture_m2", self.aperture_m2),
-            ("harvest_efficiency", self.harvest_efficiency),
-            ("slot_ms", self.slot_ms),
-            ("harvest_ms", self.harvest_ms),
-            ("active_ms", self.active_ms),
-            ("sense_energy_j", self.sense_energy_j),
-            ("digital_circuit_w", self.digital_circuit_w),
-            ("mixer_w", self.mixer_w),
-            ("dac_w", self.dac_w),
-            ("pa_efficiency", self.pa_efficiency),
-            ("rx_distance_m", self.rx_distance_m),
-            ("min_pb_distance_m", self.min_pb_distance_m),
-        ]
-        for name, value in positive:
-            if value <= 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
         for name, value in (("harvest_efficiency", self.harvest_efficiency),
                             ("pa_efficiency", self.pa_efficiency)):
             if value > 1.0:
@@ -125,6 +108,27 @@ class ScenarioConfig:
             raise ValueError("warmup_slots must be smaller than num_slots")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        # placement and friis_gain square these, divide by them or draw from them
+        lam2 = self.wavelength_m * self.wavelength_m
+        if not (math.isfinite(lam2) and lam2 >= np.finfo(float).tiny):
+            raise ValueError(f"carrier_hz must give a wavelength with a finite, normal square, "
+                             f"got {self.carrier_hz} Hz = {self.wavelength_m} m")
+        try:
+            count = self.expected_node_count
+        except OverflowError:  # region_radius ** 2
+            count = math.inf
+        if not count <= 1e18:  # numpy's Poisson draw takes means up to about 9.2e18
+            raise ValueError(f"node_density and the annulus of region_radius and "
+                             f"min_pb_distance_m must give at most 1e18 expected nodes, "
+                             f"got {count}")
+        span = 2.0 * self.region_radius + self.rx_distance_m  # farthest node to receiver
+        if not math.isfinite(span * span * lam2):
+            raise ValueError(f"region_radius and rx_distance_m must keep the squared path "
+                             f"length finite in wavelengths, got a span of {span} m")
+        if not self.rx_distance_m > math.ulp(self.region_radius):
+            raise ValueError(f"rx_distance_m must exceed the float spacing at region_radius "
+                             f"({math.ulp(self.region_radius)} m), or a receiver can round "
+                             f"onto its node, got {self.rx_distance_m}")
         return self
 
     # Derived quantities -------------------------------------------------

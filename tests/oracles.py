@@ -345,31 +345,31 @@ def rayleigh_bpsk_ber(snr_mean):
 
 
 def dual_branch_equal_ber(snr_mean):
-    """E[Q(sqrt(2 g))] for g ~ Gamma(2, mean/2 per branch): two equal branches."""
-    a = np.asarray(snr_mean, dtype=float)
-    mu = np.sqrt(a / (1.0 + a))
-    return (0.5 * (1.0 - mu)) ** 2 * (2.0 + mu)
+    """E[Q(sqrt(2 g))] for g ~ Gamma(2, mean/2 per branch): two equal branches.
+
+    Takes a float, an array or an mpmath number, and computes in its type.
+    """
+    mu = (snr_mean / (1 + snr_mean)) ** 0.5
+    return (1 - mu) ** 2 * (2 + mu) / 4
 
 
 def conditional_ber(beta):
     """BPSK error probability given the (n, L) per-antenna branch means ``beta``.
 
-    Partial fractions for distinct means, the dual-branch formula where the
-    two means are within 1e-6 relative (floored at 1e-300), clipped to
-    [0, 0.5]; one fresh array per operation.
+    Two branches b1, b2 give 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), with
+    m = sqrt(b / (1 + b)), f(b) = 0.5 / ((1 + b)(1 + m)) and m1 + m2 floored at
+    1e-300 for b1 = b2 = 0; in the simulator's order, one fresh array per operation.
     """
     if beta.shape[1] == 1:
         return rayleigh_bpsk_ber(beta[:, 0])
     b1 = beta[:, 0]
     b2 = beta[:, 1]
-    den = b1 - b2
-    scale = np.maximum(np.maximum(b1, b2), 1e-300)
-    near_equal = np.abs(den) <= 1e-6 * scale
-    num = b1 * rayleigh_bpsk_ber(b1) - b2 * rayleigh_bpsk_ber(b2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    out[near_equal] = dual_branch_equal_ber(0.5 * (b1[near_equal] + b2[near_equal]))
-    return np.clip(out, 0.0, 0.5)
+    m1 = np.sqrt(b1 / (1.0 + b1))
+    m2 = np.sqrt(b2 / (1.0 + b2))
+    d1 = (1.0 + b1) * (1.0 + m1)
+    d2 = (1.0 + b2) * (1.0 + m2)
+    x = (m1 * m2) / np.maximum(m1 + m2, 1e-300)
+    return 0.5 * ((1.0 + x) / d1 / d2)
 
 
 def conditional_dyadic_curve(num_tag_antennas, num_reader_rx, snr_db_grid, trials, rng):

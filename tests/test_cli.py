@@ -141,6 +141,11 @@ class TestRun:
         ("seed = 99999999999999999999999", "seed"),
         ("noise_dbm = 4000", "noise_dbm"),  # finite in dBm, inf in watts
         ("pb_power_dbm_sweep = 30, 4000", "pb_power_dbm_sweep"),
+        ("region_radius = 1e300", "region_radius"),
+        ("node_density = 1e300", "node_density"),
+        ("carrier_hz = 1e-300", "carrier_hz"),
+        ("rx_distance_m = 1e-300", "rx_distance_m"),
+        ("rx_distance_m = 1e300", "rx_distance_m"),
     ])
     def test_out_of_range_config_fails_cleanly(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"

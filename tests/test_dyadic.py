@@ -1,15 +1,15 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from backsim.dyadic import (_CHUNK, _conditional_bers, _dual_branch_equal_ber,
-                            simulate_dyadic_ber)
+from backsim.dyadic import _CHUNK, _conditional_bers, simulate_dyadic_ber
 from backsim.scenario import PURPOSE_FADING, derive_stream
 from oracles import (_complex_normal, bit_level_dyadic_ber, conditional_ber,
-                     conditional_dyadic_curve, dyadic_quadrature, estimate_diversity_order,
-                     semi_dyadic_ber)
+                     conditional_dyadic_curve, dual_branch_equal_ber, dyadic_quadrature,
+                     estimate_diversity_order, semi_dyadic_ber)
 
 
 def rayleigh_bpsk_oracle(snr):
@@ -33,6 +33,39 @@ def double_rayleigh_oracle(snr_db, num_rx):
             [0, 1, 200]))
 
 
+def two_branch_oracle(b1, b2):
+    """E[Q(sqrt(2 x))] for x the sum of two exponentials of means b1 and b2 (floats),
+    in mpmath at 50 digits: partial fractions (b1 P(b1) - b2 P(b2)) / (b1 - b2) over
+    the Rayleigh form P(b) = 1 / (2 ((1 + b) + sqrt(b (1 + b)))), and at b1 = b2
+    their limit, the dual-branch formula. The difference loses up to 24 digits on
+    the test rows (near-equal means of 3e17)."""
+    with mpmath.workdps(50):
+        b1, b2 = mpmath.mpf(b1), mpmath.mpf(b2)
+        if b1 == b2:
+            return dual_branch_equal_ber(b1)
+
+        def rayleigh(b):
+            return 1 / (2 * ((1 + b) + mpmath.sqrt(b * (1 + b))))
+
+        return (b1 * rayleigh(b1) - b2 * rayleigh(b2)) / (b1 - b2)
+
+
+def worst_error_against_oracle(gains, snr):
+    """Largest relative error of the kernel's BERs for ``gains`` at linear ``snr``
+    against ``two_branch_oracle``, over the rows whose exact value is a normal
+    double, and the row where it occurs; every value must lie in [0, 0.5]."""
+    out = kernel_bers(gains, [snr])[0]
+    assert np.all((out >= 0.0) & (out <= 0.5)), "a BER outside [0, 0.5]"
+    worst, where = 0.0, None
+    for (b1, b2), value in zip(snr * gains, out):
+        exact = two_branch_oracle(b1, b2)
+        if exact >= sys.float_info.min:
+            error = float(abs(mpmath.mpf(float(value)) - exact) / exact)
+            if error > worst:
+                worst, where = error, (float(b1), float(b2))
+    return worst, where
+
+
 def kernel_bers(gains, snrs):
     """The in-place kernel's BER rows at each linear SNR, copied out of its buffer."""
     work = np.empty((5, len(gains)))
@@ -41,7 +74,7 @@ def kernel_bers(gains, snrs):
 
 def near_bound_rows(snr, base):
     """Gain pairs whose gap, after scaling by ``snr``, is a few ulps either
-    side of the near-equal test's bound of 1e-6 of the larger gain."""
+    side of 1e-6 of the larger gain, where partial fractions lose six digits."""
     rows = []
     for g1 in base:
         b1 = snr * g1
@@ -56,8 +89,8 @@ def near_bound_rows(snr, base):
 
 
 def floor_rows(snr):
-    """Tiny gain pairs whose scaled means fall under the test's 1e-300 floor,
-    so that a gap up to 1e-306 counts as near-equal however large relatively."""
+    """Tiny gain pairs whose scaled means fall under 1e-300, some subnormal,
+    with gaps up to 1e-306 that are large relative to the means."""
     rows = [(1e-300, 1e-300), (1e-300, 0.0), (2e-300, 1.5e-300), (1e-310, 0.0)]
     for gap in (1e-306, 2e-306):
         g = gap / snr
@@ -154,11 +187,11 @@ class TestSimulate:
         assert all(type(x) is float for point in curve for x in point)
 
     def test_equal_branch_gains(self):
-        # the partial-fraction form is 0/0 at equal gains; the dual-branch
-        # formula takes over and joins it continuously
+        # partial fractions are 0/0 at equal gains; the closed form gives their
+        # limit, the dual-branch formula, and joins them continuously
         gains = np.array([[3.0, 3.0], [3.0, 3.0 * (1 + 1e-9)], [3.0, 3.0003], [1.0, 4.0]])
         out = kernel_bers(gains, [1.0])[0]
-        assert out[0] == _dual_branch_equal_ber(3.0)
+        assert out[0] == pytest.approx(float(two_branch_oracle(3.0, 3.0)), rel=1e-15)
         assert out[1] == pytest.approx(out[0], rel=1e-8)
         assert out[2] == pytest.approx(out[0], rel=1e-3)
         partial = (rayleigh_bpsk_oracle(1.0) - 4.0 * rayleigh_bpsk_oracle(4.0)) / (1.0 - 4.0)
@@ -192,6 +225,13 @@ class TestSimulate:
         assert a == b
 
 
+# Equal and huge near-equal branch gains: partial fractions are 0/0 on the
+# first three and cancel to below zero on the huge ones at high SNR.
+EDGE_ROWS = [(3.0, 3.0), (1e-3, 1e-3), (0.0, 0.0), (1.0, 4.0)] + [
+    (g, g * (1.0 + k * 1e-6)) for g in (1e12, 3e13, 1e14)
+    for k in (1.5, 2.0, 3.0, 5.0, 10.0, 30.0)]
+
+
 class TestAgainstAllocatingReference:
     """The in-place kernel must reproduce the allocating per-point reference
     (``oracles.conditional_ber``) bit for bit: the CLI's curves are golden."""
@@ -215,17 +255,27 @@ class TestAgainstAllocatingReference:
             assert all(len(p) == 2 for p in curve)
 
     def test_near_equal_edge_rows(self):
-        # rows at the edge of the near-equal fallback, at SNRs below and above 1
+        # equal, near-equal and tiny branch means, at SNRs below and above 1;
+        # each SNR's own edge rows are also checked against mpmath
         snrs = [10.0 ** (snr_db / 10.0) for snr_db in (-3.0, 0.0, 10.0, 25.0, 27.5, 35.0)]
-        rows = [(3.0, 3.0), (1e-3, 1e-3), (0.0, 0.0), (1.0, 4.0)]
-        # huge means just past the bound: partial fractions cancel below zero
-        rows += [(g, g * (1.0 + k * 1e-6)) for g in (1e12, 3e13, 1e14)
-                 for k in (1.5, 2.0, 3.0, 5.0, 10.0, 30.0)]
-        for snr in snrs:
-            rows += near_bound_rows(snr, (0.37, 1.0, 5.3)) + floor_rows(snr)
-        gains = np.array(rows)
+        edges = {snr: near_bound_rows(snr, (0.37, 1.0, 5.3)) + floor_rows(snr) for snr in snrs}
+        gains = np.array(EDGE_ROWS + [row for snr in snrs for row in edges[snr]])
         for snr, out in zip(snrs, kernel_bers(gains, snrs)):
             np.testing.assert_array_equal(out, conditional_ber(snr * gains))
+            worst, where = worst_error_against_oracle(np.array(EDGE_ROWS + edges[snr]), snr)
+            assert worst <= 4e-15, f"relative error {worst:.2e} at means {where}"
+
+
+class TestAgainstMpmath:
+    def test_rows_match_partial_fractions(self):
+        # Gamma(2) and Gamma(8) branch gains, as two and eight receive antennas
+        # draw them, and the fixed edge rows, against partial fractions at 50 digits
+        rng = derive_stream(17, 0, PURPOSE_FADING)
+        gains = np.concatenate([rng.gamma(2, size=(200, 2)), rng.gamma(8, size=(200, 2)),
+                                np.array(EDGE_ROWS)])
+        for snr_db in (0.0, 10.0, 25.0, 35.0):
+            worst, where = worst_error_against_oracle(gains, 10.0 ** (snr_db / 10.0))
+            assert worst <= 4e-15, f"relative error {worst:.2e} at {snr_db} dB, means {where}"
 
 
 class TestGammaStream:

@@ -58,6 +58,13 @@ def test_config_is_hashable_and_owns_its_sweep():
     pytest.param("seed", True, id="seed-True"),
     pytest.param("num_slots", 30.5, id="num_slots-30.5"),
     pytest.param("warmup_slots", 2.5, id="warmup_slots-2.5"),
+    # finite fields whose derived quantities overflow, underflow or round away
+    pytest.param("carrier_hz", 1e-300, id="carrier_hz-1e-300"),  # wavelength inf
+    pytest.param("carrier_hz", 1e300, id="carrier_hz-1e+300"),  # wavelength squared 0
+    pytest.param("region_radius", 1e300, id="region_radius-1e+300"),  # area overflows
+    pytest.param("node_density", 1e300, id="node_density-1e+300"),  # beyond the Poisson draw
+    pytest.param("rx_distance_m", 1e-300, id="rx_distance_m-1e-300"),  # receiver on its node
+    pytest.param("rx_distance_m", 1e300, id="rx_distance_m-1e+300"),  # squared path overflows
 ])
 def test_invalid_configs_rejected(field, value, tmp_path):
     # every way of making a config runs the one check, which names the key
