@@ -2,7 +2,7 @@
 
 from .channel import dbm_to_watts, friis_gain
 from .dyadic import simulate_dyadic_ber
-from .energymodel import EnergyLedger, duty_cycle_harvest, step_population
+from .energymodel import EnergyLedger, duty_cycle_harvest, population_stepper
 from .mac import (aggregate_interference, co_slot_mask, count_interference_components,
                   th_ss_assign, th_ss_collision_probability)
 from .netsim import ExperimentResult, run_comparison

@@ -11,8 +11,8 @@ mixer and DAC draws, plus the PA drain that radiates at least the receiver
 noise power; in active mode it drains its entire remaining battery through
 the power amplifier (greedy policy, which maximises per-slot SNR and keeps
 "sufficient energy" a single threshold). Batteries carry over between
-slots with no cap and no leakage. ``step_population`` is the one place
-these formulas are written.
+slots with no cap and no leakage. ``population_stepper`` is the one
+place these formulas are written.
 """
 
 from __future__ import annotations
@@ -47,44 +47,57 @@ class EnergyLedger:
         return self.harvested_j - self.consumed_j - self.battery_j
 
 
-def step_population(ledger, incident_w, kind, config):
-    """Advance every node of one or more populations of ``kind`` through one slot.
+def population_stepper(ledger, incident_w, kind, config):
+    """Slot stepper for every node of one or more populations of ``kind``.
 
     ``incident_w`` is the carrier power reaching each node, shaped like the
-    ledger arrays. Each node harvests, activates iff its battery covers the
-    requirement of its kind, and pays for the slot. Updates ``ledger`` in
-    place and returns the active mask and the power each node emits: the
-    full reflected incident wave for an active backscatter node, the
-    amplifier output for an active traditional node, zero for a silent one.
+    ledger arrays and fixed for the stepper's life, so its check, the
+    per-slot harvest and the kind's requirement are computed here once.
+    Each call of the returned ``step()`` advances the nodes one slot: each
+    node harvests, activates iff its battery covers the requirement, and
+    pays for the slot. ``step()`` updates ``ledger`` in place and returns
+    the active mask and the power each node emits: the full reflected
+    incident wave for an active backscatter node, the amplifier output for
+    an active traditional node, zero for a silent one. Both are buffers
+    that the next ``step()`` overwrites.
     """
     if (incident_w < 0.0).any():
         raise ValueError("incident power must be non-negative")
+    backscatter = NodeKind(kind) == NodeKind.BACKSCATTER
     active_s = config.active_s
     harvested = incident_w * config.harvest_efficiency * config.harvest_s
-    battery = ledger.battery_j + harvested
-
-    if NodeKind(kind) == NodeKind.BACKSCATTER:
+    if backscatter:
         required = config.sense_energy_j + config.digital_circuit_w * active_s
-        active = battery >= required
-        consumed = np.where(active, required, 0.0)
-        emitted = np.where(active, incident_w, 0.0)
     else:
         overhead = config.sense_energy_j + (
             config.digital_circuit_w + config.mixer_w + config.dac_w) * active_s
-        active = battery >= overhead + config.noise_w * active_s / config.pa_efficiency
-        consumed = np.where(active, battery, 0.0)
-        emitted = np.zeros(battery.shape)
-        emitted[active] = config.pa_efficiency * (battery[active] - overhead) / active_s
+        required = overhead + config.noise_w * active_s / config.pa_efficiency
+    shape = ledger.battery_j.shape
+    active = np.zeros(shape, dtype=bool)
+    consumed, emitted = np.zeros(shape), np.zeros(shape)
 
-    battery_after = battery - consumed
-    if (battery_after < 0.0).any():
-        raise RuntimeError("battery went negative; energy accounting is broken")
+    def step():
+        battery = ledger.battery_j
+        np.add(battery, harvested, out=battery)
+        np.greater_equal(battery, required, out=active)
+        # the 0/1 mask times a finite non-negative value is that value or
+        # +0.0, exactly what np.where(active, value, 0.0) gives
+        if backscatter:
+            np.multiply(active, required, out=consumed)
+            np.multiply(active, incident_w, out=emitted)
+        else:
+            np.multiply(active, battery, out=consumed)
+            amplified_w = config.pa_efficiency * (battery - overhead) / active_s
+            emitted[...] = np.where(active, amplified_w, 0.0)
+        np.subtract(battery, consumed, out=battery)
+        if (battery < 0.0).any():
+            raise RuntimeError("battery went negative; energy accounting is broken")
+        ledger.harvested_j += harvested
+        ledger.consumed_j += consumed
+        ledger.slots_active += active
+        return active, emitted
 
-    ledger.battery_j = battery_after
-    ledger.harvested_j += harvested
-    ledger.consumed_j += consumed
-    ledger.slots_active += active
-    return active, emitted
+    return step
 
 
 def duty_cycle_harvest(alpha, incident_w, config):

@@ -59,16 +59,20 @@ def count_interference_components(num_links):
 
 
 def aggregate_interference(emitted_w, cross_gain):
-    """Interference power at every receiver, in watts.
+    """Interference power at every receiver, in watts: ``emitted_w @ cross_gain``.
 
     ``emitted_w[..., j]`` is the power node j radiates in this slot (the
     beacon carrier reflected off a backscatter tag, the amplifier output of
     a traditional radio, zero for a silent node) and ``cross_gain[..., j, i]``
     the path gain from node j to link i's receiver, with a zero diagonal:
-    receiver i sees every node's emission except its own link's. Leading
-    axes index independent populations and broadcast. The result is the
-    incoherent power sum over j, first-order reflections only. Under TDMA
-    or time hopping pass the cross gains times ``co_slot_mask(slots)`` so
-    that only co-slot nodes count.
+    receiver i sees every node's emission except its own link's. A 1-D
+    ``emitted_w`` gives the per-receiver sum and broadcasts over stacked gain
+    matrices. Otherwise the rows on axis -2 of ``emitted_w`` are independent
+    populations that share one gain matrix, and the axes before them stack
+    with those of ``cross_gain``: (T, P, N) emissions against (T, N, N)
+    gains make one (P, N) @ (N, N) product per topology. The result is the
+    incoherent power sum over j, first-order reflections only. Under TDMA or
+    time hopping pass the cross gains times ``co_slot_mask(slots)`` so that
+    only co-slot nodes count.
     """
-    return (emitted_w[..., None, :] @ cross_gain)[..., 0, :]
+    return emitted_w @ cross_gain

@@ -8,19 +8,20 @@ active nodes transmit concurrently; per-link BER is evaluated
 semi-analytically as Q(sqrt(2 * SINR)) of the per-slot SINR, which has the
 same expectation as bit-level simulation under the Gaussian detector model
 at a fraction of the cost. The whole sweep runs as one padded array batch
-over (power, topology, node); padded nodes receive no carrier and so never
+over (topology, power, node); padded nodes receive no carrier and so never
 activate.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import dbm_to_watts, friis_gain
-from .energymodel import EnergyLedger, step_population
+from .energymodel import EnergyLedger, population_stepper
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
 from .scenario import NodeKind, PURPOSE_PLACEMENT, derive_stream, place_nodes
@@ -30,6 +31,13 @@ CSV_HEADER = "pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,tr
 # Active link-slots collected before one bpsk_ber call: large enough to
 # amortise its per-call cost over many slots, small enough to bound memory.
 _BER_BLOCK = 1 << 15
+
+# Peak bytes per (topology, node, node) entry while _padded_gains runs: five
+# float64 arrays of that size live at once (the two halves of the position
+# differences, the distances, the Friis gains and the masked cross gains)
+# plus the boolean pair mask. On fig3_dense.cfg at 2,000 topologies the peak
+# RSS rose by 5.3 times 8 T N^2 bytes.
+_GAIN_BYTES_PER_PAIR = 5 * 8 + 1
 
 
 @dataclass(frozen=True)
@@ -88,35 +96,40 @@ def _padded_gains(config, topologies):
 def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present, pb_power_dbm):
     """Run populations of one kind at every beacon power over padded topologies.
 
-    Every (power, topology) pair is an independent population; all of them
-    advance together, one slot at a time. Each slot's active links are
-    queued with the flat index of their population, and BER is evaluated
-    on blocks of at least ``_BER_BLOCK`` queued link-slots. Returns the
-    mean BER, the active fraction and the BER sample count, each (P, T),
-    and the final (P, T, N) energy ledger.
+    Every (topology, power) pair is an independent population; all of them
+    advance together, one slot at a time, on (T, P, N) arrays, so that the
+    interference of each topology is one (P, N) @ (N, N) product. Each
+    slot's active links are queued with the flat (topology, power) index of
+    their population, and BER is evaluated on blocks of at least
+    ``_BER_BLOCK`` queued link-slots. Returns the mean BER, the active
+    fraction and the BER sample count, each (P, T), and the final (T, P, N)
+    energy ledger.
     """
-    incident = dbm_to_watts(pb_power_dbm)[:, None, None] * pb_gain  # (P, T, N)
+    incident = dbm_to_watts(pb_power_dbm)[:, None] * pb_gain[:, None, :]  # (T, P, N)
     populations, num_nodes = incident.shape[:2], incident.shape[-1]
-    nodes = present.sum(axis=-1)
+    nodes = np.maximum(present.sum(axis=-1), 1)[:, None]
+    flat_link_gain = np.broadcast_to(link_gain[:, None, :], incident.shape).ravel()
+    noise_w = config.noise_w
 
     ledger = EnergyLedger.empty(incident.shape)
+    step = population_stepper(ledger, incident, kind, config)
     ber_sum = np.zeros(math.prod(populations))
     ber_samples = np.zeros(populations, dtype=np.int64)
     active_share_sum = np.zeros(populations)
     queued, queued_links = [], 0  # (SINR, population index) of link-slots awaiting BER
 
     for slot in range(config.num_slots):
-        active, emitted = step_population(ledger, incident, kind, config)
+        active, emitted = step()
         if slot < config.warmup_slots:
             continue
         n_active = active.sum(axis=-1)
-        active_share_sum += n_active / np.maximum(nodes, 1)
+        active_share_sum += n_active / nodes
         ber_samples += n_active
         links = np.flatnonzero(active)
         if links.size:
             interference = aggregate_interference(emitted, cross_gain).ravel()[links]
-            signal = (emitted * link_gain).ravel()[links]
-            queued.append((signal / (interference + config.noise_w), links // num_nodes))
+            signal = emitted.ravel()[links] * flat_link_gain[links]
+            queued.append((signal / (interference + noise_w), links // num_nodes))
             queued_links += links.size
         if queued and (queued_links >= _BER_BLOCK or slot == config.num_slots - 1):
             sinr, owner = map(np.concatenate, zip(*queued))
@@ -126,13 +139,14 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present, pb_power_db
 
     drifted = np.abs(ledger.drift_j()) > 1e-9 * np.maximum(ledger.harvested_j, 1e-30)
     if drifted.any():
-        raise RuntimeError(f"energy conservation violated at (power, topology, node) "
+        raise RuntimeError(f"energy conservation violated at (topology, power, node) "
                            f"{tuple(np.argwhere(drifted)[0])}")
 
     mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
     measured_slots = config.num_slots - config.warmup_slots
-    active_fraction = np.where(nodes > 0, active_share_sum / measured_slots, math.nan)
-    return mean_ber, active_fraction, ber_samples, ledger
+    active_fraction = np.where(present.any(axis=-1)[:, None],
+                               active_share_sum / measured_slots, math.nan)
+    return mean_ber.T, active_fraction.T, ber_samples.T, ledger
 
 
 def _mean_ci(values):
@@ -161,6 +175,16 @@ def run_comparison(config, num_topologies=200):
     """
     if num_topologies < 1:
         raise ValueError("need at least one topology draw")
+    # The expected node count is usually below the padded one, so the
+    # estimate errs towards running; it exists to stop absurd densities
+    # before placement allocates anything.
+    needed = _GAIN_BYTES_PER_PAIR * num_topologies * config.expected_node_count**2
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise ValueError(f"node_density = {config.node_density!r} over {num_topologies} "
+                         f"topologies needs about {needed:.3g} bytes of gain matrices, more "
+                         f"than the {physical} bytes of physical memory; lower node_density "
+                         f"or the number of topologies (--trials)")
 
     topologies = [place_nodes(config, derive_stream(config.seed, t, PURPOSE_PLACEMENT))
                   for t in range(num_topologies)]

@@ -5,7 +5,7 @@ Python floats, the way the physics reads in the paper's model, so the array
 engine in ``backsim`` can be checked against it term by term. ``step_slot``
 writes out its own harvest, activation thresholds and amplifier output and
 takes none of them from ``backsim``, so a wrong formula in
-``step_population`` shows as a disagreement. The dyadic
+``population_stepper`` shows as a disagreement. The dyadic
 oracles estimate the same error rate as ``simulate_dyadic_ber`` by drawing
 both hops instead of integrating one out, or compute it by quadrature, or
 repeat its conditional estimator one allocating array expression at a time.
@@ -21,7 +21,7 @@ import numpy as np
 
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.dyadic import _CHUNK
-from backsim.energymodel import EnergyLedger, step_population
+from backsim.energymodel import EnergyLedger, population_stepper
 from backsim.mac import aggregate_interference
 from backsim.netsim import _padded_gains, _run_kind
 from backsim.phylink import bpsk_ber, q_function
@@ -199,8 +199,9 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
     ber_sum = 0.0
     ber_samples = 0
     active_share_sum = 0.0
+    step = population_stepper(ledger, incident, kind, config)
     for slot in range(config.num_slots):
-        active, emitted = step_population(ledger, incident, kind, config)
+        active, emitted = step()
         if slot < config.warmup_slots:
             continue
         n_active = int(active.sum())

@@ -16,7 +16,7 @@ import pytest
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import ExperimentSpec, run as cli_run
 from backsim.dyadic import simulate_dyadic_ber
-from backsim.energymodel import EnergyLedger, duty_cycle_harvest, step_population
+from backsim.energymodel import EnergyLedger, duty_cycle_harvest, population_stepper
 from backsim.mac import (count_interference_components,
                          th_ss_collision_probability, th_ss_collision_rate_mc)
 from backsim.netsim import run_comparison
@@ -183,8 +183,9 @@ def test_criterion_08_energy_conservation():
     incident = pb_w * friis_gain(pb_distance, lam, ap, ap)
     for kind in (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL):
         ledger = EnergyLedger.empty(len(topology))
+        step = population_stepper(ledger, incident, kind, config)
         for _ in range(config.num_slots):
-            step_population(ledger, incident, kind, config)
+            step()
             ok &= bool(np.all(ledger.battery_j >= 0.0))
         rel = np.abs(ledger.drift_j()) / np.maximum(ledger.harvested_j, 1e-30)
         worst = max(worst, float(rel.max()))

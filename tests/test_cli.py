@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,29 @@ class TestRun:
                      "--trials", "1"]) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line,trials", [
+        ("node_density = 1e6", "1"),          # about 3e8 expected nodes
+        ("", "1000000000000"),                # 1e12 default topologies
+    ], ids=["node_density", "trials"])
+    def test_gain_memory_guard_fails_before_placement(self, tmp_path, capsys, line, trials):
+        # the gain matrices alone would need far more than any host's
+        # memory, so the sweep refuses before placing a single node
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o.csv"
+        tracemalloc.start()
+        try:
+            code = main(["--experiment", "fig3a", "--config", str(cfg), "--out", str(out),
+                         "--trials", trials])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "node_density" in err and "bytes" in err
+        assert not out.exists()
+        assert peak < 10e6
 
     def test_unreadable_config_fails_cleanly(self, tmp_path, capsys):
         spec_argv = ["--experiment", "fig3a", "--config", str(tmp_path / "missing.cfg"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backsim.energymodel import EnergyLedger, duty_cycle_harvest, step_population
+from backsim.energymodel import EnergyLedger, duty_cycle_harvest, population_stepper
 from backsim.scenario import NodeKind, ScenarioConfig
 from oracles import ScalarNode, emitted_power, step_slot
 
@@ -22,7 +22,7 @@ def _slot(battery_j, incident_w, kind, config):
     ledger, whose totals are then exactly that slot's flows."""
     ledger = EnergyLedger.empty(1)
     ledger.battery_j[0] = battery_j
-    active, emitted = step_population(ledger, np.array([incident_w]), kind, config)
+    active, emitted = population_stepper(ledger, np.array([incident_w]), kind, config)()
     return active[0], emitted[0], ledger
 
 
@@ -83,9 +83,11 @@ class TestActivation:
         assert not _slot(_traditional_requirement(config), 0.0, TRAD, changed)[0]
         incident = np.geomspace(1e-7, 1e-3, 9)  # silent, saving and active nodes
         base, other = EnergyLedger.empty(9), EnergyLedger.empty(9)
+        step_base = population_stepper(base, incident, BACK, config)
+        step_other = population_stepper(other, incident, BACK, changed)
         for _ in range(5):
-            active, emitted = step_population(base, incident, BACK, config)
-            active_changed, emitted_changed = step_population(other, incident, BACK, changed)
+            active, emitted = step_base()
+            active_changed, emitted_changed = step_other()
             assert np.array_equal(active, active_changed)
             assert np.array_equal(emitted, emitted_changed)
         assert 0 < np.count_nonzero(base.slots_active) < base.slots_active.size
@@ -158,6 +160,14 @@ class TestStepSlot:
         with pytest.raises(ValueError, match="relay"):
             _slot(0.0, 1e-3, "relay", config)
 
+    def test_negative_incident_rejected_when_built(self, config):
+        # the incident power is fixed for a stepper's life, so it is
+        # checked once, before any slot runs
+        ledger = EnergyLedger.empty(3)
+        with pytest.raises(ValueError, match="non-negative"):
+            population_stepper(ledger, np.array([1e-3, -1e-12, 0.0]), TRAD, config)
+        assert ledger.harvested_j.tolist() == [0.0] * 3
+
     def test_dead_node_stays_silent(self, config):
         active, emitted, slot = _slot(0.0, 0.0, BACK, config)
         assert not active and emitted == 0.0
@@ -195,7 +205,8 @@ class TestStepSlot:
         ledger = EnergyLedger.empty(1)
         rng = np.random.default_rng(5)
         for _ in range(10_000):
-            step_population(ledger, np.array([rng.random() * 2e-6]), TRAD, config)
+            # a new incident power each slot: one stepper per slot on one ledger
+            population_stepper(ledger, np.array([rng.random() * 2e-6]), TRAD, config)()
             assert ledger.battery_j[0] >= 0.0
         assert abs(ledger.drift_j()[0]) <= 1e-9 * ledger.harvested_j[0]
 
@@ -210,9 +221,11 @@ class TestActiveSetDominance:
         for power_scale in (0.1, 1.0, 10.0):
             back = EnergyLedger.empty(incidents.size)
             trad = EnergyLedger.empty(incidents.size)
+            step_back = population_stepper(back, incidents * power_scale, BACK, config)
+            step_trad = population_stepper(trad, incidents * power_scale, TRAD, config)
             for _ in range(100):
-                step_population(back, incidents * power_scale, BACK, config)
-                step_population(trad, incidents * power_scale, TRAD, config)
+                step_back()
+                step_trad()
             ever_back = set(np.flatnonzero(back.slots_active))
             ever_trad = set(np.flatnonzero(trad.slots_active))
             assert ever_trad <= ever_back
@@ -226,27 +239,46 @@ class TestActiveSetDominance:
 _INCIDENT = st.one_of(st.just(0.0), st.floats(0.0, 1e-4), st.floats(0.0, 1e-2))
 
 
+def _assert_agrees_with_oracle(kind, slots, one_stepper):
+    """Step a ledger through ``slots``, one incident list per slot, and
+    require equality with the scalar oracle every slot and on the totals.
+
+    ``one_stepper`` runs every slot on one stepper, reusing its buffers as
+    the sweep does (the incident power must then be the same each slot);
+    otherwise each slot builds its own stepper on the shared ledger.
+    """
+    config = ScenarioConfig()
+    ledger = EnergyLedger.empty(len(slots[0]))
+    nodes = [ScalarNode() for _ in slots[0]]
+    step = population_stepper(ledger, np.array(slots[0]), kind, config)
+    for incident in slots:
+        if not one_stepper:
+            step = population_stepper(ledger, np.array(incident), kind, config)
+        active, emitted = step()
+        outcomes = [step_slot(node, inc, kind, config) for node, inc in zip(nodes, incident)]
+        assert active.tolist() == [o.was_active for o in outcomes]
+        assert emitted.tolist() == [emitted_power(o, inc) for o, inc in zip(outcomes, incident)]
+        assert ledger.battery_j.tolist() == [nd.battery_j for nd in nodes]
+    assert ledger.harvested_j.tolist() == [nd.harvested_total_j for nd in nodes]
+    assert ledger.consumed_j.tolist() == [nd.consumed_total_j for nd in nodes]
+    assert ledger.slots_active.tolist() == [nd.slots_active for nd in nodes]
+
+
 class TestArrayStepMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(list(NodeKind)),
            slots=st.integers(1, 6).flatmap(lambda n: st.lists(
                st.lists(_INCIDENT, min_size=n, max_size=n), min_size=1, max_size=40)))
     def test_exact_agreement(self, kind, slots):
-        config = ScenarioConfig()
-        n = len(slots[0])
-        ledger = EnergyLedger.empty(n)
-        nodes = [ScalarNode() for _ in range(n)]
-        for incident in slots:
-            active, emitted = step_population(ledger, np.array(incident), kind, config)
-            outcomes = [step_slot(node, inc, kind, config)
-                        for node, inc in zip(nodes, incident)]
-            assert active.tolist() == [o.was_active for o in outcomes]
-            assert emitted.tolist() == [emitted_power(o, inc)
-                                        for o, inc in zip(outcomes, incident)]
-            assert ledger.battery_j.tolist() == [nd.battery_j for nd in nodes]
-        assert ledger.harvested_j.tolist() == [nd.harvested_total_j for nd in nodes]
-        assert ledger.consumed_j.tolist() == [nd.consumed_total_j for nd in nodes]
-        assert ledger.slots_active.tolist() == [nd.slots_active for nd in nodes]
+        _assert_agrees_with_oracle(kind, slots, one_stepper=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(list(NodeKind)),
+           incident=st.lists(_INCIDENT, min_size=1, max_size=6),
+           num_slots=st.integers(1, 40))
+    def test_one_stepper_at_constant_incident(self, kind, incident, num_slots):
+        # the sweep's path: one stepper for the whole run
+        _assert_agrees_with_oracle(kind, [incident] * num_slots, one_stepper=True)
 
 
 class TestDutyCycleTradeoff:

@@ -171,21 +171,41 @@ class TestAggregateInterference:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_batched_equals_per_item(self, config, masked):
-        # (populations, topologies, nodes): each batch item must equal the
-        # unbatched call on its own emissions and gain matrix
+        # (topologies, populations, nodes): each batch item must equal the
+        # unbatched call on its own emissions and its topology's gain matrix
         nodes, gain = _grid(config)
         gains = np.stack([gain, gain[::-1, ::-1], gain * 0.5])          # (3, 4, 4)
         if masked:
             rng = derive_stream(5, 0, 1)
             gains = gains * co_slot_mask(th_ss_assign((3, 4), 2, rng))
-        emitted = derive_stream(6, 0, 1).random((2, 3, 4)) * 1e-6     # (2, 3, 4)
-        emitted[0, 1, 2] = 0.0
+        emitted = derive_stream(6, 0, 1).random((3, 2, 4)) * 1e-6     # (3, 2, 4)
+        emitted[1, 0, 2] = 0.0
         got = aggregate_interference(emitted, gains)
         assert got.shape == emitted.shape
-        for p in range(2):
-            for t in range(3):
-                expected = aggregate_interference(emitted[p, t], gains[t])
-                np.testing.assert_allclose(got[p, t], expected, rtol=1e-15, atol=0.0)
+        for t in range(3):
+            for p in range(2):
+                expected = aggregate_interference(emitted[t, p], gains[t])
+                np.testing.assert_allclose(got[t, p], expected, rtol=1e-15, atol=0.0)
+
+    def test_stacked_rows_share_their_gain_matrix(self, config):
+        # the sweep's layout: (T, P, N) emissions against (T, N, N) gains,
+        # every power row of topology t summed over that topology's matrix
+        rng = derive_stream(7, 0, 1)
+        gains = rng.random((5, 6, 6)) * 1e-3
+        gains[:, np.arange(6), np.arange(6)] = 0.0
+        emitted = rng.random((5, 9, 6)) * 1e-6
+        emitted[emitted < 3e-7] = 0.0  # silent nodes, as in a slot
+        got = aggregate_interference(emitted, gains)
+        np.testing.assert_allclose(got, np.einsum("tpj,tji->tpi", emitted, gains),
+                                   rtol=1e-15, atol=0.0)
+        # a 1-D emission vector still gives the per-receiver sum
+        nodes, gain = _grid(config)
+        flat = _reflected(nodes, 5.0, config)
+        got = aggregate_interference(flat, gain)
+        assert got.shape == (4,)
+        for i in range(4):
+            expected = sum(flat[j] * gain[j, i] for j in range(4))
+            assert got[i] == pytest.approx(expected, rel=1e-15)
 
     def test_mode_validation(self, config):
         # a co-slot mask must cover every node of the gain matrix; the gain

@@ -12,7 +12,7 @@ from backsim.cli import main
 from backsim.netsim import CSV_HEADER, _mean_ci, run_comparison
 from backsim.phylink import bpsk_ber
 from backsim.scenario import (NodeKind, PURPOSE_MAC, PURPOSE_PLACEMENT, ScenarioConfig,
-                              derive_stream)
+                              derive_stream, load_config, place_nodes)
 from oracles import (interference_at, place_nodes_loop, population_loop, run_population,
                      tdma_schedule)
 
@@ -309,3 +309,53 @@ def test_fig3_matches_golden(golden, flags, tmp_path):
                 assert g == e, (col, e_line)
             else:
                 assert _close(float(g), float(e)), (col, g_line, e_line)
+
+
+# Activation never depends on interference: a node's schedule follows from
+# its per-slot harvest h and its kind's threshold r alone. A backscatter tag
+# has been active floor(n h / r) times after n slots, capped at n. A
+# traditional radio spends its whole battery when it fires, which leaves
+# exactly 0.0, so it fires with exact period k, the first n at which the
+# running float sum h + h + ... reaches r.
+@pytest.mark.parametrize("config_file", [None, "fig3_dense.cfg"])
+def test_fig3b_activity_matches_closed_form(config_file):
+    cfg = load_config(DATA / config_file) if config_file else ScenarioConfig()
+    topologies = [place_nodes(cfg, derive_stream(cfg.seed, t, PURPOSE_PLACEMENT))
+                  for t in range(50)]
+    gains = netsim._padded_gains(cfg, topologies)
+    pb_gain, present = gains[0], gains[3]
+    harvest = (dbm_to_watts(cfg.pb_power_dbm_sweep)[:, None, None] * pb_gain
+               * cfg.harvest_efficiency * cfg.harvest_s)  # (P, T, N)
+    active_s = cfg.active_s
+    back_threshold = cfg.sense_energy_j + cfg.digital_circuit_w * active_s
+    overhead = cfg.sense_energy_j + (cfg.digital_circuit_w + cfg.mixer_w + cfg.dac_w) * active_s
+    trad_threshold = overhead + cfg.noise_w * active_s / cfg.pa_efficiency
+    slots, warmup = cfg.num_slots, cfg.warmup_slots
+
+    def back_count(n):
+        return np.minimum(np.floor(n * harvest / back_threshold), n)
+
+    battery = np.zeros(harvest.shape)  # the float recursion, slot by slot
+    for slot in range(slots):
+        battery += harvest
+        active = battery >= back_threshold
+        battery -= np.where(active, back_threshold, 0.0)
+        disagree = np.argwhere(active != (back_count(slot + 1) > back_count(slot)))
+        assert disagree.size == 0, (
+            f"slot {slot}: floor(n h / r) and the float recursion disagree at "
+            f"(power, topology, node) {tuple(disagree[0])}")
+
+    running = np.add.accumulate(np.broadcast_to(harvest, (slots,) + harvest.shape), axis=0)
+    reached = running >= trad_threshold
+    period = np.where(reached.any(axis=0), reached.argmax(axis=0) + 1, slots + 1)
+    counts = {NodeKind.BACKSCATTER: back_count(slots) - back_count(warmup),
+              NodeKind.TRADITIONAL: slots // period - warmup // period}
+
+    nodes = present.sum(axis=-1)
+    for kind, count in counts.items():
+        expected = np.where(nodes > 0, count.sum(axis=-1) / np.maximum(nodes, 1), math.nan)
+        expected /= slots - warmup
+        got = netsim._run_kind(cfg, kind, *gains, cfg.pb_power_dbm_sweep)[1]
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0, err_msg=kind.value)
+        assert 0.0 < np.nanmean(got) < 1.0  # neither all silent nor all active
