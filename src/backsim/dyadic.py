@@ -22,16 +22,6 @@ import numpy as np
 _CHUNK = 1 << 17
 
 
-def _rayleigh_ber_into(a, out, tmp):
-    """E[Q(sqrt(2 g))] for exponential g of mean ``a`` >= 0 into ``out`` (``tmp`` is
-    scratch), in the stable form 0.5 / ((1 + a) + sqrt(a (1 + a)))."""
-    np.add(1.0, a, out=out)
-    np.multiply(a, out, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    np.add(out, tmp, out=out)
-    return np.divide(0.5, out, out=out)
-
-
 def _conditional_bers(gains, snrs, work):
     """Exact BPSK error probability of every row of ``gains`` at each SNR in turn.
 
@@ -47,13 +37,13 @@ def _conditional_bers(gains, snrs, work):
     b1, b2, d1, d2, tmp = work[:, :n]
     for snr in snrs:
         np.multiply(snr, gains.T, out=work[:ell, :n])
-        if ell == 1:
-            yield _rayleigh_ber_into(b1, d1, tmp)
-            continue
-        for b, d in ((b1, d1), (b2, d2)):  # b becomes m, d becomes (1 + b)(1 + m)
+        for b, d in ((b1, d1), (b2, d2))[:ell]:  # b becomes m, d becomes (1 + b)(1 + m)
             np.add(1.0, b, out=d)
             np.sqrt(np.divide(b, d, out=b), out=b)
             np.multiply(d, np.add(1.0, b, out=tmp), out=d)
+        if ell == 1:
+            yield np.divide(0.5, d1, out=d1)
+            continue
         np.multiply(b1, b2, out=tmp)
         # m1 + m2 is 0 only where b1 = b2 = 0, and at least 2e-162 elsewhere
         np.maximum(np.add(b1, b2, out=b1), 1e-300, out=b1)

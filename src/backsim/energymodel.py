@@ -29,7 +29,8 @@ class EnergyLedger:
     """Per-node battery and cumulative energy flows of populations.
 
     The last axis of every array indexes nodes, leading axes (if any)
-    independent populations; batteries start empty.
+    independent populations; batteries start empty. The network sweep
+    takes its BER sample counts and active fractions from ``slots_active``.
     """
 
     battery_j: np.ndarray
@@ -59,7 +60,8 @@ def population_stepper(ledger, incident_w, kind, config):
     the active mask and the power each node emits: the full reflected
     incident wave for an active backscatter node, the amplifier output for
     an active traditional node, zero for a silent one. Both are buffers
-    that the next ``step()`` overwrites.
+    that the next ``step()`` overwrites. The ledger's ``slots_active`` is
+    the one count of active slots; the sweep reads it.
     """
     if (incident_w < 0.0).any():
         raise ValueError("incident power must be non-negative")

@@ -93,38 +93,35 @@ def _padded_gains(config, topologies):
     return pb_gain, link_gain, cross_gain, present
 
 
-def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present, pb_power_dbm):
-    """Run populations of one kind at every beacon power over padded topologies.
+def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present):
+    """Run populations of one kind at every sweep power over padded topologies.
 
     Every (topology, power) pair is an independent population; all of them
     advance together, one slot at a time, on (T, P, N) arrays, so that the
     interference of each topology is one (P, N) @ (N, N) product. Each
     slot's active links are queued with the flat (topology, power) index of
     their population, and BER is evaluated on blocks of at least
-    ``_BER_BLOCK`` queued link-slots. Returns the mean BER, the active
-    fraction and the BER sample count, each (P, T), and the final (T, P, N)
-    energy ledger.
+    ``_BER_BLOCK`` queued link-slots. The ledger's ``slots_active`` is
+    copied when warm-up ends; its growth since then is each population's
+    BER sample count. Returns the mean BER, the active fraction and the
+    BER sample count, each (T, P), and the final (T, P, N) energy ledger.
     """
-    incident = dbm_to_watts(pb_power_dbm)[:, None] * pb_gain[:, None, :]  # (T, P, N)
-    populations, num_nodes = incident.shape[:2], incident.shape[-1]
-    nodes = np.maximum(present.sum(axis=-1), 1)[:, None]
+    incident = dbm_to_watts(config.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]  # (T, P, N)
+    num_nodes = incident.shape[-1]
     flat_link_gain = np.broadcast_to(link_gain[:, None, :], incident.shape).ravel()
     noise_w = config.noise_w
 
     ledger = EnergyLedger.empty(incident.shape)
     step = population_stepper(ledger, incident, kind, config)
-    ber_sum = np.zeros(math.prod(populations))
-    ber_samples = np.zeros(populations, dtype=np.int64)
-    active_share_sum = np.zeros(populations)
+    ber_sum = np.zeros(math.prod(incident.shape[:2]))
     queued, queued_links = [], 0  # (SINR, population index) of link-slots awaiting BER
 
     for slot in range(config.num_slots):
+        if slot == config.warmup_slots:
+            warm = ledger.slots_active.copy()
         active, emitted = step()
         if slot < config.warmup_slots:
             continue
-        n_active = active.sum(axis=-1)
-        active_share_sum += n_active / nodes
-        ber_samples += n_active
         links = np.flatnonzero(active)
         if links.size:
             interference = aggregate_interference(emitted, cross_gain).ravel()[links]
@@ -135,18 +132,19 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present, pb_power_db
             sinr, owner = map(np.concatenate, zip(*queued))
             ber_sum += np.bincount(owner, weights=bpsk_ber(sinr), minlength=ber_sum.size)
             queued, queued_links = [], 0
-    ber_sum = ber_sum.reshape(populations)
 
     drifted = np.abs(ledger.drift_j()) > 1e-9 * np.maximum(ledger.harvested_j, 1e-30)
     if drifted.any():
         raise RuntimeError(f"energy conservation violated at (topology, power, node) "
                            f"{tuple(np.argwhere(drifted)[0])}")
 
+    ber_samples = (ledger.slots_active - warm).sum(axis=-1)
+    ber_sum = ber_sum.reshape(ber_samples.shape)
     mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
-    measured_slots = config.num_slots - config.warmup_slots
-    active_fraction = np.where(present.any(axis=-1)[:, None],
-                               active_share_sum / measured_slots, math.nan)
-    return mean_ber.T, active_fraction.T, ber_samples.T, ledger
+    nodes = present.sum(axis=-1)[:, None]
+    active_fraction = np.where(nodes > 0, ber_samples / np.maximum(nodes, 1), math.nan)
+    active_fraction /= config.num_slots - config.warmup_slots
+    return mean_ber, active_fraction, ber_samples, ledger
 
 
 def _mean_ci(values):
@@ -162,7 +160,7 @@ def _mean_ci(values):
     return mean, half
 
 
-def run_comparison(config, num_topologies=200):
+def run_comparison(config, num_topologies):
     """Sweep beacon power for both node kinds over paired topologies.
 
     All topologies are placed first and padded into one batch; each kind
@@ -190,13 +188,12 @@ def run_comparison(config, num_topologies=200):
                   for t in range(num_topologies)]
     gains = _padded_gains(config, topologies)
     kinds = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)
-    per_kind = {kind: _run_kind(config, kind, *gains, config.pb_power_dbm_sweep)
-                for kind in kinds}
+    per_kind = {kind: _run_kind(config, kind, *gains) for kind in kinds}
 
     results = []
     for p, pb_dbm in enumerate(config.pb_power_dbm_sweep):
         for kind in kinds:
-            bers, fracs = per_kind[kind][0][p], per_kind[kind][1][p]
+            bers, fracs = per_kind[kind][0][:, p], per_kind[kind][1][:, p]
             mean_ber, ci_ber = _mean_ci(bers)
             mean_frac, ci_frac = _mean_ci(fracs)
             results.append(ExperimentResult(

@@ -13,6 +13,7 @@ repeat its conditional estimator one allocating array expression at a time.
 helpers: the sweep engine on one population, and a round-robin schedule.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -227,12 +228,14 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
 def run_population(config, kind, topology, pb_power_dbm):
     """The batched sweep engine of ``run_comparison`` on one population.
 
-    Runs one topology at one beacon power and returns (mean_ber,
-    active_fraction, ber_samples, ledger) as ``population_loop`` does, the
-    ledger's arrays holding one entry per node of ``topology``.
+    Runs one topology at one beacon power, the config's sweep replaced by
+    that power, and returns (mean_ber, active_fraction, ber_samples, ledger)
+    as ``population_loop`` does, the ledger's arrays holding one entry per
+    node of ``topology``.
     """
+    config = dataclasses.replace(config, pb_power_dbm_sweep=(pb_power_dbm,))
     mean_ber, active_fraction, ber_samples, ledger = _run_kind(
-        config, kind, *_padded_gains(config, [topology]), [pb_power_dbm])
+        config, kind, *_padded_gains(config, [topology]))
     ledger = EnergyLedger(*(flows[0, 0] for flows in vars(ledger).values()))
     return mean_ber[0, 0], active_fraction[0, 0], ber_samples[0, 0], ledger
 
@@ -339,12 +342,6 @@ def dyadic_quadrature(ell, num_rx, snr_db):
         return float(value / mpmath.pi)
 
 
-def rayleigh_bpsk_ber(snr_mean):
-    """E[Q(sqrt(2 g))] for exponentially distributed g with the given mean."""
-    a = np.asarray(snr_mean, dtype=float)
-    return 0.5 / ((1.0 + a) + np.sqrt(a * (1.0 + a)))
-
-
 def dual_branch_equal_ber(snr_mean):
     """E[Q(sqrt(2 g))] for g ~ Gamma(2, mean/2 per branch): two equal branches.
 
@@ -357,17 +354,18 @@ def dual_branch_equal_ber(snr_mean):
 def conditional_ber(beta):
     """BPSK error probability given the (n, L) per-antenna branch means ``beta``.
 
-    Two branches b1, b2 give 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), with
-    m = sqrt(b / (1 + b)), f(b) = 0.5 / ((1 + b)(1 + m)) and m1 + m2 floored at
-    1e-300 for b1 = b2 = 0; in the simulator's order, one fresh array per operation.
+    One branch b gives f(b) = 0.5 / ((1 + b)(1 + m)) with m = sqrt(b / (1 + b));
+    two branches b1, b2 give 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), with m1 + m2
+    floored at 1e-300 for b1 = b2 = 0; in the simulator's order, one fresh array
+    per operation.
     """
-    if beta.shape[1] == 1:
-        return rayleigh_bpsk_ber(beta[:, 0])
     b1 = beta[:, 0]
-    b2 = beta[:, 1]
     m1 = np.sqrt(b1 / (1.0 + b1))
-    m2 = np.sqrt(b2 / (1.0 + b2))
     d1 = (1.0 + b1) * (1.0 + m1)
+    if beta.shape[1] == 1:
+        return 0.5 / d1
+    b2 = beta[:, 1]
+    m2 = np.sqrt(b2 / (1.0 + b2))
     d2 = (1.0 + b2) * (1.0 + m2)
     x = (m1 * m2) / np.maximum(m1 + m2, 1e-300)
     return 0.5 * ((1.0 + x) / d1 / d2)

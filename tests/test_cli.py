@@ -1,10 +1,19 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
+import math
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backsim.cli import ExperimentSpec, main, parse_args, run
+from backsim.netsim import CSV_HEADER
+from backsim.scenario import ScenarioConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,6 +37,32 @@ SMALL_CONFIG = (
     "num_slots = 30\n"
     "warmup_slots = 5\n"
 )
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type is float]
+# Upper decades of the two keys that set the node count: a density of 0.1
+# over a 30 m radius asks for about 280 nodes, a few MB of gain matrices
+# for two topologies; every other float key spans the full 300 decades.
+TOP_DECADE = {"node_density": -1.0, "region_radius": 1.5}
+
+
+@st.composite
+def _config_lines(draw):
+    """One to three config keys set to extreme values: floats log-uniform over
+    +-300 decades (either sign for dBm levels), sweep entries over +-5,000 dBm."""
+    lines = []
+    for key in draw(st.lists(st.sampled_from(FLOAT_KEYS + ["pb_power_dbm_sweep"]),
+                             min_size=1, max_size=3, unique=True)):
+        if key == "pb_power_dbm_sweep":
+            powers = draw(st.lists(st.floats(-5000.0, 5000.0), min_size=1, max_size=3))
+            lines.append(f"{key} = {', '.join(map(repr, powers))}")
+            continue
+        value = 10.0 ** draw(st.floats(-300.0, TOP_DECADE.get(key, 300.0)))
+        if key.endswith("_dbm"):
+            value *= draw(st.sampled_from([1.0, -1.0]))
+        lines.append(f"{key} = {value!r}")
+    return lines
 
 
 @pytest.fixture
@@ -156,6 +191,33 @@ class TestRun:
                      "--trials", "1"]) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=_config_lines())
+    def test_extreme_configs_run_or_name_a_key(self, lines):
+        # a config the checks accept runs without a numeric warning, with NaN
+        # only in rows where no link was ever active; any other names a key
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "o.csv"
+            cfg.write_text("\n".join(lines) + "\n")
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["--experiment", "fig3a", "--config", str(cfg), "--out", str(out),
+                             "--trials", "2"])
+            assert not caught, [str(w.message) for w in caught]
+            if code == 1:
+                assert any(key in err.getvalue() for key in CONFIG_KEYS), err.getvalue()
+                return
+            assert code == 0
+            rows = out.read_text().splitlines()
+        assert rows[0] == CSV_HEADER
+        for row in rows[1:]:
+            ber, ci_ber, frac, ci_frac = values = [float(v) for v in row.split(",")[2:6]]
+            assert not any(map(math.isinf, values)), row
+            if any(map(math.isnan, values)):  # no active link: never active, or no node
+                assert math.isnan(ber) and not frac > 0.0, row
 
     @pytest.mark.parametrize("line,trials", [
         ("node_density = 1e6", "1"),          # about 3e8 expected nodes

@@ -33,36 +33,39 @@ def double_rayleigh_oracle(snr_db, num_rx):
             [0, 1, 200]))
 
 
-def two_branch_oracle(b1, b2):
-    """E[Q(sqrt(2 x))] for x the sum of two exponentials of means b1 and b2 (floats),
-    in mpmath at 50 digits: partial fractions (b1 P(b1) - b2 P(b2)) / (b1 - b2) over
-    the Rayleigh form P(b) = 1 / (2 ((1 + b) + sqrt(b (1 + b)))), and at b1 = b2
-    their limit, the dual-branch formula. The difference loses up to 24 digits on
-    the test rows (near-equal means of 3e17)."""
+def branch_oracle(*means):
+    """E[Q(sqrt(2 x))] for x the sum of exponentials of one or two means (floats),
+    in mpmath at 50 digits. One mean b gives the Rayleigh form
+    P(b) = 1 / (2 ((1 + b) + sqrt(b (1 + b)))); two give partial fractions
+    (b1 P(b1) - b2 P(b2)) / (b1 - b2), and at b1 = b2 their limit, the
+    dual-branch formula. The difference loses up to 24 digits on the test rows
+    (near-equal means of 3e17)."""
     with mpmath.workdps(50):
-        b1, b2 = mpmath.mpf(b1), mpmath.mpf(b2)
-        if b1 == b2:
-            return dual_branch_equal_ber(b1)
+        b = [mpmath.mpf(mean) for mean in means]
 
         def rayleigh(b):
             return 1 / (2 * ((1 + b) + mpmath.sqrt(b * (1 + b))))
 
-        return (b1 * rayleigh(b1) - b2 * rayleigh(b2)) / (b1 - b2)
+        if len(b) == 1:
+            return rayleigh(b[0])
+        if b[0] == b[1]:
+            return dual_branch_equal_ber(b[0])
+        return (b[0] * rayleigh(b[0]) - b[1] * rayleigh(b[1])) / (b[0] - b[1])
 
 
 def worst_error_against_oracle(gains, snr):
     """Largest relative error of the kernel's BERs for ``gains`` at linear ``snr``
-    against ``two_branch_oracle``, over the rows whose exact value is a normal
+    against ``branch_oracle``, over the rows whose exact value is a normal
     double, and the row where it occurs; every value must lie in [0, 0.5]."""
     out = kernel_bers(gains, [snr])[0]
     assert np.all((out >= 0.0) & (out <= 0.5)), "a BER outside [0, 0.5]"
     worst, where = 0.0, None
-    for (b1, b2), value in zip(snr * gains, out):
-        exact = two_branch_oracle(b1, b2)
+    for means, value in zip(snr * gains, out):
+        exact = branch_oracle(*means)
         if exact >= sys.float_info.min:
             error = float(abs(mpmath.mpf(float(value)) - exact) / exact)
             if error > worst:
-                worst, where = error, (float(b1), float(b2))
+                worst, where = error, tuple(map(float, means))
     return worst, where
 
 
@@ -191,7 +194,7 @@ class TestSimulate:
         # limit, the dual-branch formula, and joins them continuously
         gains = np.array([[3.0, 3.0], [3.0, 3.0 * (1 + 1e-9)], [3.0, 3.0003], [1.0, 4.0]])
         out = kernel_bers(gains, [1.0])[0]
-        assert out[0] == pytest.approx(float(two_branch_oracle(3.0, 3.0)), rel=1e-15)
+        assert out[0] == pytest.approx(float(branch_oracle(3.0, 3.0)), rel=1e-15)
         assert out[1] == pytest.approx(out[0], rel=1e-8)
         assert out[2] == pytest.approx(out[0], rel=1e-3)
         partial = (rayleigh_bpsk_oracle(1.0) - 4.0 * rayleigh_bpsk_oracle(4.0)) / (1.0 - 4.0)
@@ -230,6 +233,9 @@ class TestSimulate:
 EDGE_ROWS = [(3.0, 3.0), (1e-3, 1e-3), (0.0, 0.0), (1.0, 4.0)] + [
     (g, g * (1.0 + k * 1e-6)) for g in (1e12, 3e13, 1e14)
     for k in (1.5, 2.0, 3.0, 5.0, 10.0, 30.0)]
+# One branch: zero, tiny and huge means, past the 1.3e154 where a (1 + a)
+# overflows, and a grid between.
+SINGLE_MEANS = [0.0, 1e-300, 1e154, 1e200, 1e300, *np.logspace(-8, 8, 33)]
 
 
 class TestAgainstAllocatingReference:
@@ -255,15 +261,20 @@ class TestAgainstAllocatingReference:
             assert all(len(p) == 2 for p in curve)
 
     def test_near_equal_edge_rows(self):
-        # equal, near-equal and tiny branch means, at SNRs below and above 1;
-        # each SNR's own edge rows are also checked against mpmath
+        # equal, near-equal and tiny branch means for two antennas, and the
+        # single means for one, at SNRs below and above 1; each SNR's own
+        # edge rows are also checked against mpmath
         snrs = [10.0 ** (snr_db / 10.0) for snr_db in (-3.0, 0.0, 10.0, 25.0, 27.5, 35.0)]
         edges = {snr: near_bound_rows(snr, (0.37, 1.0, 5.3)) + floor_rows(snr) for snr in snrs}
         gains = np.array(EDGE_ROWS + [row for snr in snrs for row in edges[snr]])
         for snr, out in zip(snrs, kernel_bers(gains, snrs)):
             np.testing.assert_array_equal(out, conditional_ber(snr * gains))
-            worst, where = worst_error_against_oracle(np.array(EDGE_ROWS + edges[snr]), snr)
-            assert worst <= 4e-15, f"relative error {worst:.2e} at means {where}"
+            single = np.array(SINGLE_MEANS)[:, None] / snr
+            np.testing.assert_array_equal(kernel_bers(single, [snr])[0],
+                                          conditional_ber(snr * single))
+            for rows in (np.array(EDGE_ROWS + edges[snr]), single):
+                worst, where = worst_error_against_oracle(rows, snr)
+                assert worst <= 4e-15, f"relative error {worst:.2e} at means {where}"
 
 
 class TestAgainstMpmath:
