@@ -29,7 +29,10 @@ def friis_gain(distance_m, wavelength_m, aperture_tx_m2, aperture_rx_m2):
         raise ValueError("wavelength must be strictly positive")
     if aperture_tx_m2 <= 0.0 or aperture_rx_m2 <= 0.0:
         raise ValueError("antenna apertures must be strictly positive")
-    gain = (aperture_tx_m2 * aperture_rx_m2) / (wavelength_m**2 * d**2)
+    # a quotient that overflows, or a denominator that underflows to 0, is
+    # above 1 and clamped there
+    with np.errstate(over="ignore", divide="ignore"):
+        gain = (aperture_tx_m2 * aperture_rx_m2) / (wavelength_m**2 * d**2)
     gain = np.minimum(gain, 1.0)
     if gain.ndim == 0:
         return float(gain)

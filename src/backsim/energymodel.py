@@ -63,7 +63,7 @@ def population_stepper(ledger, incident_w, kind, config):
     that the next ``step()`` overwrites. The ledger's ``slots_active`` is
     the one count of active slots; the sweep reads it.
     """
-    if (incident_w < 0.0).any():
+    if not (incident_w >= 0.0).all():  # NaN fails too
         raise ValueError("incident power must be non-negative")
     backscatter = NodeKind(kind) == NodeKind.BACKSCATTER
     active_s = config.active_s
@@ -92,8 +92,8 @@ def population_stepper(ledger, incident_w, kind, config):
             amplified_w = config.pa_efficiency * (battery - overhead) / active_s
             emitted[...] = np.where(active, amplified_w, 0.0)
         np.subtract(battery, consumed, out=battery)
-        if (battery < 0.0).any():
-            raise RuntimeError("battery went negative; energy accounting is broken")
+        if not (battery >= 0.0).all():
+            raise RuntimeError("battery went negative or NaN; energy accounting is broken")
         ledger.harvested_j += harvested
         ledger.consumed_j += consumed
         ledger.slots_active += active

@@ -133,7 +133,8 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present):
             ber_sum += np.bincount(owner, weights=bpsk_ber(sinr), minlength=ber_sum.size)
             queued, queued_links = [], 0
 
-    drifted = np.abs(ledger.drift_j()) > 1e-9 * np.maximum(ledger.harvested_j, 1e-30)
+    # written as not-within so that a NaN drift is flagged too
+    drifted = ~(np.abs(ledger.drift_j()) <= 1e-9 * np.maximum(ledger.harvested_j, 1e-30))
     if drifted.any():
         raise RuntimeError(f"energy conservation violated at (topology, power, node) "
                            f"{tuple(np.argwhere(drifted)[0])}")

@@ -49,7 +49,6 @@ class ScenarioConfig:
     aperture_m2: float = 0.001            # effective antenna aperture, all nodes
     noise_dbm: float = -100.0
     harvest_efficiency: float = 0.5
-    slot_ms: float = 100.0
     harvest_ms: float = 20.0
     active_ms: float = 80.0
     sense_energy_j: float = 1e-7
@@ -95,9 +94,6 @@ class ScenarioConfig:
                             ("pa_efficiency", self.pa_efficiency)):
             if value > 1.0:
                 raise ValueError(f"{name} must not exceed 1, got {value}")
-        if not math.isclose(self.harvest_ms + self.active_ms, self.slot_ms,
-                            rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("harvest_ms + active_ms must equal slot_ms")
         if self.min_pb_distance_m >= self.region_radius:
             raise ValueError("min_pb_distance_m must be smaller than region_radius")
         if not self.pb_power_dbm_sweep:
@@ -117,10 +113,10 @@ class ScenarioConfig:
             count = self.expected_node_count
         except OverflowError:  # region_radius ** 2
             count = math.inf
-        if not count <= 1e18:  # numpy's Poisson draw takes means up to about 9.2e18
+        if not 0.0 < count <= 1e18:  # numpy's Poisson draw takes means up to about 9.2e18
             raise ValueError(f"node_density and the annulus of region_radius and "
-                             f"min_pb_distance_m must give at most 1e18 expected nodes, "
-                             f"got {count}")
+                             f"min_pb_distance_m must give more than 0 and at most 1e18 "
+                             f"expected nodes, got {count}")
         span = 2.0 * self.region_radius + self.rx_distance_m  # farthest node to receiver
         if not math.isfinite(span * span * lam2):
             raise ValueError(f"region_radius and rx_distance_m must keep the squared path "
@@ -129,6 +125,30 @@ class ScenarioConfig:
             raise ValueError(f"rx_distance_m must exceed the float spacing at region_radius "
                              f"({math.ulp(self.region_radius)} m), or a receiver can round "
                              f"onto its node, got {self.rx_distance_m}")
+        # population_stepper scales harvest_s and active_s into energies and
+        # powers, which must stay finite: the energy stored over the run, and
+        # the largest amplifier output. That output counts the traditional
+        # requirement, which bounds the backscatter one, because battery -
+        # overhead is computed for silent nodes too; so it is finite only if
+        # the requirement is.
+        try:
+            stored = (float(sweep_w.max()) * self.harvest_efficiency * self.harvest_s
+                      * self.num_slots)
+        except OverflowError:  # num_slots beyond a float
+            stored = math.inf
+        if not math.isfinite(stored):
+            raise ValueError(f"pb_power_dbm_sweep, harvest_efficiency, harvest_ms and num_slots "
+                             f"must keep the energy stored over the run finite, got {stored} J")
+        required = self.sense_energy_j + (
+            self.digital_circuit_w + self.mixer_w + self.dac_w) * self.active_s
+        required += noise_w * self.active_s / self.pa_efficiency
+        amplified = (self.pa_efficiency * (stored + required) / self.active_s
+                     if self.active_s > 0.0 else math.inf)
+        if not math.isfinite(amplified):
+            raise ValueError(f"active_ms, pa_efficiency and the activation requirement of "
+                             f"sense_energy_j, digital_circuit_w, mixer_w, dac_w and noise_dbm "
+                             f"must keep the largest amplifier output finite, got {amplified} W "
+                             f"from {stored} J stored and {required} J required")
         return self
 
     # Derived quantities -------------------------------------------------
@@ -176,10 +196,7 @@ def place_nodes(config, rng):
     in metres with the beacon at the origin: ``[:, 0]`` the node positions,
     ``[:, 1]`` their receivers' positions.
     """
-    mean_count = config.expected_node_count
-    if mean_count <= 0.0:
-        raise ValueError("expected node count is zero; nothing to place")
-    n = int(rng.poisson(mean_count))
+    n = int(rng.poisson(config.expected_node_count))
 
     r_min2 = config.min_pb_distance_m**2
     r_max2 = config.region_radius**2

@@ -9,7 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from backsim.cli import ExperimentSpec, main, parse_args, run
 from backsim.netsim import CSV_HEADER
@@ -182,6 +182,11 @@ class TestRun:
         ("carrier_hz = 1e-300", "carrier_hz"),
         ("rx_distance_m = 1e-300", "rx_distance_m"),
         ("rx_distance_m = 1e300", "rx_distance_m"),
+        # durations whose energies or amplifier output overflow, and an
+        # annulus whose area underflows to 0 expected nodes
+        ("harvest_ms = 5e299\nactive_ms = 5e299\npb_power_dbm_sweep = 2000", "harvest_ms"),
+        ("active_ms = 1e-270\nsense_energy_j = 1e273", "active_ms"),
+        ("min_pb_distance_m = 1e-163\nregion_radius = 1e-162", "node_density"),
     ])
     def test_out_of_range_config_fails_cleanly(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
@@ -194,6 +199,7 @@ class TestRun:
 
     @settings(max_examples=60, deadline=None)
     @given(lines=_config_lines())
+    @example(lines=["carrier_hz = 1e9", "aperture_m2 = 1e154"])  # Friis quotient overflows
     def test_extreme_configs_run_or_name_a_key(self, lines):
         # a config the checks accept runs without a numeric warning, with NaN
         # only in rows where no link was ever active; any other names a key

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -164,8 +165,9 @@ class TestStepSlot:
         # the incident power is fixed for a stepper's life, so it is
         # checked once, before any slot runs
         ledger = EnergyLedger.empty(3)
-        with pytest.raises(ValueError, match="non-negative"):
-            population_stepper(ledger, np.array([1e-3, -1e-12, 0.0]), TRAD, config)
+        for bad in (-1e-12, math.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                population_stepper(ledger, np.array([1e-3, bad, 0.0]), TRAD, config)
         assert ledger.harvested_j.tolist() == [0.0] * 3
 
     def test_dead_node_stays_silent(self, config):
@@ -290,7 +292,7 @@ class TestDutyCycleTradeoff:
 
     def test_default_slot_split(self, config):
         # the 80/100 ms active share of the slotted experiment
-        alpha = config.active_ms / config.slot_ms
+        alpha = config.active_ms / (config.harvest_ms + config.active_ms)
         harvest = duty_cycle_harvest(alpha, 1e-3, config)
         assert alpha == pytest.approx(0.8)
         assert harvest == pytest.approx(0.5 * 1e-3 * 0.2, rel=1e-12)

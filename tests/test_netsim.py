@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from backsim import mac, netsim
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import main
+from backsim.energymodel import population_stepper
 from backsim.netsim import CSV_HEADER, _mean_ci, run_comparison
 from backsim.phylink import bpsk_ber
 from backsim.scenario import (NodeKind, PURPOSE_MAC, PURPOSE_PLACEMENT, ScenarioConfig,
@@ -31,13 +32,11 @@ def _topology(config, topo_index=0, n=None):
 @st.composite
 def _valid_configs(draw):
     """Random valid scenarios: density, efficiencies, slot split and powers."""
-    slot_ms = draw(st.floats(1.0, 500.0))
-    harvest_ms = slot_ms * draw(st.floats(0.01, 0.99))
     return ScenarioConfig(
         node_density=draw(st.floats(0.002, 0.1)),
         harvest_efficiency=draw(st.floats(0.01, 1.0)),
         pa_efficiency=draw(st.floats(0.01, 1.0)),
-        slot_ms=slot_ms, harvest_ms=harvest_ms, active_ms=slot_ms - harvest_ms,
+        harvest_ms=draw(st.floats(0.01, 495.0)), active_ms=draw(st.floats(0.01, 495.0)),
         sense_energy_j=draw(st.floats(1e-9, 1e-5)),
         digital_circuit_w=draw(st.floats(1e-7, 1e-4)),
         mixer_w=draw(st.floats(1e-7, 1e-3)),
@@ -268,6 +267,22 @@ class TestRunComparison:
             got = means(block)
             np.testing.assert_allclose(got[:, 0], whole[:, 0], rtol=1e-14, atol=0.0)
             np.testing.assert_array_equal(got[:, 1:], whole[:, 1:])
+
+    def test_nan_in_ledger_fails_conservation(self, small_config, monkeypatch):
+        # a NaN compares false with every tolerance, so the drift check must
+        # flag what is not within it rather than what exceeds it
+        def poisoned(ledger, incident_w, kind, config):
+            step = population_stepper(ledger, incident_w, kind, config)
+
+            def poisoned_step():
+                result = step()
+                ledger.consumed_j[0, 0, 0] = math.nan
+                return result
+            return poisoned_step
+
+        monkeypatch.setattr(netsim, "population_stepper", poisoned)
+        with pytest.raises(RuntimeError, match="energy conservation violated"):
+            run_comparison(small_config, 2)
 
     def test_csv_schema(self, small_config, tmp_path):
         results = run_comparison(small_config, num_topologies=2)

@@ -32,60 +32,64 @@ def test_config_is_hashable_and_owns_its_sweep():
     assert cfg.pb_power_dbm_sweep == (20.0, 30.0)
 
 
-@pytest.mark.parametrize("field,value", [
-    pytest.param("node_density", 0.0, id="node_density-0.0"),
-    pytest.param("node_density", -1.0, id="node_density--1.0"),
-    pytest.param("harvest_efficiency", 1.5, id="harvest_efficiency-1.5"),
-    pytest.param("pa_efficiency", 0.0, id="pa_efficiency-0.0"),
-    pytest.param("pa_efficiency", 2.0, id="pa_efficiency-2.0"),
-    pytest.param("min_pb_distance_m", 10.0, id="min_pb_distance_m-10.0"),
-    pytest.param("harvest_ms", 30.0, id="harvest_ms-30.0"),  # breaks harvest + active = slot
-    pytest.param("warmup_slots", 100, id="warmup_slots-100"),  # not smaller than num_slots
-    pytest.param("noise_dbm", math.nan, id="noise_dbm-nan"),
-    pytest.param("carrier_hz", math.inf, id="carrier_hz-inf"),
-    pytest.param("dac_w", -1e-4, id="dac_w--0.0001"),  # energymodel reads circuit draws unchecked
+def _bad(field, value, case_id=None, **also):
+    """A config setting ``field = value`` and ``also``, whose error names ``field``."""
+    return pytest.param(field, {**also, field: value}, id=case_id or f"{field}-{value}")
+
+
+@pytest.mark.parametrize("field,overrides", [
+    _bad("node_density", 0.0),
+    _bad("node_density", -1.0),
+    _bad("harvest_efficiency", 1.5),
+    _bad("pa_efficiency", 0.0),
+    _bad("pa_efficiency", 2.0),
+    _bad("min_pb_distance_m", 10.0),
+    _bad("warmup_slots", 100),  # not smaller than num_slots
+    _bad("noise_dbm", math.nan),
+    _bad("carrier_hz", math.inf),
+    _bad("dac_w", -1e-4),  # energymodel reads circuit draws unchecked
     # a list value has no readable auto id; this keeps the one the case has run under
-    pytest.param("pb_power_dbm_sweep", [30.0, math.nan], id="pb_power_dbm_sweep-value10"),
+    _bad("pb_power_dbm_sweep", [30.0, math.nan], "pb_power_dbm_sweep-value10"),
     # finite in dBm but not in watts: the engine would divide by 0 or inf
-    pytest.param("noise_dbm", 4000.0, id="noise_dbm-4000.0"),
-    pytest.param("noise_dbm", -4000.0, id="noise_dbm--4000.0"),
-    pytest.param("pb_power_dbm_sweep", [30.0, 4000.0], id="pb_power_dbm_sweep-4000.0"),
-    pytest.param("seed", -1, id="seed--1"),
-    pytest.param("seed", 2**64, id="seed-18446744073709551616"),
+    _bad("noise_dbm", 4000.0),
+    _bad("noise_dbm", -4000.0),
+    _bad("pb_power_dbm_sweep", [30.0, 4000.0], "pb_power_dbm_sweep-4000.0"),
+    _bad("seed", -1),
+    _bad("seed", 2**64),
     # int fields take integers only: 42.5 would silently run seed 42, and
     # True seed 1, while the CSV's seed column names the value given
-    pytest.param("seed", 42.5, id="seed-42.5"),
-    pytest.param("seed", True, id="seed-True"),
-    pytest.param("num_slots", 30.5, id="num_slots-30.5"),
-    pytest.param("warmup_slots", 2.5, id="warmup_slots-2.5"),
+    _bad("seed", 42.5),
+    _bad("seed", True),
+    _bad("num_slots", 30.5),
+    _bad("warmup_slots", 2.5),
     # finite fields whose derived quantities overflow, underflow or round away
-    pytest.param("carrier_hz", 1e-300, id="carrier_hz-1e-300"),  # wavelength inf
-    pytest.param("carrier_hz", 1e300, id="carrier_hz-1e+300"),  # wavelength squared 0
-    pytest.param("region_radius", 1e300, id="region_radius-1e+300"),  # area overflows
-    pytest.param("node_density", 1e300, id="node_density-1e+300"),  # beyond the Poisson draw
-    pytest.param("rx_distance_m", 1e-300, id="rx_distance_m-1e-300"),  # receiver on its node
-    pytest.param("rx_distance_m", 1e300, id="rx_distance_m-1e+300"),  # squared path overflows
+    _bad("carrier_hz", 1e-300),  # wavelength inf
+    _bad("carrier_hz", 1e300),  # wavelength squared 0
+    _bad("region_radius", 1e300),  # area overflows
+    _bad("node_density", 1e300),  # beyond the Poisson draw
+    _bad("region_radius", 1e-162, "region_radius-1e-162-no-nodes",
+         min_pb_distance_m=1e-163),  # annulus area underflows to 0
+    _bad("rx_distance_m", 1e-300),  # receiver on its node
+    _bad("rx_distance_m", 1e300),  # squared path overflows
+    # slot durations that scale the engine's energies and powers to inf
+    _bad("harvest_ms", 1e308),  # energy stored over the run
+    _bad("pa_efficiency", 5e-324),  # traditional requirement, so amplifier output
+    _bad("active_ms", 5e-324),  # active_s underflows to 0
 ])
-def test_invalid_configs_rejected(field, value, tmp_path):
+def test_invalid_configs_rejected(field, overrides, tmp_path):
     # every way of making a config runs the one check, which names the key
     with pytest.raises(ValueError, match=field):
-        ScenarioConfig(**{field: value})
+        ScenarioConfig(**overrides)
     with pytest.raises(ValueError, match=field):
-        replace(ScenarioConfig(), **{field: value})
+        replace(ScenarioConfig(), **overrides)
     path = tmp_path / "bad.cfg"
-    path.write_text(f"{field} = {str(value).strip('[]')}\n")
+    path.write_text("".join(f"{key} = {str(value).strip('[]')}\n"
+                            for key, value in overrides.items()))
     with pytest.raises(ValueError, match=field):
         load_config(path)
 
 
 class TestPlaceNodes:
-    def test_zero_density_rejected(self):
-        # valid, but its expected count underflows to 0.0: place_nodes' own check
-        cfg = ScenarioConfig(node_density=1e-310, region_radius=1.0000000000000002,
-                             min_pb_distance_m=1.0)
-        with pytest.raises(ValueError, match="expected node count is zero"):
-            place_nodes(cfg, derive_stream(1, 0, 0))
-
     def test_determinism(self):
         cfg = ScenarioConfig(seed=7)
         topo_a = place_nodes(cfg, derive_stream(cfg.seed, 0, PURPOSE_PLACEMENT))
@@ -196,9 +200,10 @@ class TestConfigFile:
                 assert hasattr(importlib.import_module(module), name), (module, name)
 
     def test_unknown_key_rejected(self, tmp_path):
-        # a misspelt key, and fixed_node_count, which is no longer a setting
+        # a misspelt key, and fixed_node_count and slot_ms, which are no
+        # longer settings
         path = tmp_path / "bad.cfg"
-        for line in ("node_densty = 0.05\n", "fixed_node_count = 3\n"):
+        for line in ("node_densty = 0.05\n", "fixed_node_count = 3\n", "slot_ms = 100\n"):
             path.write_text(line)
             with pytest.raises(ValueError, match="unknown config key"):
                 load_config(path)
@@ -222,7 +227,12 @@ class TestConfigFile:
             load_config(path)
 
     def test_invariant_violation_rejected(self, tmp_path):
+        # the slot durations are bounded by the energies they scale, not by
+        # a fixed slot: a long harvest alone is valid, a long harvest at a
+        # huge beacon power stores more energy than a float holds
         path = tmp_path / "bad.cfg"
-        path.write_text("harvest_ms = 50\n")
-        with pytest.raises(ValueError):
+        path.write_text("harvest_ms = 1e300\n")
+        assert load_config(path).harvest_s == pytest.approx(1e297)
+        path.write_text("harvest_ms = 1e300\npb_power_dbm_sweep = 2000\n")
+        with pytest.raises(ValueError, match="harvest_ms.*energy stored over the run"):
             load_config(path)
