@@ -149,6 +149,15 @@ class ScenarioConfig:
                              f"sense_energy_j, digital_circuit_w, mixer_w, dac_w and noise_dbm "
                              f"must keep the largest amplifier output finite, got {amplified} W "
                              f"from {stored} J stored and {required} J required")
+        # a link's SINR is its received power over interference plus noise, and
+        # no node emits more than the top beacon power (a reflecting tag) or the
+        # largest amplifier output (a traditional radio); with gains at most 1,
+        # a finite quotient by the noise keeps every SINR finite
+        emitted = max(float(sweep_w.max()), amplified)
+        if not math.isfinite(emitted / noise_w):
+            raise ValueError(f"pb_power_dbm_sweep and noise_dbm must keep the largest emitted "
+                             f"power over the noise power finite, got {emitted} W over "
+                             f"{noise_w} W")
         return self
 
     # Derived quantities -------------------------------------------------

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from backsim.cli import ExperimentSpec, main, parse_args, run
+from backsim import mac
+from backsim.cli import THSS_CASES, ExperimentSpec, main, parse_args, run
 from backsim.netsim import CSV_HEADER
 from backsim.scenario import ScenarioConfig
 
@@ -187,6 +188,8 @@ class TestRun:
         ("harvest_ms = 5e299\nactive_ms = 5e299\npb_power_dbm_sweep = 2000", "harvest_ms"),
         ("active_ms = 1e-270\nsense_energy_j = 1e273", "active_ms"),
         ("min_pb_distance_m = 1e-163\nregion_radius = 1e-162", "node_density"),
+        # a lone link's SINR overflows against the -100 dBm noise floor
+        ("node_density = 0.003\npb_power_dbm_sweep = 3100", "noise_dbm"),
     ])
     def test_out_of_range_config_fails_cleanly(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
@@ -200,6 +203,7 @@ class TestRun:
     @settings(max_examples=60, deadline=None)
     @given(lines=_config_lines())
     @example(lines=["carrier_hz = 1e9", "aperture_m2 = 1e154"])  # Friis quotient overflows
+    @example(lines=["node_density = 0.003", "pb_power_dbm_sweep = 3100"])  # SINR overflows
     def test_extreme_configs_run_or_name_a_key(self, lines):
         # a config the checks accept runs without a numeric warning, with NaN
         # only in rows where no link was ever active; any other names a key
@@ -247,6 +251,21 @@ class TestRun:
         assert "node_density" in err and "bytes" in err
         assert not out.exists()
         assert peak < 10e6
+
+    def test_thss_memory_stays_one_frame_block(self, tmp_path):
+        # ten blocks of frames: drawn at once, the 50-link case would hold
+        # about 18 MB of slots and comparisons; drawn a block at a time, under 3 MB
+        out = tmp_path / "thss.csv"
+        tracemalloc.start()
+        try:
+            code = main(["--experiment", "thss", "--out", str(out),
+                         "--trials", str(10 * mac._FRAME_BLOCK)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + len(THSS_CASES)
+        assert peak < 3e6, f"peak allocation {peak} bytes"
 
     def test_unreadable_config_fails_cleanly(self, tmp_path, capsys):
         spec_argv = ["--experiment", "fig3a", "--config", str(tmp_path / "missing.cfg"),

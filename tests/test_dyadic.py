@@ -1,10 +1,12 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from backsim import dyadic
 from backsim.dyadic import _CHUNK, _conditional_bers, simulate_dyadic_ber
 from backsim.scenario import PURPOSE_FADING, derive_stream
 from oracles import (_complex_normal, bit_level_dyadic_ber, conditional_ber,
@@ -220,12 +222,38 @@ class TestSimulate:
         b = simulate_dyadic_ber(2, 2, 2, [10.0], 100_000, derive_stream(5, 0, PURPOSE_FADING))
         assert a == b
 
-    @pytest.mark.parametrize("trials", [100_007, _CHUNK + 7])
+    @pytest.mark.parametrize("trials", [100_007, 8 * _CHUNK + 7])
     def test_deterministic_for_partial_chunks(self, trials):
         # trial counts that are not a multiple of the draw block size
         a = simulate_dyadic_ber(2, 2, 2, [10.0, 20.0], trials, derive_stream(5, 1, PURPOSE_FADING))
         b = simulate_dyadic_ber(2, 2, 2, [10.0, 20.0], trials, derive_stream(5, 1, PURPOSE_FADING))
         assert a == b
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_block_size_only_regroups_sums(self, ell, monkeypatch):
+        # the draws are one stream whatever the block size, so a larger block
+        # may change only how each point's BER sums are grouped
+        def curve():
+            return np.array(simulate_dyadic_ber(ell, 2, 2, [0.0, 10.0, 20.0, 30.0, 35.0],
+                                                8 * _CHUNK + 7,
+                                                derive_stream(5, ell, PURPOSE_FADING),
+                                                with_stderr=True))
+        blocked = curve()
+        monkeypatch.setattr(dyadic, "_CHUNK", 1 << 17)
+        np.testing.assert_allclose(curve(), blocked, rtol=1e-14, atol=0.0)
+
+    def test_scratch_memory_is_one_block(self):
+        # the draw buffer and the work rows are sized by the block, not by
+        # the trial count: a million trials of two Gamma(8) branches stay
+        # under 2 MB of peak allocation
+        tracemalloc.start()
+        try:
+            simulate_dyadic_ber(2, 2, 8, [0.0, 10.0, 20.0, 30.0, 35.0], 1_000_000,
+                                derive_stream(5, 2, PURPOSE_FADING))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, f"peak allocation {peak} bytes"
 
 
 # Equal and huge near-equal branch gains: partial fractions are 0/0 on the
@@ -243,7 +271,7 @@ class TestAgainstAllocatingReference:
     (``oracles.conditional_ber``) bit for bit: the CLI's curves are golden."""
 
     @pytest.mark.parametrize("with_stderr", [False, True], ids=["ber", "stderr"])
-    @pytest.mark.parametrize("trials", [100_007, _CHUNK + 7])
+    @pytest.mark.parametrize("trials", [100_007, 8 * _CHUNK + 7])
     @pytest.mark.parametrize("ell,m_r", [(1, 1), (1, 2), (2, 2), (1, 8), (2, 8)],
                              ids=["(1,1)", "(1,2)", "(2,2)", "(1,8)", "(2,8)"])
     def test_curve_matches_reference(self, ell, m_r, trials, with_stderr):

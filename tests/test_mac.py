@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from backsim import mac
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.mac import (aggregate_interference, co_slot_mask, count_interference_components,
                          th_ss_assign, th_ss_collision_probability, th_ss_collision_rate_mc)
@@ -52,6 +53,18 @@ class TestThSs:
         p = th_ss_collision_probability(k, n)
         stderr = math.sqrt(p * (1 - p) / trials)
         assert abs(freq - p) < 3 * stderr
+
+    @pytest.mark.parametrize("block", [7, None], ids=["block7", "default"])
+    def test_blocked_draws_equal_one_shot(self, block, monkeypatch):
+        # frames are drawn in blocks that continue one stream: an odd link
+        # count, odd block rows and a partial last block must give the rate
+        # of a single draw of every frame
+        if block is not None:
+            monkeypatch.setattr(mac, "_FRAME_BLOCK", block)
+        k, n, trials = 7, 10, 3 * mac._FRAME_BLOCK + 5
+        slots = derive_stream(3, k, 1).integers(0, n, size=(trials, k))
+        one_shot = float((slots[:, 1:] == slots[:, :1]).any(axis=1).mean())
+        assert th_ss_collision_rate_mc(k, n, trials, derive_stream(3, k, 1)) == one_shot
 
     def test_empirical_co_slot_mean(self):
         k, n, trials = 20, 8, 20_000

@@ -231,8 +231,12 @@ class TestConfigFile:
         # a fixed slot: a long harvest alone is valid, a long harvest at a
         # huge beacon power stores more energy than a float holds
         path = tmp_path / "bad.cfg"
+        path.write_text("harvest_ms = 1e280\n")
+        assert load_config(path).harvest_s == pytest.approx(1e277)
+        # longer still, the amplifier can store enough to overflow a lone link's SINR
         path.write_text("harvest_ms = 1e300\n")
-        assert load_config(path).harvest_s == pytest.approx(1e297)
+        with pytest.raises(ValueError, match="pb_power_dbm_sweep and noise_dbm"):
+            load_config(path)
         path.write_text("harvest_ms = 1e300\npb_power_dbm_sweep = 2000\n")
         with pytest.raises(ValueError, match="harvest_ms.*energy stored over the run"):
             load_config(path)
