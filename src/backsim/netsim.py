@@ -24,13 +24,15 @@ from .channel import dbm_to_watts, friis_gain
 from .energymodel import EnergyLedger, population_stepper
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
-from .scenario import NodeKind, PURPOSE_PLACEMENT, derive_stream, place_nodes
+from .scenario import NodeKind, place_topologies
 
 CSV_HEADER = "pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,trials,seed"
 
 # Active link-slots collected before one bpsk_ber call: large enough to
 # amortise its per-call cost over many slots, small enough to bound memory.
-_BER_BLOCK = 1 << 15
+# Peak RSS of the 50-topology default sweep rose by 0.1-0.3 MB per doubling
+# from 2^11 to 2^14 and by 0.8 MB from 2^14 to 2^15.
+_BER_BLOCK = 1 << 12
 
 # Peak bytes per (topology, node, node) entry while _padded_gains runs: five
 # float64 arrays of that size live at once (the two halves of the position
@@ -66,8 +68,11 @@ class ExperimentResult:
         ])
 
 
-def _padded_gains(config, topologies):
+def _padded_gains(config, nodes, counts):
     """Gains of topologies padded to the largest node count N.
+
+    ``nodes`` holds the (n, 2, 2) layouts of ``scenario.place_nodes`` of
+    every topology, one after another, and ``counts`` their node counts.
 
     Returns beacon-to-node gains (T, N), each link's own gain (T, N), the
     cross gains (T, N, N) with ``cross[t, j, i]`` from node j's antenna to
@@ -75,9 +80,9 @@ def _padded_gains(config, topologies):
     interferer), and the (T, N) mask of real nodes. Padded entries get a
     placeholder 1 m distance for ``friis_gain`` and are then zeroed.
     """
-    present = np.arange(max(map(len, topologies))) < np.array([[len(t)] for t in topologies])
+    present = np.arange(counts.max()) < counts[:, None]
     padded = np.zeros(present.shape + (2, 2))
-    padded[present] = np.concatenate(topologies)
+    padded[present] = nodes
     positions, rx_positions = padded[..., 0, :], padded[..., 1, :]
 
     wavelength, aperture = config.wavelength_m, config.aperture_m2
@@ -99,9 +104,11 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present):
     Every (topology, power) pair is an independent population; all of them
     advance together, one slot at a time, on (T, P, N) arrays, so that the
     interference of each topology is one (P, N) @ (N, N) product. Each
-    slot's active links are queued with the flat (topology, power) index of
-    their population, and BER is evaluated on blocks of at least
-    ``_BER_BLOCK`` queued link-slots. The ledger's ``slots_active`` is
+    slot writes the signal, interference plus noise and flat (topology,
+    power) population index of its active links into three buffers
+    allocated once, and BER is evaluated on them whenever they hold at
+    least ``_BER_BLOCK`` link-slots. An interference sum that overflows
+    fails the run with a ValueError. The ledger's ``slots_active`` is
     copied when warm-up ends; its growth since then is each population's
     BER sample count. Returns the mean BER, the active fraction and the
     BER sample count, each (T, P), and the final (T, P, N) energy ledger.
@@ -114,7 +121,13 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present):
     ledger = EnergyLedger.empty(incident.shape)
     step = population_stepper(ledger, incident, kind, config)
     ber_sum = np.zeros(math.prod(incident.shape[:2]))
-    queued, queued_links = [], 0  # (SINR, population index) of link-slots awaiting BER
+    # a slot is added whole, so a block holds up to _BER_BLOCK - 1 link-slots
+    # plus one slot's worth, and never more than the run produces
+    measured = config.num_slots - config.warmup_slots
+    capacity = min(_BER_BLOCK, incident.size * measured) + incident.size
+    signal, denominator = np.empty(capacity), np.empty(capacity)
+    owner = np.empty(capacity, dtype=np.intp)
+    filled = 0
 
     for slot in range(config.num_slots):
         if slot == config.warmup_slots:
@@ -124,14 +137,29 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present):
             continue
         links = np.flatnonzero(active)
         if links.size:
-            interference = aggregate_interference(emitted, cross_gain).ravel()[links]
-            signal = emitted.ravel()[links] * flat_link_gain[links]
-            queued.append((signal / (interference + noise_w), links // num_nodes))
-            queued_links += links.size
-        if queued and (queued_links >= _BER_BLOCK or slot == config.num_slots - 1):
-            sinr, owner = map(np.concatenate, zip(*queued))
-            ber_sum += np.bincount(owner, weights=bpsk_ber(sinr), minlength=ber_sum.size)
-            queued, queued_links = [], 0
+            block = slice(filled, filled + links.size)
+            filled += links.size
+            # mode="clip" lets take write straight into ``out`` (the default
+            # buffers it); flatnonzero's indices are in range, so nothing is clipped
+            np.take(emitted, links, out=signal[block], mode="clip")
+            np.take(flat_link_gain, links, out=denominator[block], mode="clip")
+            signal[block] *= denominator[block]
+            # an overflow is reported once per block below, not warned per slot
+            with np.errstate(over="ignore"):
+                interference = aggregate_interference(emitted, cross_gain)
+            np.take(interference, links, out=denominator[block], mode="clip")
+            denominator[block] += noise_w
+            np.floor_divide(links, num_nodes, out=owner[block])
+        if filled and (filled >= _BER_BLOCK or slot == config.num_slots - 1):
+            # validate() bounds each emitter's power over the noise, not the
+            # sum over every co-slot emitter at one receiver
+            if not np.isfinite(denominator[:filled]).all():
+                raise ValueError("the interference at a receiver overflows to inf; lower "
+                                 "pb_power_dbm_sweep, aperture_m2 or node_density")
+            sinr = np.divide(signal[:filled], denominator[:filled], out=signal[:filled])
+            ber_sum += np.bincount(owner[:filled], weights=bpsk_ber(sinr),
+                                   minlength=ber_sum.size)
+            filled = 0
 
     # written as not-within so that a NaN drift is flagged too
     drifted = ~(np.abs(ledger.drift_j()) <= 1e-9 * np.maximum(ledger.harvested_j, 1e-30))
@@ -164,7 +192,7 @@ def _mean_ci(values):
 def run_comparison(config, num_topologies):
     """Sweep beacon power for both node kinds over paired topologies.
 
-    All topologies are placed first and padded into one batch; each kind
+    All topologies are placed in one pass and padded into one batch; each kind
     then runs every (power, topology) population in one array pass over
     the slots. Per-topology means are aggregated unweighted across
     topology draws; topologies without samples (e.g. no node ever active at
@@ -185,9 +213,7 @@ def run_comparison(config, num_topologies):
                          f"than the {physical} bytes of physical memory; lower node_density "
                          f"or the number of topologies (--trials)")
 
-    topologies = [place_nodes(config, derive_stream(config.seed, t, PURPOSE_PLACEMENT))
-                  for t in range(num_topologies)]
-    gains = _padded_gains(config, topologies)
+    gains = _padded_gains(config, *place_topologies(config, num_topologies))
     kinds = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)
     per_kind = {kind: _run_kind(config, kind, *gains) for kind in kinds}
 

@@ -62,12 +62,14 @@ def _erfc(a, gauss):
     y /= _horner(_ERFC_Q, a)
     y *= gauss
     big = np.flatnonzero(a >= 8.0)
-    ab = a[big]
-    y[big] = gauss[big] * _horner(_ERFC_R, ab) / _horner(_ERFC_S, ab)
+    if big.size:
+        ab = a[big]
+        y[big] = gauss[big] * _horner(_ERFC_R, ab) / _horner(_ERFC_S, ab)
     small = np.flatnonzero(a < 1.0)
-    a_s = a[small]
-    z = a_s * a_s
-    y[small] = 1.0 - a_s * _horner(_ERF_T, z) / _horner(_ERF_U, z)
+    if small.size:
+        a_s = a[small]
+        z = a_s * a_s
+        y[small] = 1.0 - a_s * _horner(_ERF_T, z) / _horner(_ERF_U, z)
     return y
 
 
@@ -79,7 +81,10 @@ def _as_output(values, shape):
 def _half_erfc_sqrt(s):
     """erfc(sqrt(s)) / 2 for a flat array ``s`` of non-negative values (or NaN)."""
     s = np.minimum(s, _ERFC_ARG_CAP**2)
-    y = _erfc(np.sqrt(s), np.exp(-s))
+    a = np.sqrt(s)
+    # the clipped copy is ours, so exp(-s) overwrites it
+    gauss = np.exp(np.negative(s, out=s), out=s)
+    y = _erfc(a, gauss)
     y *= 0.5
     return y
 

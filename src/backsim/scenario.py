@@ -196,6 +196,30 @@ def derive_stream(master_seed, node_id, purpose_tag):
     return default_rng(SeedSequence([int(master_seed), int(node_id), int(purpose_tag)]))
 
 
+def _annulus_layout(config, draws):
+    """The (n, 2, 2) layout of ``place_nodes`` from (3, n) uniform draws:
+    radius, angle and receiver angle of each node."""
+    r_min2 = config.min_pb_distance_m**2
+    r_max2 = config.region_radius**2
+    # Uniform over the annulus: area-linear in r^2.
+    radii = np.sqrt(r_min2 + draws[0] * (r_max2 - r_min2))
+    angles = draws[1] * 2.0 * math.pi
+    rx_angles = draws[2] * 2.0 * math.pi
+
+    layout = np.empty((draws.shape[1], 2, 2))
+    layout[:, 0] = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    layout[:, 1] = layout[:, 0] + config.rx_distance_m * np.stack(
+        [np.cos(rx_angles), np.sin(rx_angles)], axis=-1)
+    return layout
+
+
+def _draw_topology(config, rng):
+    """One topology's draws: a Poisson node count n, then (3, n) uniforms."""
+    n = int(rng.poisson(config.expected_node_count))
+    # one call of 3 n draws continues the stream as three calls of n would
+    return rng.random(3 * n).reshape(3, n)
+
+
 def place_nodes(config, rng):
     """Drop nodes over the annulus around the beacon.
 
@@ -205,20 +229,22 @@ def place_nodes(config, rng):
     in metres with the beacon at the origin: ``[:, 0]`` the node positions,
     ``[:, 1]`` their receivers' positions.
     """
-    n = int(rng.poisson(config.expected_node_count))
+    return _annulus_layout(config, _draw_topology(config, rng))
 
-    r_min2 = config.min_pb_distance_m**2
-    r_max2 = config.region_radius**2
-    # Uniform over the annulus: area-linear in r^2.
-    radii = np.sqrt(r_min2 + rng.random(n) * (r_max2 - r_min2))
-    angles = rng.random(n) * 2.0 * math.pi
-    rx_angles = rng.random(n) * 2.0 * math.pi
 
-    topology = np.empty((n, 2, 2))
-    topology[:, 0] = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    topology[:, 1] = topology[:, 0] + config.rx_distance_m * np.stack(
-        [np.cos(rx_angles), np.sin(rx_angles)], axis=-1)
-    return topology
+def place_topologies(config, num_topologies):
+    """Topologies 0 .. num_topologies - 1 of ``config``'s sweep, placed in one pass.
+
+    Topology t draws from ``derive_stream(config.seed, t, PURPOSE_PLACEMENT)``
+    exactly what ``place_nodes`` draws, and the positions of all of them
+    are computed together, so topology t equals ``place_nodes`` on its
+    stream bit for bit. Returns the nodes of every topology in topology
+    order, (sum of counts, 2, 2), and the node count of each topology.
+    """
+    draws = [_draw_topology(config, derive_stream(config.seed, t, PURPOSE_PLACEMENT))
+             for t in range(num_topologies)]
+    counts = np.array([d.shape[1] for d in draws], dtype=np.intp)
+    return _annulus_layout(config, np.concatenate(draws, axis=1)), counts
 
 
 # Flat key = value config files -----------------------------------------

@@ -235,7 +235,7 @@ def run_population(config, kind, topology, pb_power_dbm):
     """
     config = dataclasses.replace(config, pb_power_dbm_sweep=(pb_power_dbm,))
     mean_ber, active_fraction, ber_samples, ledger = _run_kind(
-        config, kind, *_padded_gains(config, [topology]))
+        config, kind, *_padded_gains(config, topology, np.array([len(topology)])))
     ledger = EnergyLedger(*(flows[0, 0] for flows in vars(ledger).values()))
     return mean_ber[0, 0], active_fraction[0, 0], ber_samples[0, 0], ledger
 

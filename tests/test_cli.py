@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from backsim import mac
-from backsim.cli import THSS_CASES, ExperimentSpec, main, parse_args, run
+from backsim.cli import MAX_TRIALS, THSS_CASES, ExperimentSpec, main, parse_args, run
 from backsim.netsim import CSV_HEADER
 from backsim.scenario import ScenarioConfig
 
@@ -112,6 +112,17 @@ class TestParseArgs:
     def test_largest_seed_accepted(self):
         spec = parse_args(["--experiment", "thss", "--out", "r.csv", "--seed", str(2**64 - 1)])
         assert spec.seed_override == 2**64 - 1
+
+    def test_trials_ceiling(self, capsys):
+        # the bound itself parses (it is not run here); one above is a usage
+        # error that names the flag
+        spec = parse_args(["--experiment", "thss", "--out", "r.csv", "--trials", str(MAX_TRIALS)])
+        assert spec.trials_override == MAX_TRIALS == 10**9
+        with pytest.raises(SystemExit) as err:
+            parse_args(["--experiment", "thss", "--out", "r.csv",
+                        "--trials", str(MAX_TRIALS + 1)])
+        assert err.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
 
 class TestRun:
@@ -231,7 +242,7 @@ class TestRun:
 
     @pytest.mark.parametrize("line,trials", [
         ("node_density = 1e6", "1"),          # about 3e8 expected nodes
-        ("", "1000000000000"),                # 1e12 default topologies
+        ("", "1000000000"),                   # 1e9 default topologies, the --trials bound
     ], ids=["node_density", "trials"])
     def test_gain_memory_guard_fails_before_placement(self, tmp_path, capsys, line, trials):
         # the gain matrices alone would need far more than any host's
@@ -251,6 +262,23 @@ class TestRun:
         assert "node_density" in err and "bytes" in err
         assert not out.exists()
         assert peak < 10e6
+
+    def test_interference_overflow_names_a_key(self, tmp_path, capsys):
+        # every emitter's power over the noise is finite, but their sum at a
+        # receiver overflows: one error line naming keys, no CSV, no warnings
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text("pb_power_dbm_sweep = 3100\nnoise_dbm = 3050\naperture_m2 = 1e6\n"
+                       "node_density = 0.1\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--experiment", "fig3a", "--config", str(cfg), "--out", str(out),
+                         "--trials", "3"])
+        assert code == 1
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "pb_power_dbm_sweep" in err[0], err
+        assert not out.exists()
 
     def test_thss_memory_stays_one_frame_block(self, tmp_path):
         # ten blocks of frames: drawn at once, the 50-link case would hold

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from backsim.energymodel import population_stepper
 from backsim.netsim import CSV_HEADER, _mean_ci, run_comparison
 from backsim.phylink import bpsk_ber
 from backsim.scenario import (NodeKind, PURPOSE_MAC, PURPOSE_PLACEMENT, ScenarioConfig,
-                              derive_stream, load_config, place_nodes)
+                              derive_stream, load_config, place_topologies)
 from oracles import (interference_at, place_nodes_loop, population_loop, run_population,
                      tdma_schedule)
 
@@ -268,6 +269,20 @@ class TestRunComparison:
             np.testing.assert_allclose(got[:, 0], whole[:, 0], rtol=1e-14, atol=0.0)
             np.testing.assert_array_equal(got[:, 1:], whole[:, 1:])
 
+    def test_sweep_memory_is_bounded(self):
+        # link-slots go into buffers of one BER block plus one slot, so the
+        # 50-topology default sweep peaks near 1.1 MB; queuing whole blocks
+        # of 2^15 link-slots and concatenating them peaked near 2.8 MB
+        config = ScenarioConfig()
+        run_comparison(config, 2)  # first-call allocations are not the sweep's
+        tracemalloc.start()
+        try:
+            run_comparison(config, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, f"peak allocation {peak} bytes"
+
     def test_nan_in_ledger_fails_conservation(self, small_config, monkeypatch):
         # a NaN compares false with every tolerance, so the drift check must
         # flag what is not within it rather than what exceeds it
@@ -338,9 +353,7 @@ def test_fig3_matches_golden(golden, flags, tmp_path):
 @pytest.mark.parametrize("config_file", [None, "fig3_dense.cfg"])
 def test_fig3b_activity_matches_closed_form(config_file):
     cfg = load_config(DATA / config_file) if config_file else ScenarioConfig()
-    topologies = [place_nodes(cfg, derive_stream(cfg.seed, t, PURPOSE_PLACEMENT))
-                  for t in range(50)]
-    gains = netsim._padded_gains(cfg, topologies)
+    gains = netsim._padded_gains(cfg, *place_topologies(cfg, 50))
     pb_gain, present = gains[0], gains[3]
     harvest = (dbm_to_watts(cfg.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]
                * cfg.harvest_efficiency * cfg.harvest_s)  # (T, P, N)

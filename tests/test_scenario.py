@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from backsim.scenario import (PURPOSE_PLACEMENT, ScenarioConfig,
-                              derive_stream, load_config, place_nodes)
+                              derive_stream, load_config, place_nodes, place_topologies)
 from oracles import place_nodes_loop
 
 
@@ -130,6 +130,21 @@ class TestPlaceNodes:
         rng = derive_stream(seed, 0, PURPOSE_PLACEMENT)
         rng.poisson(cfg.expected_node_count)
         assert np.array_equal(place_nodes_loop(cfg, rng, n=len(topo)), topo)
+
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("density", [0.02, 0.002], ids=["default", "sparse"])
+    def test_batched_matches_per_topology(self, seed, density):
+        # one pass over all topologies gives each topology the same bits as
+        # place_nodes on its own stream; the sparse density leaves some empty
+        cfg = ScenarioConfig(node_density=density, seed=seed)
+        nodes, counts = place_topologies(cfg, 40)
+        expected = [place_nodes(cfg, derive_stream(seed, t, PURPOSE_PLACEMENT))
+                    for t in range(40)]
+        assert counts.tolist() == [len(topo) for topo in expected]
+        assert np.array_equal(nodes, np.concatenate(expected))
+        if density < 0.01:
+            assert 0 < (counts == 0).sum() < len(counts)
 
 
 class TestDeriveStream:
