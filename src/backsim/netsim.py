@@ -8,8 +8,8 @@ active nodes transmit concurrently; per-link BER is evaluated
 semi-analytically as Q(sqrt(2 * SINR)) of the per-slot SINR, which has the
 same expectation as bit-level simulation under the Gaussian detector model
 at a fraction of the cost. The whole sweep runs as one padded array batch
-over (topology, power, node); padded nodes receive no carrier and so never
-activate.
+over (topology, power, node); padded nodes receive no carrier, so like
+every node whose harvest never reaches its requirement they are not stepped.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dbm_to_watts, friis_gain
-from .energymodel import EnergyLedger, population_stepper
+from .energymodel import EnergyLedger, population_stepper, slot_energies
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
 from .scenario import NodeKind, place_topologies
@@ -102,9 +102,14 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present):
     """Run populations of one kind at every sweep power over padded topologies.
 
     Every (topology, power) pair is an independent population; all of them
-    advance together, one slot at a time, on (T, P, N) arrays, so that the
-    interference of each topology is one (P, N) @ (N, N) product. Each
-    slot writes the signal, interference plus noise and flat (topology,
+    advance together, one slot at a time, so that the interference of each
+    topology is one (P, N) @ (N, N) product over (T, P, N) emitted powers.
+    Until a node first turns on, its battery is its running harvest, which
+    never decreases. A node, padded ones included, whose harvest alone stays
+    below its kind's requirement through the last slot is therefore silent
+    throughout: it is not stepped, emits +0.0 and its ledger row is
+    (harvest, harvest, 0, 0). The stepper runs on the remaining nodes only.
+    Each slot writes the signal, interference plus noise and flat (topology,
     power) population index of its active links into three buffers
     allocated once, and BER is evaluated on them whenever they hold at
     least ``_BER_BLOCK`` link-slots. An interference sum that overflows
@@ -114,42 +119,55 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present):
     BER sample count, each (T, P), and the final (T, P, N) energy ledger.
     """
     incident = dbm_to_watts(config.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]  # (T, P, N)
-    num_nodes = incident.shape[-1]
-    flat_link_gain = np.broadcast_to(link_gain[:, None, :], incident.shape).ravel()
+    shape = incident.shape
+    num_powers, num_nodes = shape[1:]
     noise_w = config.noise_w
 
-    ledger = EnergyLedger.empty(incident.shape)
-    step = population_stepper(ledger, incident, kind, config)
-    ber_sum = np.zeros(math.prod(incident.shape[:2]))
+    # the whole incident is checked here, before any node is screened out
+    harvested, required, _ = slot_energies(incident, kind, config)
+    harvest_only = np.zeros(shape)
+    for _ in range(config.num_slots):  # the stepper's own float recursion
+        harvest_only += harvested
+    stepped = (harvest_only >= required).reshape(-1).nonzero()[0]  # flat (T, P, N) indices
+    part = EnergyLedger.empty(stepped.size)
+    step = population_stepper(part, incident.take(stepped), kind, config)
+    del incident, harvested  # the slot loop sets the sweep's peak memory
+    warm = np.zeros_like(part.slots_active)
+    population, node = np.divmod(stepped, num_nodes)
+    part_link_gain = link_gain[population // num_powers, node]
+    emitted_all = np.zeros(shape)  # screened nodes stay +0.0
+    emitted_flat = emitted_all.reshape(-1)  # a view; setitem scatters faster than put
+    ber_sum = np.zeros(math.prod(shape[:2]))
     # a slot is added whole, so a block holds up to _BER_BLOCK - 1 link-slots
     # plus one slot's worth, and never more than the run produces
     measured = config.num_slots - config.warmup_slots
-    capacity = min(_BER_BLOCK, incident.size * measured) + incident.size
+    capacity = min(_BER_BLOCK, stepped.size * measured) + stepped.size
     signal, denominator = np.empty(capacity), np.empty(capacity)
     owner = np.empty(capacity, dtype=np.intp)
     filled = 0
 
-    for slot in range(config.num_slots):
+    for slot in range(config.num_slots if stepped.size else 0):
         if slot == config.warmup_slots:
-            warm = ledger.slots_active.copy()
+            warm = part.slots_active.copy()
         active, emitted = step()
         if slot < config.warmup_slots:
             continue
-        links = np.flatnonzero(active)
+        links = active.nonzero()[0]
         if links.size:
             block = slice(filled, filled + links.size)
             filled += links.size
             # mode="clip" lets take write straight into ``out`` (the default
-            # buffers it); flatnonzero's indices are in range, so nothing is clipped
-            np.take(emitted, links, out=signal[block], mode="clip")
-            np.take(flat_link_gain, links, out=denominator[block], mode="clip")
+            # buffers it); nonzero's indices are in range, so nothing is clipped
+            emitted.take(links, out=signal[block], mode="clip")
+            part_link_gain.take(links, out=denominator[block], mode="clip")
             signal[block] *= denominator[block]
+            emitted_flat[stepped] = emitted
             # an overflow is reported once per block below, not warned per slot
             with np.errstate(over="ignore"):
-                interference = aggregate_interference(emitted, cross_gain)
-            np.take(interference, links, out=denominator[block], mode="clip")
+                interference = aggregate_interference(emitted_all, cross_gain)
+            interference.take(stepped.take(links), out=denominator[block], mode="clip")
             denominator[block] += noise_w
-            np.floor_divide(links, num_nodes, out=owner[block])
+            population.take(links, out=owner[block], mode="clip")
         if filled and (filled >= _BER_BLOCK or slot == config.num_slots - 1):
             # validate() bounds each emitter's power over the noise, not the
             # sum over every co-slot emitter at one receiver
@@ -162,12 +180,19 @@ def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present):
             filled = 0
 
     # written as not-within so that a NaN drift is flagged too
-    drifted = ~(np.abs(ledger.drift_j()) <= 1e-9 * np.maximum(ledger.harvested_j, 1e-30))
+    drifted = ~(np.abs(part.drift_j()) <= 1e-9 * np.maximum(part.harvested_j, 1e-30))
     if drifted.any():
+        where = np.unravel_index(stepped[drifted.argmax()], shape)
         raise RuntimeError(f"energy conservation violated at (topology, power, node) "
-                           f"{tuple(np.argwhere(drifted)[0])}")
+                           f"{tuple(int(i) for i in where)}")
+    ledger = EnergyLedger(harvest_only, harvest_only.copy(), np.zeros(shape),
+                          np.zeros(shape, dtype=np.int64))
+    for flows, part_flows in zip(vars(ledger).values(), vars(part).values()):
+        flows.put(stepped, part_flows)
 
-    ber_samples = (ledger.slots_active - warm).sum(axis=-1)
+    counted = np.zeros(shape, dtype=np.int64)  # active slots since warm-up
+    counted.put(stepped, part.slots_active - warm)
+    ber_samples = counted.sum(axis=-1)
     ber_sum = ber_sum.reshape(ber_samples.shape)
     mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
     nodes = present.sum(axis=-1)[:, None]

@@ -153,6 +153,26 @@ class TestTraditionalTxPower:
         assert active
         assert emitted == pytest.approx(config.noise_w, rel=1e-9)
 
+    def test_emitted_power_is_exact_and_silence_is_positive_zero(self, config):
+        # silent below, at and above the overhead, then active; the second
+        # slot reverses the order, so the buffer's active entries turn silent.
+        # An efficiency that is not a power of two pins the order of the
+        # multiplication and the division.
+        config = replace(config, pa_efficiency=0.37)
+        overhead, required = _traditional_overhead(config), _traditional_requirement(config)
+        battery = np.array([0.0, overhead / 2, overhead, (overhead + required) / 2,
+                            required, 1.7 * required, 3 * required, 11.3 * required])
+        ledger = EnergyLedger.empty(battery.size)
+        step = population_stepper(ledger, np.zeros(battery.size), TRAD, config)
+        for held in (battery, battery[::-1]):
+            ledger.battery_j[:] = held
+            active, emitted = step()
+            np.testing.assert_array_equal(active, held >= required)
+            assert active.sum() == 4
+            assert (emitted[~active] == 0.0).all() and not np.signbit(emitted).any()
+            for i in active.nonzero()[0]:
+                assert emitted[i] == config.pa_efficiency * (held[i] - overhead) / config.active_s
+
 
 class TestStepSlot:
     def test_bad_input_rejected(self, config):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from backsim import mac, netsim
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import main
-from backsim.energymodel import population_stepper
+from backsim.energymodel import EnergyLedger, population_stepper, slot_energies
 from backsim.netsim import CSV_HEADER, _mean_ci, run_comparison
 from backsim.phylink import bpsk_ber
 from backsim.scenario import (NodeKind, PURPOSE_MAC, PURPOSE_PLACEMENT, ScenarioConfig,
@@ -291,7 +291,7 @@ class TestRunComparison:
 
             def poisoned_step():
                 result = step()
-                ledger.consumed_j[0, 0, 0] = math.nan
+                ledger.consumed_j.flat[0] = math.nan
                 return result
             return poisoned_step
 
@@ -390,3 +390,95 @@ def test_fig3b_activity_matches_closed_form(config_file):
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got, expected, err_msg=kind.value)
         assert 0.0 < np.nanmean(got) < 1.0  # neither all silent nor all active
+
+
+def _unscreened_ledger(config, kind, pb_gain):
+    """The ledger of every (topology, power, node) entry stepped through
+    every slot, padded and never-active entries included."""
+    incident = dbm_to_watts(config.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]
+    ledger = EnergyLedger.empty(incident.shape)
+    step = population_stepper(ledger, incident, kind, config)
+    for _ in range(config.num_slots):
+        step()
+    return ledger
+
+
+def _assert_same_ledger(got, expected):
+    for name, flows in vars(expected).items():
+        got_flows = getattr(got, name)
+        np.testing.assert_array_equal(got_flows, flows, err_msg=name)
+        np.testing.assert_array_equal(np.signbit(got_flows), np.signbit(flows), err_msg=name)
+
+
+# _run_kind steps only the entries whose harvest alone reaches their kind's
+# requirement by the last slot; the others keep their running harvest.
+class TestScreen:
+    @pytest.mark.parametrize("config_file,powers", [
+        (None, None), ("fig3_dense.cfg", None), (None, (10.0,))])
+    def test_screen_is_invisible(self, config_file, powers, monkeypatch):
+        cfg = load_config(DATA / config_file) if config_file else ScenarioConfig()
+        if powers:
+            cfg = dataclasses.replace(cfg, pb_power_dbm_sweep=powers)
+        gains = netsim._padded_gains(cfg, *place_topologies(cfg, 50))
+        steps = []
+
+        def counted(ledger, incident_w, kind, config):
+            step = population_stepper(ledger, incident_w, kind, config)
+
+            def counted_step():
+                steps.append(kind)
+                return step()
+            return counted_step
+
+        monkeypatch.setattr(netsim, "population_stepper", counted)
+        for kind in KINDS:
+            ledger = netsim._run_kind(cfg, kind, *gains)[3]
+            _assert_same_ledger(ledger, _unscreened_ledger(cfg, kind, gains[0]))
+            assert ledger.slots_active.any() == (kind in steps)
+        # at 10 dBm no traditional radio ever turns on, so its slot loop never runs
+        assert (NodeKind.TRADITIONAL in steps) == (powers is None)
+        assert NodeKind.BACKSCATTER in steps
+
+    def test_boundary_is_inclusive(self):
+        # the smallest beacon gain whose running harvest reaches the
+        # requirement at the last slot, and the float just below it
+        cfg = ScenarioConfig(pb_power_dbm_sweep=(30.0,))
+        kind = NodeKind.TRADITIONAL
+
+        def final_harvest(gain):
+            harvested, required, _ = slot_energies(
+                dbm_to_watts(np.array(cfg.pb_power_dbm_sweep)) * gain, kind, cfg)
+            running = np.zeros_like(harvested)
+            for _ in range(cfg.num_slots):
+                running += harvested
+            return running[0], required
+
+        reached, required = final_harvest(1.0)
+        gain = required / reached  # a few ulps from the boundary
+        while final_harvest(gain)[0] >= required:
+            gain = np.nextafter(gain, 0.0)
+        while final_harvest(gain)[0] < required:
+            gain = np.nextafter(gain, 1.0)
+        reached = final_harvest(gain)[0]
+        assert reached == required  # exactly, on this config
+        below = np.nextafter(gain, 0.0)
+        assert final_harvest(below)[0] < required
+
+        pb_gain = np.array([[gain, below]])
+        mean_ber, _, ber_samples, ledger = netsim._run_kind(
+            cfg, kind, pb_gain, np.full((1, 2), 1e-4), np.zeros((1, 2, 2)),
+            np.ones((1, 2), dtype=bool))
+        assert ledger.slots_active.tolist() == [[[1, 0]]]
+        assert ber_samples.tolist() == [[1]] and 0.0 <= mean_ber[0, 0] < 0.5
+        assert ledger.battery_j[0, 0, 0] == 0.0  # a radio spends all it holds
+        _assert_same_ledger(ledger, _unscreened_ledger(cfg, kind, pb_gain))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-12])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_incident_power_rejected(self, bad, kind):
+        # a screen would drop such an entry silently, so the check comes first
+        cfg = ScenarioConfig(pb_power_dbm_sweep=(25.0, 40.0), num_slots=40, warmup_slots=8)
+        pb_gain, *rest = netsim._padded_gains(cfg, *place_topologies(cfg, 3))
+        pb_gain[0, 0] = bad
+        with pytest.raises(ValueError, match="incident power must be non-negative"):
+            netsim._run_kind(cfg, kind, pb_gain, *rest)
