@@ -11,9 +11,9 @@ mixer and DAC draws, plus the PA drain that radiates at least the receiver
 noise power; in active mode it drains its entire remaining battery through
 the power amplifier (greedy policy, which maximises per-slot SNR and keeps
 "sufficient energy" a single threshold). Batteries carry over between
-slots with no cap and no leakage. ``slot_energies`` is the one place the
-harvest and the requirements are written, ``population_stepper`` the one
-place a slot is stepped.
+slots with no cap and no leakage. ``slot_harvest`` is the one place the
+harvest is written, ``turn_on_energy`` the one place each kind's
+requirement is, and ``slot_stepper`` the one place a slot is stepped.
 """
 
 from __future__ import annotations
@@ -49,68 +49,83 @@ class EnergyLedger:
         return self.harvested_j - self.consumed_j - self.battery_j
 
 
-def slot_energies(incident_w, kind, config):
-    """Per-slot harvest of each node and the battery a node of ``kind`` needs.
+def slot_harvest(incident_w, config):
+    """Energy each node harvests in one slot from ``incident_w``.
 
-    Returns the energy harvested in one slot from ``incident_w``, the
-    battery at which a node of ``kind`` turns on (inclusive), and the part
-    of that spent on sensing and circuits; a traditional radio's remainder
-    is the PA drain that radiates the noise power. Raises ValueError unless
-    every incident power is non-negative.
+    Raises ValueError unless every incident power is non-negative.
     """
     if not (incident_w >= 0.0).all():  # NaN fails too
         raise ValueError("incident power must be non-negative")
-    backscatter = NodeKind(kind) == NodeKind.BACKSCATTER
-    harvested = incident_w * config.harvest_efficiency * config.harvest_s
-    if backscatter:
+    return incident_w * config.harvest_efficiency * config.harvest_s
+
+
+def turn_on_energy(kind, config):
+    """The battery at which a node of ``kind`` turns on (inclusive), and the
+    part of it spent on sensing and circuits.
+
+    A traditional radio's remainder is the PA drain that radiates the noise
+    power; a backscatter tag has none.
+    """
+    if NodeKind(kind) == NodeKind.BACKSCATTER:
         overhead = config.sense_energy_j + config.digital_circuit_w * config.active_s
-        return harvested, overhead, overhead
+        return overhead, overhead
     overhead = config.sense_energy_j + (
         config.digital_circuit_w + config.mixer_w + config.dac_w) * config.active_s
-    required = overhead + config.noise_w * config.active_s / config.pa_efficiency
-    return harvested, required, overhead
+    return overhead + config.noise_w * config.active_s / config.pa_efficiency, overhead
 
 
-def population_stepper(ledger, incident_w, kind, config):
-    """Slot stepper for every node of one or more populations of ``kind``.
+def slot_stepper(ledger, incident_w, num_tags, config):
+    """Slot stepper for backscatter tags and traditional radios held in one array.
 
-    ``incident_w`` is the carrier power reaching each node, shaped like the
-    ledger arrays and fixed for the stepper's life, so its check, the
-    per-slot harvest and the kind's requirement (``slot_energies``) are
-    computed here once. Each call of the returned ``step()`` advances the
-    nodes one slot: each node harvests, activates iff its battery covers
-    the requirement, and pays for the slot. ``step()`` updates ``ledger``
-    in place and returns the active mask and the power each node emits: the
-    full reflected incident wave for an active backscatter node, the
-    amplifier output for an active traditional node, +0.0 for a silent one.
-    Both are buffers that the next ``step()`` overwrites. The ledger's
-    ``slots_active`` is the one count of active slots; the sweep reads it.
+    Along axis 0 of the ledger arrays, the first ``num_tags`` entries are
+    tags and the rest radios. ``incident_w`` is the carrier power reaching
+    each node, shaped like the ledger arrays and fixed for the stepper's
+    life, so its check, the per-slot harvest and each entry's requirement
+    are computed here once. Each call of the returned ``step()`` advances
+    every node one slot: each node harvests, activates iff its battery
+    covers its requirement, and pays for the slot. The harvest, activation
+    and bookkeeping run on the whole array, the payment and the emission on
+    each kind's slice. ``step()`` updates ``ledger``'s arrays in place and
+    returns the active mask and the power each node emits: the full
+    reflected incident wave for an active tag, the amplifier output for an
+    active radio, +0.0 for a silent node. Both are buffers that the next
+    ``step()`` overwrites. The ledger's ``slots_active`` is the one count
+    of active slots; the sweep reads it.
     """
-    harvested, required, overhead = slot_energies(incident_w, kind, config)
-    backscatter = NodeKind(kind) == NodeKind.BACKSCATTER
+    harvested = slot_harvest(incident_w, config)
+    tag_required = turn_on_energy(NodeKind.BACKSCATTER, config)[0]
+    radio_required, overhead = turn_on_energy(NodeKind.TRADITIONAL, config)
     active_s, pa_efficiency = config.active_s, config.pa_efficiency
-    shape = ledger.battery_j.shape
+    battery = ledger.battery_j
+    shape = battery.shape
+    required = np.full(shape, radio_required)
+    required[:num_tags] = tag_required
     active = np.zeros(shape, dtype=bool)
     consumed, emitted = np.zeros(shape), np.zeros(shape)
+    tags, radios = slice(None, num_tags), slice(num_tags, None)
+    tag_on, tag_cost, tag_incident = active[tags], required[tags], incident_w[tags]
+    tag_paid, tag_out = consumed[tags], emitted[tags]
+    radio_on, radio_held = active[radios], battery[radios]
+    radio_paid, radio_out = consumed[radios], emitted[radios]
+    has_tags, has_radios = num_tags > 0, num_tags < shape[0]
 
     def step():
-        battery = ledger.battery_j
         np.add(battery, harvested, out=battery)
         np.greater_equal(battery, required, out=active)
         # the 0/1 mask times a finite non-negative value is that value or
         # +0.0, exactly what np.where(active, value, 0.0) gives
-        if backscatter:
-            np.multiply(active, required, out=consumed)
-            np.multiply(active, incident_w, out=emitted)
-        else:
-            np.multiply(active, battery, out=consumed)
+        if has_tags:
+            np.multiply(tag_on, tag_cost, out=tag_paid)
+            np.multiply(tag_on, tag_incident, out=tag_out)
+        if has_radios:
+            np.multiply(radio_on, radio_held, out=radio_paid)
             # pa_efficiency * (battery - overhead) / active_s, clamped at 0.0 so
             # that a silent node below the overhead emits +0.0, not -0.0
-            np.subtract(battery, overhead, out=emitted)
-            np.multiply(emitted, pa_efficiency, out=emitted)
-            np.divide(emitted, active_s, out=emitted)
-            np.maximum(emitted, 0.0, out=emitted)
-            np.multiply(emitted, active, out=emitted)
+            np.subtract(radio_held, overhead, out=radio_out)
+            np.multiply(radio_out, pa_efficiency, out=radio_out)
+            np.divide(radio_out, active_s, out=radio_out)
+            np.maximum(radio_out, 0.0, out=radio_out)
+            np.multiply(radio_out, radio_on, out=radio_out)
         np.subtract(battery, consumed, out=battery)
         # the minimum is NaN if any battery is
         if not np.minimum.reduce(battery, axis=None, initial=np.inf) >= 0.0:
@@ -121,6 +136,16 @@ def population_stepper(ledger, incident_w, kind, config):
         return active, emitted
 
     return step
+
+
+def population_stepper(ledger, incident_w, kind, config):
+    """Slot stepper for every node of one or more populations of ``kind``.
+
+    The one-kind case of ``slot_stepper``: the ledger arrays' last axis
+    indexes nodes and leading axes (if any) populations, all of ``kind``.
+    """
+    backscatter = NodeKind(kind) == NodeKind.BACKSCATTER
+    return slot_stepper(ledger, incident_w, len(incident_w) if backscatter else 0, config)
 
 
 def duty_cycle_harvest(alpha, incident_w, config):

@@ -8,8 +8,9 @@ active nodes transmit concurrently; per-link BER is evaluated
 semi-analytically as Q(sqrt(2 * SINR)) of the per-slot SINR, which has the
 same expectation as bit-level simulation under the Gaussian detector model
 at a fraction of the cost. The whole sweep runs as one padded array batch
-over (topology, power, node); padded nodes receive no carrier, so like
-every node whose harvest never reaches its requirement they are not stepped.
+over (topology, kind, power, node) in one slot loop; padded nodes receive no
+carrier, so like every node whose harvest never reaches its requirement they
+are not stepped.
 """
 
 from __future__ import annotations
@@ -21,15 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dbm_to_watts, friis_gain
-from .energymodel import EnergyLedger, population_stepper, slot_energies
+from .energymodel import EnergyLedger, slot_harvest, slot_stepper, turn_on_energy
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
 from .scenario import NodeKind, place_topologies
 
+_KINDS = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)  # order of the kind axis
+
 CSV_HEADER = "pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,trials,seed"
 
-# Active link-slots collected before one bpsk_ber call: large enough to
-# amortise its per-call cost over many slots, small enough to bound memory.
+# Active link-slots collected for one bpsk_ber call (or one slot's worth,
+# if more): large enough to amortise its per-call cost over many slots,
+# small enough to bound memory.
 # Peak RSS of the 50-topology default sweep rose by 0.1-0.3 MB per doubling
 # from 2^11 to 2^14 and by 0.8 MB from 2^14 to 2^15.
 _BER_BLOCK = 1 << 12
@@ -98,127 +102,205 @@ def _padded_gains(config, nodes, counts):
     return pb_gain, link_gain, cross_gain, present
 
 
-def _run_kind(config, kind, pb_gain, link_gain, cross_gain, present):
-    """Run populations of one kind at every sweep power over padded topologies.
+def _run_kinds(config, pb_gain, link_gain, cross_gain, present):
+    """Run both kinds' populations at every sweep power over padded topologies.
 
-    Every (topology, power) pair is an independent population; all of them
-    advance together, one slot at a time, so that the interference of each
-    topology is one (P, N) @ (N, N) product over (T, P, N) emitted powers.
-    Until a node first turns on, its battery is its running harvest, which
-    never decreases. A node, padded ones included, whose harvest alone stays
-    below its kind's requirement through the last slot is therefore silent
-    throughout: it is not stepped, emits +0.0 and its ledger row is
-    (harvest, harvest, 0, 0). The stepper runs on the remaining nodes only.
-    Each slot writes the signal, interference plus noise and flat (topology,
-    power) population index of its active links into three buffers
-    allocated once, and BER is evaluated on them whenever they hold at
-    least ``_BER_BLOCK`` link-slots. An interference sum that overflows
-    fails the run with a ValueError. The ledger's ``slots_active`` is
-    copied when warm-up ends; its growth since then is each population's
-    BER sample count. Returns the mean BER, the active fraction and the
-    BER sample count, each (T, P), and the final (T, P, N) energy ledger.
+    Every (topology, kind, power) triple is an independent population; all
+    of them advance together, one slot at a time, so that the interference
+    of each topology is one (2P, N) @ (N, N) product over (T, 2, P, N)
+    emitted powers, kinds in ``_KINDS`` order. Until a node first turns on,
+    its battery is its running harvest, which never decreases and does not
+    depend on the kind. A node, padded ones included, whose harvest alone
+    stays below its kind's requirement through the last slot is therefore
+    silent throughout: it is not stepped, emits +0.0 and its ledger row is
+    (harvest, harvest, 0, 0). One stepper runs on the other entries, the
+    tags that can turn on followed by the radios that can.
+
+    A population is fixed when each of its stepped entries harvests at least
+    its requirement in every slot. Such an entry is active in every slot and
+    always emits the same power: a tag keeps at least 0.0, so each harvest
+    lifts it over the requirement again, and a radio spends exactly all it
+    holds. A fixed population's SINRs are then the same in every slot, so
+    ``_slot_loop`` evaluates its links once and counts them once per
+    measured slot. The entries of the other populations form one slice of
+    the stepped array, between the fixed tags and the fixed radios.
+
+    Returns the mean BER, the active fraction and the BER sample count, each
+    (T, 2, P), and one (T, P, N) energy ledger per kind; the two ledgers
+    share one ``harvested_j`` array.
     """
     incident = dbm_to_watts(config.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]  # (T, P, N)
     shape = incident.shape
-    num_powers, num_nodes = shape[1:]
-    noise_w = config.noise_w
+    num_topologies, num_powers, num_nodes = shape
 
-    # the whole incident is checked here, before any node is screened out
-    harvested, required, _ = slot_energies(incident, kind, config)
+    # the whole incident is checked here, before any entry is screened out
+    harvested = slot_harvest(incident, config)
     harvest_only = np.zeros(shape)
     for _ in range(config.num_slots):  # the stepper's own float recursion
         harvest_only += harvested
-    stepped = (harvest_only >= required).reshape(-1).nonzero()[0]  # flat (T, P, N) indices
-    part = EnergyLedger.empty(stepped.size)
-    step = population_stepper(part, incident.take(stepped), kind, config)
-    del incident, harvested  # the slot loop sets the sweep's peak memory
-    warm = np.zeros_like(part.slots_active)
-    population, node = np.divmod(stepped, num_nodes)
-    part_link_gain = link_gain[population // num_powers, node]
-    emitted_all = np.zeros(shape)  # screened nodes stay +0.0
+    groups = []  # flat (T, P, N) indices: fixed tags, changing tags, changing radios, fixed radios
+    for kind in _KINDS:
+        required = turn_on_energy(kind, config)[0]
+        stepped = harvest_only >= required
+        changes = (stepped & (harvested < required)).any(axis=-1, keepdims=True)
+        pair = [(stepped & ~changes).reshape(-1).nonzero()[0],
+                (stepped & changes).reshape(-1).nonzero()[0]]
+        groups.extend(pair if kind == NodeKind.BACKSCATTER else pair[::-1])
+    entries = np.concatenate(groups)
+    num_tags = groups[0].size + groups[1].size
+    changing = slice(groups[0].size, num_tags + groups[2].size)
+
+    topology = entries // (num_powers * num_nodes)
+    emitter = entries + topology * (num_powers * num_nodes)  # flat (T, 2, P, N) index
+    emitter[num_tags:] += num_powers * num_nodes  # radios sit one kind further on
+    population, node = np.divmod(emitter, num_nodes)  # flat (T, 2, P) index
+    stepped_link_gain = link_gain[topology, node]
+    stepped_incident = incident.take(entries)
+    # the slot loop sets the sweep's peak memory
+    del incident, harvested, stepped, groups, topology, node
+    part = EnergyLedger.empty(entries.size)
+    ber_sum, warm = _slot_loop(config, part, stepped_incident, num_tags, changing, emitter,
+                               population, stepped_link_gain, cross_gain, num_powers)
+
+    # written as not-within so that a NaN drift is flagged too
+    drifted = ~(np.abs(part.drift_j()) <= 1e-9 * np.maximum(part.harvested_j, 1e-30))
+    if drifted.any():
+        first = drifted.argmax()
+        kind = _KINDS[int(first >= num_tags)]
+        where = tuple(int(i) for i in np.unravel_index(entries[first], shape))
+        raise RuntimeError(f"energy conservation violated for {kind.value} at "
+                           f"(topology, power, node) {where}")
+    ledgers = []
+    for kind_part in (slice(None, num_tags), slice(num_tags, None)):
+        # a stepped entry's harvested_j is harvest_only too: the same additions
+        ledger = EnergyLedger(harvest_only.copy(), harvest_only, np.zeros(shape),
+                              np.zeros(shape, dtype=np.int64))
+        for name in ("battery_j", "consumed_j", "slots_active"):
+            getattr(ledger, name).put(entries[kind_part], getattr(part, name)[kind_part])
+        ledgers.append(ledger)
+
+    # the weights are integers, so their float sums are exact
+    ber_samples = np.bincount(population, weights=part.slots_active - warm,
+                              minlength=ber_sum.size).astype(np.int64)
+    ber_samples = ber_samples.reshape(num_topologies, len(_KINDS), num_powers)
+    ber_sum = ber_sum.reshape(ber_samples.shape)
+    mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
+    nodes = present.sum(axis=-1)[:, None, None]
+    active_fraction = np.where(nodes > 0, ber_samples / np.maximum(nodes, 1), math.nan)
+    active_fraction /= config.num_slots - config.warmup_slots
+    return mean_ber, active_fraction, ber_samples, ledgers
+
+
+def _slot_loop(config, part, incident, num_tags, changing, emitter, population, link_gain,
+               cross_gain, num_powers):
+    """The slot loop of ``_run_kinds`` over the stepped entries of ``part``.
+
+    ``incident``, ``emitter`` (flat (T, 2, P, N) index), ``population``
+    (flat (T, 2, P) index) and ``link_gain`` hold one value per stepped
+    entry, the first ``num_tags`` of them tags; the ``changing`` slice holds
+    the entries of populations that are not fixed. Each measured slot
+    writes the signal, interference plus noise and population of their
+    active links into three buffers allocated once, and BER is evaluated on
+    them whenever they hold at least ``_BER_BLOCK`` link-slots. The fixed
+    entries' links are evaluated once after the last slot. An interference
+    sum that overflows fails the run with a ValueError.
+
+    Returns each population's BER sum over the measured slots and
+    ``part.slots_active`` when warm-up ends. The loop's buffers are freed
+    when it returns.
+    """
+    step = slot_stepper(part, incident, num_tags, config)
+    noise_w, measured = config.noise_w, config.num_slots - config.warmup_slots
+    num_topologies, num_nodes = cross_gain.shape[:2]
+    emitted_all = np.zeros((num_topologies, len(_KINDS) * num_powers, num_nodes))
     emitted_flat = emitted_all.reshape(-1)  # a view; setitem scatters faster than put
-    ber_sum = np.zeros(math.prod(shape[:2]))
-    # a slot is added whole, so a block holds up to _BER_BLOCK - 1 link-slots
-    # plus one slot's worth, and never more than the run produces
-    measured = config.num_slots - config.warmup_slots
-    capacity = min(_BER_BLOCK, stepped.size * measured) + stepped.size
+    ber_sum = np.zeros(emitted_all.shape[:2]).reshape(-1)
+
+    def add_ber(signal, denominator, owner, repeats):
+        # validate() bounds each emitter's power over the noise, not the sum
+        # over every co-slot emitter at one receiver
+        if not np.isfinite(denominator).all():
+            raise ValueError("the interference at a receiver overflows to inf; lower "
+                             "pb_power_dbm_sweep, aperture_m2 or node_density")
+        ber = bpsk_ber(np.divide(signal, denominator, out=signal))
+        ber *= repeats  # exact for one repeat
+        np.add(ber_sum, np.bincount(owner, weights=ber, minlength=ber_sum.size), out=ber_sum)
+
+    # a slot is added whole, and the buffers are flushed first if it would
+    # take them past _BER_BLOCK, so a block holds at most _BER_BLOCK link-slots
+    # or one slot's worth, and never more than the run produces
+    moving = changing.stop - changing.start
+    capacity = max(min(_BER_BLOCK, moving * measured), moving)
     signal, denominator = np.empty(capacity), np.empty(capacity)
     owner = np.empty(capacity, dtype=np.intp)
     filled = 0
+    moving_gain, moving_emitter = link_gain[changing], emitter[changing]
+    moving_population = population[changing]
+    warm = np.zeros_like(part.slots_active)
 
-    for slot in range(config.num_slots if stepped.size else 0):
+    for slot in range(config.num_slots if incident.size else 0):
         if slot == config.warmup_slots:
             warm = part.slots_active.copy()
         active, emitted = step()
         if slot < config.warmup_slots:
             continue
-        links = active.nonzero()[0]
+        links = active[changing].nonzero()[0]
+        if filled and filled + links.size > _BER_BLOCK:
+            add_ber(signal[:filled], denominator[:filled], owner[:filled], 1)
+            filled = 0
         if links.size:
             block = slice(filled, filled + links.size)
             filled += links.size
+            moving_emitted = emitted[changing]
             # mode="clip" lets take write straight into ``out`` (the default
             # buffers it); nonzero's indices are in range, so nothing is clipped
-            emitted.take(links, out=signal[block], mode="clip")
-            part_link_gain.take(links, out=denominator[block], mode="clip")
+            moving_emitted.take(links, out=signal[block], mode="clip")
+            moving_gain.take(links, out=denominator[block], mode="clip")
             signal[block] *= denominator[block]
-            emitted_flat[stepped] = emitted
-            # an overflow is reported once per block below, not warned per slot
+            emitted_flat[moving_emitter] = moving_emitted
+            # an overflow is reported once per block, not warned per slot; the
+            # product is not kept, so none is alive while BER is evaluated
             with np.errstate(over="ignore"):
-                interference = aggregate_interference(emitted_all, cross_gain)
-            interference.take(stepped.take(links), out=denominator[block], mode="clip")
+                aggregate_interference(emitted_all, cross_gain).take(
+                    moving_emitter.take(links), out=denominator[block], mode="clip")
             denominator[block] += noise_w
-            population.take(links, out=owner[block], mode="clip")
-        if filled and (filled >= _BER_BLOCK or slot == config.num_slots - 1):
-            # validate() bounds each emitter's power over the noise, not the
-            # sum over every co-slot emitter at one receiver
-            if not np.isfinite(denominator[:filled]).all():
-                raise ValueError("the interference at a receiver overflows to inf; lower "
-                                 "pb_power_dbm_sweep, aperture_m2 or node_density")
-            sinr = np.divide(signal[:filled], denominator[:filled], out=signal[:filled])
-            ber_sum += np.bincount(owner[:filled], weights=bpsk_ber(sinr),
-                                   minlength=ber_sum.size)
-            filled = 0
+            moving_population.take(links, out=owner[block], mode="clip")
+    if filled:
+        add_ber(signal[:filled], denominator[:filled], owner[:filled], 1)
+    del signal, denominator, owner
 
-    # written as not-within so that a NaN drift is flagged too
-    drifted = ~(np.abs(part.drift_j()) <= 1e-9 * np.maximum(part.harvested_j, 1e-30))
-    if drifted.any():
-        where = np.unravel_index(stepped[drifted.argmax()], shape)
-        raise RuntimeError(f"energy conservation violated at (topology, power, node) "
-                           f"{tuple(int(i) for i in where)}")
-    ledger = EnergyLedger(harvest_only, harvest_only.copy(), np.zeros(shape),
-                          np.zeros(shape, dtype=np.int64))
-    for flows, part_flows in zip(vars(ledger).values(), vars(part).values()):
-        flows.put(stepped, part_flows)
-
-    counted = np.zeros(shape, dtype=np.int64)  # active slots since warm-up
-    counted.put(stepped, part.slots_active - warm)
-    ber_samples = counted.sum(axis=-1)
-    ber_sum = ber_sum.reshape(ber_samples.shape)
-    mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
-    nodes = present.sum(axis=-1)[:, None]
-    active_fraction = np.where(nodes > 0, ber_samples / np.maximum(nodes, 1), math.nan)
-    active_fraction /= config.num_slots - config.warmup_slots
-    return mean_ber, active_fraction, ber_samples, ledger
+    fixed = np.r_[:changing.start, changing.stop:incident.size]
+    if fixed.size:  # every fixed entry is active, emitting what it did in the last slot
+        fixed_emitter = emitter.take(fixed)
+        fixed_signal = emitted.take(fixed)
+        emitted_flat[fixed_emitter] = fixed_signal
+        with np.errstate(over="ignore"):
+            denominator = aggregate_interference(emitted_all, cross_gain).take(fixed_emitter)
+        denominator += noise_w
+        fixed_signal *= link_gain.take(fixed)
+        add_ber(fixed_signal, denominator, population.take(fixed), measured)
+    return ber_sum, warm
 
 
 def _mean_ci(values):
-    """Sample mean and normal-approximation 95% half-width, NaN-safe."""
-    vals = np.asarray(values, dtype=float)
-    vals = vals[~np.isnan(vals)]
-    if vals.size == 0:
-        return math.nan, math.nan
-    mean = float(vals.mean())
-    if vals.size < 2:
-        return mean, 0.0
-    half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(vals.size)
+    """Means and normal-approximation 95% half-widths over axis 0, NaN-safe.
+
+    NaN entries drop out. A column with one sample has half-width 0.0, one
+    with none (NaN, NaN).
+    """
+    count = (~np.isnan(values)).sum(axis=0)
+    with np.errstate(invalid="ignore"):  # 0 / 0 is NaN where there is no sample
+        mean = np.nansum(values, axis=0) / count
+        squares = np.nansum((values - mean) ** 2, axis=0)
+        half = np.where(count == 1, 0.0, 1.96 * np.sqrt(squares / (count - 1)) / np.sqrt(count))
     return mean, half
 
 
 def run_comparison(config, num_topologies):
     """Sweep beacon power for both node kinds over paired topologies.
 
-    All topologies are placed in one pass and padded into one batch; each kind
-    then runs every (power, topology) population in one array pass over
+    All topologies are placed in one pass and padded into one batch, and
+    every (topology, kind, power) population runs in one array pass over
     the slots. Per-topology means are aggregated unweighted across
     topology draws; topologies without samples (e.g. no node ever active at
     a low power) simply drop out of the BER mean. Results come out in sweep
@@ -239,19 +321,16 @@ def run_comparison(config, num_topologies):
                          f"or the number of topologies (--trials)")
 
     gains = _padded_gains(config, *place_topologies(config, num_topologies))
-    kinds = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)
-    per_kind = {kind: _run_kind(config, kind, *gains) for kind in kinds}
-
-    results = []
-    for p, pb_dbm in enumerate(config.pb_power_dbm_sweep):
-        for kind in kinds:
-            bers, fracs = per_kind[kind][0][:, p], per_kind[kind][1][:, p]
-            mean_ber, ci_ber = _mean_ci(bers)
-            mean_frac, ci_frac = _mean_ci(fracs)
-            results.append(ExperimentResult(
+    mean_ber, active_fraction = _run_kinds(config, *gains)[:2]
+    # (kind, power) lists; every NaN is math.nan itself, because dataclass
+    # equality compares NaN fields by identity
+    ber, ci_ber, fraction, ci_fraction = (
+        [[math.nan if math.isnan(v) else v for v in row] for row in stat.tolist()]
+        for stat in (*_mean_ci(mean_ber), *_mean_ci(active_fraction)))
+    return [ExperimentResult(
                 pb_power_dbm=float(pb_dbm), kind=kind,
-                mean_ber=mean_ber, ci95_ber=ci_ber,
-                active_fraction=mean_frac, ci95_active=ci_frac,
-                trials=num_topologies, seed=config.seed))
-    return results
-
+                mean_ber=ber[k][p], ci95_ber=ci_ber[k][p],
+                active_fraction=fraction[k][p], ci95_active=ci_fraction[k][p],
+                trials=num_topologies, seed=config.seed)
+            for p, pb_dbm in enumerate(config.pb_power_dbm_sweep)
+            for k, kind in enumerate(_KINDS)]

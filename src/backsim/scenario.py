@@ -125,7 +125,7 @@ class ScenarioConfig:
             raise ValueError(f"rx_distance_m must exceed the float spacing at region_radius "
                              f"({math.ulp(self.region_radius)} m), or a receiver can round "
                              f"onto its node, got {self.rx_distance_m}")
-        # population_stepper scales harvest_s and active_s into energies and
+        # slot_stepper scales harvest_s and active_s into energies and
         # powers, which must stay finite: the energy stored over the run, and
         # the largest amplifier output. That output counts the traditional
         # requirement, which bounds the backscatter one, because battery -

@@ -24,7 +24,7 @@ from backsim.channel import dbm_to_watts, friis_gain
 from backsim.dyadic import _CHUNK
 from backsim.energymodel import EnergyLedger, population_stepper
 from backsim.mac import aggregate_interference
-from backsim.netsim import _padded_gains, _run_kind
+from backsim.netsim import _KINDS, _padded_gains, _run_kinds
 from backsim.phylink import bpsk_ber, q_function
 from backsim.scenario import NodeKind
 
@@ -228,16 +228,17 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
 def run_population(config, kind, topology, pb_power_dbm):
     """The batched sweep engine of ``run_comparison`` on one population.
 
-    Runs one topology at one beacon power, the config's sweep replaced by
-    that power, and returns (mean_ber, active_fraction, ber_samples, ledger)
-    as ``population_loop`` does, the ledger's arrays holding one entry per
-    node of ``topology``.
+    Runs both kinds on one topology at one beacon power, the config's sweep
+    replaced by that power, and returns (mean_ber, active_fraction,
+    ber_samples, ledger) of ``kind`` as ``population_loop`` does, the
+    ledger's arrays holding one entry per node of ``topology``.
     """
     config = dataclasses.replace(config, pb_power_dbm_sweep=(pb_power_dbm,))
-    mean_ber, active_fraction, ber_samples, ledger = _run_kind(
-        config, kind, *_padded_gains(config, topology, np.array([len(topology)])))
-    ledger = EnergyLedger(*(flows[0, 0] for flows in vars(ledger).values()))
-    return mean_ber[0, 0], active_fraction[0, 0], ber_samples[0, 0], ledger
+    mean_ber, active_fraction, ber_samples, ledgers = _run_kinds(
+        config, *_padded_gains(config, topology, np.array([len(topology)])))
+    k = _KINDS.index(NodeKind(kind))
+    ledger = EnergyLedger(*(flows[0, 0] for flows in vars(ledgers[k]).values()))
+    return mean_ber[0, k, 0], active_fraction[0, k, 0], ber_samples[0, k, 0], ledger
 
 
 # Dyadic MIMO estimators ----------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from backsim import mac, netsim
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import main
-from backsim.energymodel import EnergyLedger, population_stepper, slot_energies
+from backsim.energymodel import (EnergyLedger, population_stepper, slot_harvest, slot_stepper,
+                                 turn_on_energy)
 from backsim.netsim import CSV_HEADER, _mean_ci, run_comparison
 from backsim.phylink import bpsk_ber
 from backsim.scenario import (NodeKind, PURPOSE_MAC, PURPOSE_PLACEMENT, ScenarioConfig,
@@ -115,28 +116,34 @@ class TestRunPopulation:
     @pytest.mark.parametrize("kind", [NodeKind.BACKSCATTER, NodeKind.TRADITIONAL])
     def test_interference_matches_mac_module(self, kind, monkeypatch):
         # Dual route: every interference vector netsim computes during a run
-        # must match the scalar per-receiver sum over Friis gains; the same
-        # mac function under TDMA and time-hopping co-slot masks must match
-        # the scalar sum restricted to co-slot nodes.
+        # must match the scalar per-receiver sum over Friis gains, for both
+        # kinds' rows of each product; the same mac function under TDMA and
+        # time-hopping co-slot masks must match the scalar sum restricted to
+        # co-slot nodes, on ``kind``'s emissions.
         cfg = ScenarioConfig(num_slots=30, warmup_slots=2)
         topo = _topology(cfg, 1, n=5)
+        n = len(topo)
         calls = []
 
         def recording(emitted_w, gain):
-            # one population over one topology: a (1, 1, N) batch
+            # one population per kind over one topology: a (1, 2, N) batch
             out = mac.aggregate_interference(emitted_w, gain)
-            calls.append((emitted_w.reshape(-1).copy(), gain[0], out.reshape(-1)))
+            calls.append((emitted_w.reshape(2, n).copy(), gain[0], out.reshape(2, n)))
             return out
 
         monkeypatch.setattr(netsim, "aggregate_interference", recording)
         samples = run_population(cfg, kind, topo, 42.0)[2]
         assert len(calls) > 0 and samples > 0
+        # some product carries both kinds' emissions at once
+        assert any((emitted > 0.0).any(axis=1).all() for emitted, _, _ in calls)
         for emitted, _, got in calls:
-            for i in range(len(topo)):
-                assert got[i] == pytest.approx(interference_at(i, topo, emitted, cfg), rel=1e-9)
+            for row, got_row in zip(emitted, got):
+                for i in range(n):
+                    expected = interference_at(i, topo, row, cfg)
+                    assert got_row[i] == pytest.approx(expected, rel=1e-9)
 
         emitted, gain, _ = calls[-1]
-        n = len(topo)
+        emitted = emitted[KINDS.index(kind)]
         for slots in (tdma_schedule(n, n),
                       mac.th_ss_assign(n, 2, derive_stream(cfg.seed, 0, PURPOSE_MAC))):
             got = mac.aggregate_interference(emitted, gain * mac.co_slot_mask(slots))
@@ -286,8 +293,8 @@ class TestRunComparison:
     def test_nan_in_ledger_fails_conservation(self, small_config, monkeypatch):
         # a NaN compares false with every tolerance, so the drift check must
         # flag what is not within it rather than what exceeds it
-        def poisoned(ledger, incident_w, kind, config):
-            step = population_stepper(ledger, incident_w, kind, config)
+        def poisoned(ledger, incident_w, num_tags, config):
+            step = slot_stepper(ledger, incident_w, num_tags, config)
 
             def poisoned_step():
                 result = step()
@@ -295,8 +302,8 @@ class TestRunComparison:
                 return result
             return poisoned_step
 
-        monkeypatch.setattr(netsim, "population_stepper", poisoned)
-        with pytest.raises(RuntimeError, match="energy conservation violated"):
+        monkeypatch.setattr(netsim, "slot_stepper", poisoned)
+        with pytest.raises(RuntimeError, match="energy conservation violated for backscatter"):
             run_comparison(small_config, 2)
 
     def test_csv_schema(self, small_config, tmp_path):
@@ -316,6 +323,54 @@ class TestRunComparison:
         assert first[1] in ("backscatter", "traditional")
         # shortest round-trip decimals parse back exactly
         assert float(first[0]) == results[0].pb_power_dbm
+
+    @pytest.mark.parametrize("config_file,powers", [
+        (None, (25.0, 40.0, 70.0)), ("fig3_dense.cfg", (35.0, 55.0, 65.0))])
+    def test_fixed_populations_are_evaluated_once(self, config_file, powers, monkeypatch):
+        # A population whose stepped entries each harvest at least their
+        # requirement in every slot is active throughout with the same
+        # emissions, so its SINRs repeat: the sweep evaluates each of its
+        # links once and counts it once per measured slot.
+        cfg = load_config(DATA / config_file) if config_file else ScenarioConfig()
+        cfg = dataclasses.replace(cfg, pb_power_dbm_sweep=powers, num_slots=30,
+                                  warmup_slots=6, seed=9)
+        num_topologies, measured = 6, cfg.num_slots - cfg.warmup_slots
+        gains = netsim._padded_gains(cfg, *place_topologies(cfg, num_topologies))
+        harvest = (dbm_to_watts(cfg.pb_power_dbm_sweep)[:, None] * gains[0][:, None, :]
+                   * cfg.harvest_efficiency * cfg.harvest_s)  # (T, P, N)
+        running = np.zeros(harvest.shape)
+        for _ in range(cfg.num_slots):
+            running += harvest
+        fixed = np.stack([~((running >= required) & (harvest < required)).any(axis=-1)
+                          for required in (turn_on_energy(kind, cfg)[0] for kind in KINDS)],
+                         axis=1)  # (T, kind, P)
+
+        ber_values = []
+
+        def counted(sinr):
+            ber_values.append(np.size(sinr))
+            return bpsk_ber(sinr)
+
+        monkeypatch.setattr(netsim, "bpsk_ber", counted)
+        mean_ber, active_fraction, samples, ledgers = netsim._run_kinds(cfg, *gains)
+        for k in range(len(KINDS)):  # each kind has both, the fixed ones with links
+            assert (fixed[:, k] & (samples[:, k] > 0)).any() and not fixed[:, k].all()
+        assert (samples[fixed] % measured == 0).all()
+        assert sum(ber_values) == samples[~fixed].sum() + samples[fixed].sum() // measured
+
+        for t in range(num_topologies):
+            topo = _topology(cfg, t)
+            for k, kind in enumerate(KINDS):
+                for p, pb in enumerate(cfg.pb_power_dbm_sweep):
+                    ber, frac, count, ledger = population_loop(cfg, kind, topo, pb)
+                    where = (t, k, p, fixed[t, k, p])
+                    assert samples[t, k, p] == count, where
+                    assert _close(mean_ber[t, k, p], ber), where
+                    assert _close(active_fraction[t, k, p], frac), where
+                    for name, flows in vars(ledger).items():
+                        got = getattr(ledgers[k], name)[t, p, :len(topo)]
+                        np.testing.assert_allclose(got, flows, rtol=1e-12, atol=0.0,
+                                                   err_msg=f"{name} {where}")
 
 
 # Golden sweeps written by ``backsim --experiment fig3a --seed 42`` before the
@@ -383,10 +438,11 @@ def test_fig3b_activity_matches_closed_form(config_file):
               NodeKind.TRADITIONAL: slots // period - warmup // period}
 
     nodes = present.sum(axis=-1)[:, None]
+    active_fraction = netsim._run_kinds(cfg, *gains)[1]
     for kind, count in counts.items():
         expected = np.where(nodes > 0, count.sum(axis=-1) / np.maximum(nodes, 1), math.nan)
         expected /= slots - warmup
-        got = netsim._run_kind(cfg, kind, *gains)[1]
+        got = active_fraction[:, KINDS.index(kind)]
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got, expected, err_msg=kind.value)
         assert 0.0 < np.nanmean(got) < 1.0  # neither all silent nor all active
@@ -410,7 +466,7 @@ def _assert_same_ledger(got, expected):
         np.testing.assert_array_equal(np.signbit(got_flows), np.signbit(flows), err_msg=name)
 
 
-# _run_kind steps only the entries whose harvest alone reaches their kind's
+# _run_kinds steps only the entries whose harvest alone reaches their kind's
 # requirement by the last slot; the others keep their running harvest.
 class TestScreen:
     @pytest.mark.parametrize("config_file,powers", [
@@ -420,24 +476,25 @@ class TestScreen:
         if powers:
             cfg = dataclasses.replace(cfg, pb_power_dbm_sweep=powers)
         gains = netsim._padded_gains(cfg, *place_topologies(cfg, 50))
-        steps = []
+        steps = []  # (tags, radios) stepped in each slot
 
-        def counted(ledger, incident_w, kind, config):
-            step = population_stepper(ledger, incident_w, kind, config)
+        def counted(ledger, incident_w, num_tags, config):
+            step = slot_stepper(ledger, incident_w, num_tags, config)
 
             def counted_step():
-                steps.append(kind)
+                steps.append((num_tags, incident_w.size - num_tags))
                 return step()
             return counted_step
 
-        monkeypatch.setattr(netsim, "population_stepper", counted)
-        for kind in KINDS:
-            ledger = netsim._run_kind(cfg, kind, *gains)[3]
+        monkeypatch.setattr(netsim, "slot_stepper", counted)
+        ledgers = netsim._run_kinds(cfg, *gains)[3]
+        assert len(steps) == cfg.num_slots and len(set(steps)) == 1
+        for kind, ledger, stepped in zip(KINDS, ledgers, steps[0]):
             _assert_same_ledger(ledger, _unscreened_ledger(cfg, kind, gains[0]))
-            assert ledger.slots_active.any() == (kind in steps)
-        # at 10 dBm no traditional radio ever turns on, so its slot loop never runs
-        assert (NodeKind.TRADITIONAL in steps) == (powers is None)
-        assert NodeKind.BACKSCATTER in steps
+            assert ledger.slots_active.any() == (stepped > 0)
+        # at 10 dBm no traditional radio ever turns on, so none is stepped
+        tags, radios = steps[0]
+        assert (radios > 0) == (powers is None) and tags > 0
 
     def test_boundary_is_inclusive(self):
         # the smallest beacon gain whose running harvest reaches the
@@ -446,12 +503,11 @@ class TestScreen:
         kind = NodeKind.TRADITIONAL
 
         def final_harvest(gain):
-            harvested, required, _ = slot_energies(
-                dbm_to_watts(np.array(cfg.pb_power_dbm_sweep)) * gain, kind, cfg)
+            harvested = slot_harvest(dbm_to_watts(np.array(cfg.pb_power_dbm_sweep)) * gain, cfg)
             running = np.zeros_like(harvested)
             for _ in range(cfg.num_slots):
                 running += harvested
-            return running[0], required
+            return running[0], turn_on_energy(kind, cfg)[0]
 
         reached, required = final_harvest(1.0)
         gain = required / reached  # a few ulps from the boundary
@@ -465,20 +521,30 @@ class TestScreen:
         assert final_harvest(below)[0] < required
 
         pb_gain = np.array([[gain, below]])
-        mean_ber, _, ber_samples, ledger = netsim._run_kind(
-            cfg, kind, pb_gain, np.full((1, 2), 1e-4), np.zeros((1, 2, 2)),
+        mean_ber, _, ber_samples, ledgers = netsim._run_kinds(
+            cfg, pb_gain, np.full((1, 2), 1e-4), np.zeros((1, 2, 2)),
             np.ones((1, 2), dtype=bool))
+        k = KINDS.index(kind)
+        ledger = ledgers[k]
         assert ledger.slots_active.tolist() == [[[1, 0]]]
-        assert ber_samples.tolist() == [[1]] and 0.0 <= mean_ber[0, 0] < 0.5
+        assert ber_samples[:, k].tolist() == [[1]] and 0.0 <= mean_ber[0, k, 0] < 0.5
         assert ledger.battery_j[0, 0, 0] == 0.0  # a radio spends all it holds
-        _assert_same_ledger(ledger, _unscreened_ledger(cfg, kind, pb_gain))
+        for each_kind, each_ledger in zip(KINDS, ledgers):
+            _assert_same_ledger(each_ledger, _unscreened_ledger(cfg, each_kind, pb_gain))
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-12])
     @pytest.mark.parametrize("kind", KINDS)
     def test_bad_incident_power_rejected(self, bad, kind):
-        # a screen would drop such an entry silently, so the check comes first
+        # a screen would drop such an entry silently, so the check comes
+        # first; the one-kind stepper, which shares the sweep's step, checks
+        # the same incident before any slot runs
         cfg = ScenarioConfig(pb_power_dbm_sweep=(25.0, 40.0), num_slots=40, warmup_slots=8)
         pb_gain, *rest = netsim._padded_gains(cfg, *place_topologies(cfg, 3))
         pb_gain[0, 0] = bad
         with pytest.raises(ValueError, match="incident power must be non-negative"):
-            netsim._run_kind(cfg, kind, pb_gain, *rest)
+            netsim._run_kinds(cfg, pb_gain, *rest)
+        incident = dbm_to_watts(cfg.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]
+        ledger = EnergyLedger.empty(incident.shape)
+        with pytest.raises(ValueError, match="incident power must be non-negative"):
+            population_stepper(ledger, incident, kind, cfg)
+        assert not ledger.harvested_j.any()
