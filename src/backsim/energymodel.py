@@ -19,10 +19,14 @@ requirement is, and ``slot_stepper`` the one place a slot is stepped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from .scenario import NodeKind
+
+class NodeKind(str, Enum):
+    BACKSCATTER = "backscatter"
+    TRADITIONAL = "traditional"
 
 
 @dataclass
@@ -136,16 +140,6 @@ def slot_stepper(ledger, incident_w, num_tags, config):
         return active, emitted
 
     return step
-
-
-def population_stepper(ledger, incident_w, kind, config):
-    """Slot stepper for every node of one or more populations of ``kind``.
-
-    The one-kind case of ``slot_stepper``: the ledger arrays' last axis
-    indexes nodes and leading axes (if any) populations, all of ``kind``.
-    """
-    backscatter = NodeKind(kind) == NodeKind.BACKSCATTER
-    return slot_stepper(ledger, incident_w, len(incident_w) if backscatter else 0, config)
 
 
 def duty_cycle_harvest(alpha, incident_w, config):

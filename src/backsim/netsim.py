@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dbm_to_watts, friis_gain
-from .energymodel import EnergyLedger, slot_harvest, slot_stepper, turn_on_energy
+from .energymodel import EnergyLedger, NodeKind, slot_harvest, slot_stepper, turn_on_energy
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
-from .scenario import NodeKind, place_topologies
+from .scenario import place_topologies
 
 _KINDS = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)  # order of the kind axis
 
@@ -75,8 +75,9 @@ class ExperimentResult:
 def _padded_gains(config, nodes, counts):
     """Gains of topologies padded to the largest node count N.
 
-    ``nodes`` holds the (n, 2, 2) layouts of ``scenario.place_nodes`` of
-    every topology, one after another, and ``counts`` their node counts.
+    ``nodes`` and ``counts`` are what ``scenario.place_topologies`` returns:
+    every topology's (n, 2, 2) layout, one after another, and their node
+    counts.
 
     Returns beacon-to-node gains (T, N), each link's own gain (T, N), the
     cross gains (T, N, N) with ``cross[t, j, i]`` from node j's antenna to

@@ -10,7 +10,6 @@ derived from one 64-bit master seed so a scenario is bit-reproducible.
 import math
 import numbers
 from dataclasses import dataclass, fields
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +18,12 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .channel import SPEED_OF_LIGHT_M_S, dbm_to_watts
+from .energymodel import NodeKind, turn_on_energy
 
 # Purpose tags for derive_stream, so different subsystems never share draws.
 PURPOSE_PLACEMENT = 0
 PURPOSE_MAC = 1
 PURPOSE_FADING = 2
-
-
-class NodeKind(str, Enum):
-    BACKSCATTER = "backscatter"
-    TRADITIONAL = "traditional"
 
 
 @dataclass(frozen=True)
@@ -139,9 +134,7 @@ class ScenarioConfig:
         if not math.isfinite(stored):
             raise ValueError(f"pb_power_dbm_sweep, harvest_efficiency, harvest_ms and num_slots "
                              f"must keep the energy stored over the run finite, got {stored} J")
-        required = self.sense_energy_j + (
-            self.digital_circuit_w + self.mixer_w + self.dac_w) * self.active_s
-        required += noise_w * self.active_s / self.pa_efficiency
+        required = turn_on_energy(NodeKind.TRADITIONAL, self)[0]
         amplified = (self.pa_efficiency * (stored + required) / self.active_s
                      if self.active_s > 0.0 else math.inf)
         if not math.isfinite(amplified):

@@ -4,8 +4,10 @@ The network oracles follow a single node or a single receiver with plain
 Python floats, the way the physics reads in the paper's model, so the array
 engine in ``backsim`` can be checked against it term by term. ``step_slot``
 writes out its own harvest, activation thresholds and amplifier output and
-takes none of them from ``backsim``, so a wrong formula in
-``population_stepper`` shows as a disagreement. The dyadic
+takes none of them from ``backsim``, so it is the oracle for the formulas of
+``slot_stepper`` (``TestArrayStepMatchesOracle``). ``population_loop`` steps
+with ``slot_stepper`` itself, so it guards what the sweep adds to the step:
+the gains, the interference and the BER aggregation. The dyadic
 oracles estimate the same error rate as ``simulate_dyadic_ber`` by drawing
 both hops instead of integrating one out, or compute it by quadrature, or
 repeat its conditional estimator one allocating array expression at a time.
@@ -22,7 +24,7 @@ import numpy as np
 
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.dyadic import _CHUNK
-from backsim.energymodel import EnergyLedger, population_stepper
+from backsim.energymodel import EnergyLedger, slot_stepper
 from backsim.mac import aggregate_interference
 from backsim.netsim import _KINDS, _padded_gains, _run_kinds
 from backsim.phylink import bpsk_ber, q_function
@@ -200,7 +202,7 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
     ber_sum = 0.0
     ber_samples = 0
     active_share_sum = 0.0
-    step = population_stepper(ledger, incident, kind, config)
+    step = slot_stepper(ledger, incident, n if kind == NodeKind.BACKSCATTER else 0, config)
     for slot in range(config.num_slots):
         active, emitted = step()
         if slot < config.warmup_slots:

@@ -16,7 +16,7 @@ import pytest
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import ExperimentSpec, run as cli_run
 from backsim.dyadic import simulate_dyadic_ber
-from backsim.energymodel import EnergyLedger, duty_cycle_harvest, population_stepper
+from backsim.energymodel import EnergyLedger, duty_cycle_harvest, slot_stepper
 from backsim.mac import (count_interference_components,
                          th_ss_collision_probability, th_ss_collision_rate_mc)
 from backsim.netsim import run_comparison
@@ -181,9 +181,9 @@ def test_criterion_08_energy_conservation():
     lam, ap = config.wavelength_m, config.aperture_m2
     pb_distance = np.hypot(topology[:, 0, 0], topology[:, 0, 1])
     incident = pb_w * friis_gain(pb_distance, lam, ap, ap)
-    for kind in (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL):
+    for num_tags in (len(topology), 0):  # backscatter tags, then traditional radios
         ledger = EnergyLedger.empty(len(topology))
-        step = population_stepper(ledger, incident, kind, config)
+        step = slot_stepper(ledger, incident, num_tags, config)
         for _ in range(config.num_slots):
             step()
             ok &= bool(np.all(ledger.battery_j >= 0.0))

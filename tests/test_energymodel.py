@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backsim.energymodel import EnergyLedger, duty_cycle_harvest, population_stepper
-from backsim.scenario import NodeKind, ScenarioConfig
+from backsim.energymodel import (EnergyLedger, NodeKind, duty_cycle_harvest, slot_stepper,
+                                 turn_on_energy)
+from backsim.scenario import ScenarioConfig
 from oracles import ScalarNode, emitted_power, step_slot
 
 
@@ -23,7 +24,8 @@ def _slot(battery_j, incident_w, kind, config):
     ledger, whose totals are then exactly that slot's flows."""
     ledger = EnergyLedger.empty(1)
     ledger.battery_j[0] = battery_j
-    active, emitted = population_stepper(ledger, np.array([incident_w]), kind, config)()
+    num_tags = 1 if kind == BACK else 0
+    active, emitted = slot_stepper(ledger, np.array([incident_w]), num_tags, config)()
     return active[0], emitted[0], ledger
 
 
@@ -84,8 +86,8 @@ class TestActivation:
         assert not _slot(_traditional_requirement(config), 0.0, TRAD, changed)[0]
         incident = np.geomspace(1e-7, 1e-3, 9)  # silent, saving and active nodes
         base, other = EnergyLedger.empty(9), EnergyLedger.empty(9)
-        step_base = population_stepper(base, incident, BACK, config)
-        step_other = population_stepper(other, incident, BACK, changed)
+        step_base = slot_stepper(base, incident, incident.size, config)
+        step_other = slot_stepper(other, incident, incident.size, changed)
         for _ in range(5):
             active, emitted = step_base()
             active_changed, emitted_changed = step_other()
@@ -163,7 +165,7 @@ class TestTraditionalTxPower:
         battery = np.array([0.0, overhead / 2, overhead, (overhead + required) / 2,
                             required, 1.7 * required, 3 * required, 11.3 * required])
         ledger = EnergyLedger.empty(battery.size)
-        step = population_stepper(ledger, np.zeros(battery.size), TRAD, config)
+        step = slot_stepper(ledger, np.zeros(battery.size), 0, config)
         for held in (battery, battery[::-1]):
             ledger.battery_j[:] = held
             active, emitted = step()
@@ -179,7 +181,7 @@ class TestStepSlot:
         with pytest.raises(ValueError, match="non-negative"):
             _slot(0.0, -1e-9, BACK, config)
         with pytest.raises(ValueError, match="relay"):
-            _slot(0.0, 1e-3, "relay", config)
+            turn_on_energy("relay", config)
 
     def test_negative_incident_rejected_when_built(self, config):
         # the incident power is fixed for a stepper's life, so it is
@@ -187,7 +189,7 @@ class TestStepSlot:
         ledger = EnergyLedger.empty(3)
         for bad in (-1e-12, math.nan):
             with pytest.raises(ValueError, match="non-negative"):
-                population_stepper(ledger, np.array([1e-3, bad, 0.0]), TRAD, config)
+                slot_stepper(ledger, np.array([1e-3, bad, 0.0]), 0, config)
         assert ledger.harvested_j.tolist() == [0.0] * 3
 
     def test_dead_node_stays_silent(self, config):
@@ -228,7 +230,7 @@ class TestStepSlot:
         rng = np.random.default_rng(5)
         for _ in range(10_000):
             # a new incident power each slot: one stepper per slot on one ledger
-            population_stepper(ledger, np.array([rng.random() * 2e-6]), TRAD, config)()
+            slot_stepper(ledger, np.array([rng.random() * 2e-6]), 0, config)()
             assert ledger.battery_j[0] >= 0.0
         assert abs(ledger.drift_j()[0]) <= 1e-9 * ledger.harvested_j[0]
 
@@ -243,8 +245,8 @@ class TestActiveSetDominance:
         for power_scale in (0.1, 1.0, 10.0):
             back = EnergyLedger.empty(incidents.size)
             trad = EnergyLedger.empty(incidents.size)
-            step_back = population_stepper(back, incidents * power_scale, BACK, config)
-            step_trad = population_stepper(trad, incidents * power_scale, TRAD, config)
+            step_back = slot_stepper(back, incidents * power_scale, incidents.size, config)
+            step_trad = slot_stepper(trad, incidents * power_scale, 0, config)
             for _ in range(100):
                 step_back()
                 step_trad()
@@ -272,10 +274,11 @@ def _assert_agrees_with_oracle(kind, slots, one_stepper):
     config = ScenarioConfig()
     ledger = EnergyLedger.empty(len(slots[0]))
     nodes = [ScalarNode() for _ in slots[0]]
-    step = population_stepper(ledger, np.array(slots[0]), kind, config)
+    num_tags = len(nodes) if kind == BACK else 0
+    step = slot_stepper(ledger, np.array(slots[0]), num_tags, config)
     for incident in slots:
         if not one_stepper:
-            step = population_stepper(ledger, np.array(incident), kind, config)
+            step = slot_stepper(ledger, np.array(incident), num_tags, config)
         active, emitted = step()
         outcomes = [step_slot(node, inc, kind, config) for node, inc in zip(nodes, incident)]
         assert active.tolist() == [o.was_active for o in outcomes]

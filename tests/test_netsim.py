@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from backsim import mac, netsim
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import main
-from backsim.energymodel import (EnergyLedger, population_stepper, slot_harvest, slot_stepper,
-                                 turn_on_energy)
+from backsim.energymodel import EnergyLedger, slot_harvest, slot_stepper, turn_on_energy
 from backsim.netsim import CSV_HEADER, _mean_ci, run_comparison
 from backsim.phylink import bpsk_ber
 from backsim.scenario import (NodeKind, PURPOSE_MAC, PURPOSE_PLACEMENT, ScenarioConfig,
@@ -453,7 +452,8 @@ def _unscreened_ledger(config, kind, pb_gain):
     every slot, padded and never-active entries included."""
     incident = dbm_to_watts(config.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]
     ledger = EnergyLedger.empty(incident.shape)
-    step = population_stepper(ledger, incident, kind, config)
+    step = slot_stepper(ledger, incident, len(incident) if kind == NodeKind.BACKSCATTER else 0,
+                        config)
     for _ in range(config.num_slots):
         step()
     return ledger
@@ -536,8 +536,8 @@ class TestScreen:
     @pytest.mark.parametrize("kind", KINDS)
     def test_bad_incident_power_rejected(self, bad, kind):
         # a screen would drop such an entry silently, so the check comes
-        # first; the one-kind stepper, which shares the sweep's step, checks
-        # the same incident before any slot runs
+        # first; a stepper of this kind's entries alone checks the same
+        # incident before any slot runs
         cfg = ScenarioConfig(pb_power_dbm_sweep=(25.0, 40.0), num_slots=40, warmup_slots=8)
         pb_gain, *rest = netsim._padded_gains(cfg, *place_topologies(cfg, 3))
         pb_gain[0, 0] = bad
@@ -546,5 +546,6 @@ class TestScreen:
         incident = dbm_to_watts(cfg.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]
         ledger = EnergyLedger.empty(incident.shape)
         with pytest.raises(ValueError, match="incident power must be non-negative"):
-            population_stepper(ledger, incident, kind, cfg)
+            slot_stepper(ledger, incident, len(incident) if kind == NodeKind.BACKSCATTER else 0,
+                         cfg)
         assert not ledger.harvested_j.any()

@@ -214,6 +214,26 @@ class TestConfigFile:
             for name in re.findall(r"`(\w+)\(", contents):
                 assert hasattr(importlib.import_module(module), name), (module, name)
 
+    def test_readme_module_references_resolve(self):
+        # every backticked `module.name` anywhere in README, with or without
+        # the `backsim.` prefix, names a backsim module and an attribute of it
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        modules = {p.stem for p in Path(importlib.import_module("backsim").__file__)
+                   .parent.glob("*.py")} - {"__init__"}
+        checked = []
+        for span in re.findall(r"`([^`\n]+)`", readme):
+            parts = re.match(r"[\w.]*", span).group().split(".")
+            if parts[0] == "backsim":
+                parts = parts[1:]
+            if len(parts) < 2 or parts[0] not in modules:
+                continue
+            obj = importlib.import_module(f"backsim.{parts[0]}")
+            for name in parts[1:]:
+                assert hasattr(obj, name), span
+                obj = getattr(obj, name)
+            checked.append(span)
+        assert checked
+
     def test_unknown_key_rejected(self, tmp_path):
         # a misspelt key, and fixed_node_count and slot_ms, which are no
         # longer settings
