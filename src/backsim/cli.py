@@ -1,4 +1,4 @@
-"""Command-line experiment runner: binds config files to experiments and CSV.
+"""Command-line experiment runner: parses the flags and writes every CSV.
 
 Every experiment is deterministic for a fixed (config, seed): re-running
 with identical flags reproduces the output file byte for byte. The summary
@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .channel import dbm_to_watts, friis_gain
 from .dyadic import simulate_dyadic_ber
 from .energymodel import duty_cycle_harvest
 from .mac import (count_interference_components, th_ss_collision_probability,
                   th_ss_collision_rate_mc)
-from .netsim import CSV_HEADER, run_comparison
+from .netsim import run_comparison
 from .phylink import energy_rate_frontier
 from .scenario import (PURPOSE_FADING, PURPOSE_MAC, ScenarioConfig, derive_stream,
                        load_config)
@@ -35,17 +35,6 @@ BETA_REFERENCE_SNR = 10.0 ** (12.0 / 10.0)
 MAX_TRIALS = 10**9
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A parsed experiment invocation."""
-
-    name: str
-    config_path: str | None
-    out_path: str
-    seed_override: int | None = None
-    trials_override: int | None = None
-
-
 def _bounded_int(low, high):
     """argparse type: an integer in [low, high], else a usage error."""
     def integer(text):
@@ -57,7 +46,7 @@ def _bounded_int(low, high):
 
 
 def parse_args(argv):
-    """Parse CLI flags into an ExperimentSpec; usage errors exit with 2."""
+    """Parse CLI flags into an argparse namespace; usage errors exit with 2."""
     parser = argparse.ArgumentParser(
         prog="backsim",
         description="Run a backscatter-network experiment and write a CSV file.")
@@ -70,22 +59,17 @@ def parse_args(argv):
                         help="master seed override (u64)")
     parser.add_argument("--trials", type=_bounded_int(1, MAX_TRIALS), default=None,
                         help="trial-count override (topologies or Monte Carlo draws)")
-    args = parser.parse_args(argv)
-    return ExperimentSpec(name=args.experiment, config_path=args.config,
-                          out_path=args.out, seed_override=args.seed,
-                          trials_override=args.trials)
-
-
-def _load(spec):
-    config = load_config(spec.config_path) if spec.config_path else ScenarioConfig()
-    if spec.seed_override is not None:
-        config = replace(config, seed=spec.seed_override)
-    return config
+    return parser.parse_args(argv)
 
 
 def _fig3_rows(config, trials):
     results = run_comparison(config, num_topologies=200 if trials is None else trials)
-    return CSV_HEADER, [r.csv_row() for r in results]
+    # the casts keep a numpy scalar from printing as np.float64(...)
+    rows = [f"{float(r.pb_power_dbm)!r},{r.kind.value},{float(r.mean_ber)!r},"
+            f"{float(r.ci95_ber)!r},{float(r.active_fraction)!r},{float(r.ci95_active)!r},"
+            f"{int(r.trials)},{int(r.seed)}" for r in results]
+    return ("pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,trials,seed",
+            rows)
 
 
 def _tradeoff_beta_rows(_config, _trials):
@@ -141,24 +125,27 @@ _DISPATCH = {
 }
 
 
-def run(spec):
-    """Run the named experiment, write its CSV, print a one-line summary."""
-    config = _load(spec)
+def run(args):
+    """Run the experiment that ``parse_args`` returned, write its CSV, print a
+    one-line summary."""
+    config = load_config(args.config) if args.config else ScenarioConfig()
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     started = time.perf_counter()
-    header, rows = _DISPATCH[spec.name](config, spec.trials_override)
-    with open(spec.out_path, "w", newline="") as fh:
+    header, rows = _DISPATCH[args.experiment](config, args.trials)
+    with open(args.out, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
     elapsed = time.perf_counter() - started
-    print(f"{spec.name}: {len(rows)} rows, {elapsed:.2f} s, wrote {spec.out_path}")
+    print(f"{args.experiment}: {len(rows)} rows, {elapsed:.2f} s, wrote {args.out}")
     return 0
 
 
 def main(argv=None):
-    spec = parse_args(sys.argv[1:] if argv is None else argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return run(spec)
+        return run(args)
     except Exception as exc:  # config or experiment failure -> nonzero exit
         print(f"backsim: error: {exc}", file=sys.stderr)
         return 1

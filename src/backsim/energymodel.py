@@ -34,8 +34,10 @@ class EnergyLedger:
     """Per-node battery and cumulative energy flows of populations.
 
     The last axis of every array indexes nodes, leading axes (if any)
-    independent populations; batteries start empty. The network sweep
-    takes its BER sample counts and active fractions from ``slots_active``.
+    independent populations; batteries start empty. ``slot_stepper`` splits
+    the kinds along axis 0, the node axis only in a one-axis ledger. The
+    network sweep takes its BER sample counts and active fractions from
+    ``slots_active``.
     """
 
     battery_j: np.ndarray
@@ -82,12 +84,14 @@ def slot_stepper(ledger, incident_w, num_tags, config):
     """Slot stepper for backscatter tags and traditional radios held in one array.
 
     Along axis 0 of the ledger arrays, the first ``num_tags`` entries are
-    tags and the rest radios. ``incident_w`` is the carrier power reaching
-    each node, shaped like the ledger arrays and fixed for the stepper's
-    life, so its check, the per-slot harvest and each entry's requirement
-    are computed here once. Each call of the returned ``step()`` advances
-    every node one slot: each node harvests, activates iff its battery
-    covers its requirement, and pays for the slot. The harvest, activation
+    tags and the rest radios. Those entries are nodes in a one-axis ledger
+    but whole populations in a multi-axis one, which is therefore all one
+    kind unless ``num_tags`` splits axis 0. ``incident_w`` is the carrier
+    power reaching each node, shaped like the ledger arrays and fixed for
+    the stepper's life, so its check, the per-slot harvest and each entry's
+    requirement are computed here once. Each call of the returned
+    ``step()`` advances every node one slot: each node harvests, activates
+    iff its battery covers its requirement, and pays for the slot. The harvest, activation
     and bookkeeping run on the whole array, the payment and the emission on
     each kind's slice. ``step()`` updates ``ledger``'s arrays in place and
     returns the active mask and the power each node emits: the full
@@ -111,25 +115,22 @@ def slot_stepper(ledger, incident_w, num_tags, config):
     tag_paid, tag_out = consumed[tags], emitted[tags]
     radio_on, radio_held = active[radios], battery[radios]
     radio_paid, radio_out = consumed[radios], emitted[radios]
-    has_tags, has_radios = num_tags > 0, num_tags < shape[0]
 
     def step():
         np.add(battery, harvested, out=battery)
         np.greater_equal(battery, required, out=active)
         # the 0/1 mask times a finite non-negative value is that value or
         # +0.0, exactly what np.where(active, value, 0.0) gives
-        if has_tags:
-            np.multiply(tag_on, tag_cost, out=tag_paid)
-            np.multiply(tag_on, tag_incident, out=tag_out)
-        if has_radios:
-            np.multiply(radio_on, radio_held, out=radio_paid)
-            # pa_efficiency * (battery - overhead) / active_s, clamped at 0.0 so
-            # that a silent node below the overhead emits +0.0, not -0.0
-            np.subtract(radio_held, overhead, out=radio_out)
-            np.multiply(radio_out, pa_efficiency, out=radio_out)
-            np.divide(radio_out, active_s, out=radio_out)
-            np.maximum(radio_out, 0.0, out=radio_out)
-            np.multiply(radio_out, radio_on, out=radio_out)
+        np.multiply(tag_on, tag_cost, out=tag_paid)
+        np.multiply(tag_on, tag_incident, out=tag_out)
+        np.multiply(radio_on, radio_held, out=radio_paid)
+        # pa_efficiency * (battery - overhead) / active_s, clamped at 0.0 so
+        # that a silent node below the overhead emits +0.0, not -0.0
+        np.subtract(radio_held, overhead, out=radio_out)
+        np.multiply(radio_out, pa_efficiency, out=radio_out)
+        np.divide(radio_out, active_s, out=radio_out)
+        np.maximum(radio_out, 0.0, out=radio_out)
+        np.multiply(radio_out, radio_on, out=radio_out)
         np.subtract(battery, consumed, out=battery)
         # the minimum is NaN if any battery is
         if not np.minimum.reduce(battery, axis=None, initial=np.inf) >= 0.0:

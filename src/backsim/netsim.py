@@ -29,8 +29,6 @@ from .scenario import place_topologies
 
 _KINDS = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)  # order of the kind axis
 
-CSV_HEADER = "pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,trials,seed"
-
 # Active link-slots collected for one bpsk_ber call (or one slot's worth,
 # if more): large enough to amortise its per-call cost over many slots,
 # small enough to bound memory.
@@ -59,18 +57,6 @@ class ExperimentResult:
     trials: int            # number of topology draws
     seed: int
 
-    def csv_row(self):
-        return ",".join([
-            repr(float(self.pb_power_dbm)),
-            self.kind.value,
-            repr(float(self.mean_ber)),
-            repr(float(self.ci95_ber)),
-            repr(float(self.active_fraction)),
-            repr(float(self.ci95_active)),
-            str(int(self.trials)),
-            str(int(self.seed)),
-        ])
-
 
 def _padded_gains(config, nodes, counts):
     """Gains of topologies padded to the largest node count N.
@@ -82,8 +68,8 @@ def _padded_gains(config, nodes, counts):
     Returns beacon-to-node gains (T, N), each link's own gain (T, N), the
     cross gains (T, N, N) with ``cross[t, j, i]`` from node j's antenna to
     link i's receiver and a zero diagonal (a link is not its own
-    interferer), and the (T, N) mask of real nodes. Padded entries get a
-    placeholder 1 m distance for ``friis_gain`` and are then zeroed.
+    interferer). Padded entries get a placeholder 1 m distance for
+    ``friis_gain`` and are then zeroed.
     """
     present = np.arange(counts.max()) < counts[:, None]
     padded = np.zeros(present.shape + (2, 2))
@@ -100,22 +86,24 @@ def _padded_gains(config, nodes, counts):
     own = np.arange(present.shape[-1])
     link_gain = cross_gain[:, own, own]
     cross_gain[:, own, own] = 0.0
-    return pb_gain, link_gain, cross_gain, present
+    return pb_gain, link_gain, cross_gain
 
 
-def _run_kinds(config, pb_gain, link_gain, cross_gain, present):
+def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     """Run both kinds' populations at every sweep power over padded topologies.
 
-    Every (topology, kind, power) triple is an independent population; all
-    of them advance together, one slot at a time, so that the interference
-    of each topology is one (2P, N) @ (N, N) product over (T, 2, P, N)
-    emitted powers, kinds in ``_KINDS`` order. Until a node first turns on,
-    its battery is its running harvest, which never decreases and does not
-    depend on the kind. A node, padded ones included, whose harvest alone
-    stays below its kind's requirement through the last slot is therefore
-    silent throughout: it is not stepped, emits +0.0 and its ledger row is
-    (harvest, harvest, 0, 0). One stepper runs on the other entries, the
-    tags that can turn on followed by the radios that can.
+    The gains are what ``_padded_gains`` returns, and ``counts`` holds each
+    topology's node count. Every (topology, kind, power) triple is an
+    independent population; all of them advance together, one slot at a
+    time, so that the interference of each topology is one (2P, N) @ (N, N)
+    product over (T, 2, P, N) emitted powers, kinds in ``_KINDS`` order.
+    Until a node first turns on, its battery is its running harvest, which
+    never decreases and does not depend on the kind. A node, padded ones
+    included, whose harvest alone stays below its kind's requirement through
+    the last slot is therefore silent throughout: it is not stepped, emits
+    +0.0 and its ledger row is (harvest, harvest, 0, 0). One stepper runs on
+    the other entries, the tags that can turn on followed by the radios that
+    can.
 
     A population is fixed when each of its stepped entries harvests at least
     its requirement in every slot. Such an entry is active in every slot and
@@ -186,7 +174,7 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, present):
     ber_samples = ber_samples.reshape(num_topologies, len(_KINDS), num_powers)
     ber_sum = ber_sum.reshape(ber_samples.shape)
     mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
-    nodes = present.sum(axis=-1)[:, None, None]
+    nodes = counts[:, None, None]
     active_fraction = np.where(nodes > 0, ber_samples / np.maximum(nodes, 1), math.nan)
     active_fraction /= config.num_slots - config.warmup_slots
     return mean_ber, active_fraction, ber_samples, ledgers
@@ -321,8 +309,10 @@ def run_comparison(config, num_topologies):
                          f"than the {physical} bytes of physical memory; lower node_density "
                          f"or the number of topologies (--trials)")
 
-    gains = _padded_gains(config, *place_topologies(config, num_topologies))
-    mean_ber, active_fraction = _run_kinds(config, *gains)[:2]
+    nodes, counts = place_topologies(config, num_topologies)
+    gains = _padded_gains(config, nodes, counts)
+    del nodes  # not held through the slot loop, which sets the peak memory
+    mean_ber, active_fraction = _run_kinds(config, *gains, counts)[:2]
     # (kind, power) lists; every NaN is math.nan itself, because dataclass
     # equality compares NaN fields by identity
     ber, ci_ber, fraction, ci_fraction = (

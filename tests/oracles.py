@@ -236,8 +236,9 @@ def run_population(config, kind, topology, pb_power_dbm):
     ledger's arrays holding one entry per node of ``topology``.
     """
     config = dataclasses.replace(config, pb_power_dbm_sweep=(pb_power_dbm,))
+    counts = np.array([len(topology)])
     mean_ber, active_fraction, ber_samples, ledgers = _run_kinds(
-        config, *_padded_gains(config, topology, np.array([len(topology)])))
+        config, *_padded_gains(config, topology, counts), counts)
     k = _KINDS.index(NodeKind(kind))
     ledger = EnergyLedger(*(flows[0, 0] for flows in vars(ledgers[k]).values()))
     return mean_ber[0, k, 0], active_fraction[0, k, 0], ber_samples[0, k, 0], ledger

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from backsim.channel import dbm_to_watts, friis_gain
-from backsim.cli import ExperimentSpec, run as cli_run
+from backsim.cli import parse_args, run as cli_run
 from backsim.dyadic import simulate_dyadic_ber
 from backsim.energymodel import EnergyLedger, duty_cycle_harvest, slot_stepper
 from backsim.mac import (count_interference_components,
@@ -233,8 +233,10 @@ def test_criterion_10_experiment_determinism(tmp_path):
         digests = []
         for attempt in ("a", "b"):
             out = tmp_path / f"{name}_{attempt}.csv"
-            status = cli_run(ExperimentSpec(name, cfg, str(out), seed_override=42,
-                                            trials_override=trials))
+            argv = ["--experiment", name, "--out", str(out), "--seed", "42"]
+            argv += [] if cfg is None else ["--config", cfg]
+            argv += [] if trials is None else ["--trials", str(trials)]
+            status = cli_run(parse_args(argv))
             assert status == 0
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         if digests[0] != digests[1]:

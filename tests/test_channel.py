@@ -33,6 +33,8 @@ class TestFriisGain:
             friis_gain(-1.0, 0.125, 0.001, 0.001)
         with pytest.raises(ValueError):
             friis_gain(1.0, 0.125, 0.0, 0.001)
+        with pytest.raises(ValueError, match="wavelength"):
+            friis_gain(1.0, 0.0, 0.001, 0.001)
 
     def test_vectorised(self):
         gains = friis_gain(np.array([0.5, 10.0]), 0.125, 0.001, 0.001)

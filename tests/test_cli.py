@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from backsim import mac
-from backsim.cli import MAX_TRIALS, THSS_CASES, ExperimentSpec, main, parse_args, run
-from backsim.netsim import CSV_HEADER
+from backsim.cli import MAX_TRIALS, THSS_CASES, main, parse_args, run
 from backsim.scenario import ScenarioConfig
 
 DATA = Path(__file__).parent / "data"
@@ -21,6 +20,11 @@ DATA = Path(__file__).parent / "data"
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run(name, out, *flags):
+    """``run`` on parsed flags, so that an experiment's exception propagates."""
+    return run(parse_args(["--experiment", name, "--out", str(out), *flags]))
 
 
 # golden file -> (experiment, trial override); each was recorded by its
@@ -75,15 +79,15 @@ def small_config_file(tmp_path):
 
 class TestParseArgs:
     def test_defaults(self):
-        spec = parse_args(["--experiment", "fig3a", "--out", "r.csv"])
-        assert spec == ExperimentSpec(name="fig3a", config_path=None, out_path="r.csv",
-                                      seed_override=None, trials_override=None)
+        args = parse_args(["--experiment", "fig3a", "--out", "r.csv"])
+        assert vars(args) == {"experiment": "fig3a", "config": None, "out": "r.csv",
+                              "seed": None, "trials": None}
 
     def test_all_flags(self):
-        spec = parse_args(["--experiment", "thss", "--config", "c.cfg", "--out", "o.csv",
+        args = parse_args(["--experiment", "thss", "--config", "c.cfg", "--out", "o.csv",
                            "--seed", "7", "--trials", "1000"])
-        assert spec.name == "thss" and spec.config_path == "c.cfg"
-        assert spec.seed_override == 7 and spec.trials_override == 1000
+        assert args.experiment == "thss" and args.config == "c.cfg" and args.out == "o.csv"
+        assert args.seed == 7 and args.trials == 1000
 
     def test_unknown_experiment_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -110,14 +114,14 @@ class TestParseArgs:
         assert err.value.code == 2
 
     def test_largest_seed_accepted(self):
-        spec = parse_args(["--experiment", "thss", "--out", "r.csv", "--seed", str(2**64 - 1)])
-        assert spec.seed_override == 2**64 - 1
+        args = parse_args(["--experiment", "thss", "--out", "r.csv", "--seed", str(2**64 - 1)])
+        assert args.seed == 2**64 - 1
 
     def test_trials_ceiling(self, capsys):
         # the bound itself parses (it is not run here); one above is a usage
         # error that names the flag
-        spec = parse_args(["--experiment", "thss", "--out", "r.csv", "--trials", str(MAX_TRIALS)])
-        assert spec.trials_override == MAX_TRIALS == 10**9
+        args = parse_args(["--experiment", "thss", "--out", "r.csv", "--trials", str(MAX_TRIALS)])
+        assert args.trials == MAX_TRIALS == 10**9
         with pytest.raises(SystemExit) as err:
             parse_args(["--experiment", "thss", "--out", "r.csv",
                         "--trials", str(MAX_TRIALS + 1)])
@@ -128,8 +132,7 @@ class TestParseArgs:
 class TestRun:
     def test_interference_count_table(self, tmp_path):
         out = tmp_path / "counts.csv"
-        spec = ExperimentSpec("interference_count", None, str(out))
-        assert run(spec) == 0
+        assert _run("interference_count", out) == 0
         assert out.read_text().splitlines() == [
             "k,components_per_reader", "1,0", "2,2", "5,20", "10,90", "20,380"]
 
@@ -138,8 +141,7 @@ class TestRun:
         cfg = tmp_path / "fast.cfg"
         cfg.write_text("num_slots = 25\nwarmup_slots = 5\n")
         out = tmp_path / "fig3a.csv"
-        spec = ExperimentSpec("fig3a", str(cfg), str(out), trials_override=2)
-        assert run(spec) == 0
+        assert _run("fig3a", out, "--config", str(cfg), "--trials", "2") == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 19
         summary = capsys.readouterr().out
@@ -147,7 +149,7 @@ class TestRun:
 
     def test_tradeoff_beta_grid(self, tmp_path):
         out = tmp_path / "beta.csv"
-        assert run(ExperimentSpec("tradeoff_beta", None, str(out))) == 0
+        assert _run("tradeoff_beta", out) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "beta,harvested_fraction,ber"
         betas = [float(l.split(",")[0]) for l in lines[1:]]
@@ -155,14 +157,14 @@ class TestRun:
 
     def test_tradeoff_duty_grid(self, tmp_path):
         out = tmp_path / "duty.csv"
-        assert run(ExperimentSpec("tradeoff_duty", None, str(out))) == 0
+        assert _run("tradeoff_duty", out) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "alpha,avg_harvest_w,relative_rate"
         assert len(lines) == 7
 
     def test_thss_rows(self, tmp_path):
         out = tmp_path / "thss.csv"
-        assert run(ExperimentSpec("thss", None, str(out), trials_override=2000)) == 0
+        assert _run("thss", out, "--trials", "2000") == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "k,n,trials,empirical_collision,analytic_collision"
         cases = [tuple(map(int, l.split(",")[:2])) for l in lines[1:]]
@@ -170,7 +172,7 @@ class TestRun:
 
     def test_dyadic_rows(self, tmp_path):
         out = tmp_path / "dyadic.csv"
-        assert run(ExperimentSpec("dyadic", None, str(out), trials_override=100_000)) == 0
+        assert _run("dyadic", out, "--trials", "100000") == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "tag_antennas,rx_antennas,snr_db,ber"
         ells = {int(l.split(",")[0]) for l in lines[1:]}
@@ -180,7 +182,8 @@ class TestRun:
     def test_matches_golden(self, tmp_path, golden):
         name, trials = GOLDENS[golden]
         out = tmp_path / golden
-        assert run(ExperimentSpec(name, None, str(out), trials_override=trials)) == 0
+        flags = [] if trials is None else ["--trials", str(trials)]
+        assert _run(name, out, *flags) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()
 
     @pytest.mark.parametrize("line,key", [
@@ -233,7 +236,8 @@ class TestRun:
                 return
             assert code == 0
             rows = out.read_text().splitlines()
-        assert rows[0] == CSV_HEADER
+        assert rows[0] == ("pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,"
+                           "ci95_active,trials,seed")
         for row in rows[1:]:
             ber, ci_ber, frac, ci_frac = values = [float(v) for v in row.split(",")[2:6]]
             assert not any(map(math.isinf, values)), row
@@ -295,6 +299,18 @@ class TestRun:
         assert len(out.read_text().splitlines()) == 1 + len(THSS_CASES)
         assert peak < 3e6, f"peak allocation {peak} bytes"
 
+    @pytest.mark.parametrize("text,message", [
+        ("node_density 0.05\n", "1: expected 'key = value', got 'node_density 0.05'"),
+        ("seed = 1\n# a comment\nseed = 2\n", "3: duplicate config key 'seed'"),
+    ], ids=["no-equals", "duplicate"])
+    def test_malformed_config_line_fails_cleanly(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        assert main(["--experiment", "fig3a", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"backsim: error: {cfg}:{message}\n"
+        assert not out.exists()
+
     def test_unreadable_config_fails_cleanly(self, tmp_path, capsys):
         spec_argv = ["--experiment", "fig3a", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path / "o.csv")]
@@ -310,9 +326,12 @@ class TestDeterminism:
             pair = []
             for attempt in ("a", "b"):
                 out = tmp_path / f"{name}_{attempt}.csv"
-                cfg = str(small_config_file) if name in ("fig3a",) else None
-                assert run(ExperimentSpec(name, cfg, str(out), seed_override=42,
-                                          trials_override=trials)) == 0
+                flags = ["--seed", "42"]
+                if name == "fig3a":
+                    flags += ["--config", str(small_config_file)]
+                if trials is not None:
+                    flags += ["--trials", str(trials)]
+                assert _run(name, out, *flags) == 0
                 pair.append(_digest(out))
             digests[name] = pair
         for name, (a, b) in digests.items():
@@ -321,5 +340,5 @@ class TestDeterminism:
     def test_config_file_never_mutated(self, tmp_path, small_config_file):
         before = _digest(small_config_file)
         out = tmp_path / "o.csv"
-        run(ExperimentSpec("fig3a", str(small_config_file), str(out), trials_override=1))
+        _run("fig3a", out, "--config", str(small_config_file), "--trials", "1")
         assert _digest(small_config_file) == before

@@ -212,6 +212,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_dyadic_ber(3, 2, 2, [10.0], 100_000, rng)
 
+    @pytest.mark.parametrize("tx,rx", [(0, 2), (2, 0)])
+    def test_reader_needs_antennas(self, tx, rx):
+        rng = derive_stream(1, 0, PURPOSE_FADING)
+        with pytest.raises(ValueError, match="reader needs at least one antenna"):
+            simulate_dyadic_ber(1, tx, rx, [10.0], 100_000, rng)
+
     def test_trial_floor_enforced(self):
         rng = derive_stream(1, 0, PURPOSE_FADING)
         with pytest.raises(ValueError):

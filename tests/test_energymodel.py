@@ -192,6 +192,16 @@ class TestStepSlot:
                 slot_stepper(ledger, np.array([1e-3, bad, 0.0]), 0, config)
         assert ledger.harvested_j.tolist() == [0.0] * 3
 
+    @pytest.mark.parametrize("battery", [-1.0, math.nan])
+    def test_broken_battery_fails(self, config, battery):
+        # no slot drives a battery below zero, so one that is there (or NaN)
+        # can only come from broken accounting
+        ledger = EnergyLedger.empty(2)
+        ledger.battery_j[1] = battery
+        step = slot_stepper(ledger, np.array([1e-3, 0.0]), 1, config)
+        with pytest.raises(RuntimeError, match="battery went negative or NaN"):
+            step()
+
     def test_dead_node_stays_silent(self, config):
         active, emitted, slot = _slot(0.0, 0.0, BACK, config)
         assert not active and emitted == 0.0
@@ -327,3 +337,7 @@ class TestDutyCycleTradeoff:
     def test_alpha_out_of_range(self, config):
         with pytest.raises(ValueError):
             duty_cycle_harvest(1.5, 1e-3, config)
+
+    def test_negative_incident_rejected(self, config):
+        with pytest.raises(ValueError, match="incident power must be non-negative"):
+            duty_cycle_harvest(0.5, -1e-3, config)

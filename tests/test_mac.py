@@ -45,6 +45,17 @@ class TestThSs:
             1 - 0.99**9, rel=1e-12)
         assert th_ss_collision_probability(10, 100) == pytest.approx(0.0861, abs=5e-4)
 
+    def test_degenerate_arguments_rejected(self):
+        rng = derive_stream(1, 0, 1)
+        with pytest.raises(ValueError, match="frame_length"):
+            th_ss_assign(3, 0, rng)
+        with pytest.raises(ValueError, match="frame_length"):
+            th_ss_collision_probability(2, 0)
+        with pytest.raises(ValueError, match="link"):
+            th_ss_collision_probability(0, 10)
+        with pytest.raises(ValueError, match="trial"):
+            th_ss_collision_rate_mc(2, 10, 0, rng)
+
     @pytest.mark.parametrize("k,n", [(2, 10), (10, 100), (50, 10)])
     def test_empirical_matches_closed_form(self, k, n):
         trials = 20_000

@@ -11,7 +11,7 @@ from backsim import mac, netsim
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import main
 from backsim.energymodel import EnergyLedger, slot_harvest, slot_stepper, turn_on_energy
-from backsim.netsim import CSV_HEADER, _mean_ci, run_comparison
+from backsim.netsim import _mean_ci, run_comparison
 from backsim.phylink import bpsk_ber
 from backsim.scenario import (NodeKind, PURPOSE_MAC, PURPOSE_PLACEMENT, ScenarioConfig,
                               derive_stream, load_config, place_topologies)
@@ -215,6 +215,10 @@ class TestRunComparison:
         b = run_comparison(small_config, num_topologies=4)
         assert a == b
 
+    def test_needs_a_topology(self, small_config):
+        with pytest.raises(ValueError, match="at least one topology"):
+            run_comparison(small_config, 0)
+
     def test_sweep_layout(self, small_config):
         results = run_comparison(small_config, num_topologies=3)
         assert len(results) == 4  # 2 powers x 2 kinds
@@ -276,9 +280,10 @@ class TestRunComparison:
             np.testing.assert_array_equal(got[:, 1:], whole[:, 1:])
 
     def test_sweep_memory_is_bounded(self):
-        # link-slots go into buffers of one BER block plus one slot, so the
-        # 50-topology default sweep peaks near 1.1 MB; queuing whole blocks
-        # of 2^15 link-slots and concatenating them peaked near 2.8 MB
+        # link-slots go into buffers of max(min(_BER_BLOCK, run), one slot)
+        # entries, so the 50-topology default sweep peaks near 0.75 MB;
+        # queuing whole blocks of 2^15 link-slots and concatenating them
+        # peaked near 2.8 MB
         config = ScenarioConfig()
         run_comparison(config, 2)  # first-call allocations are not the sweep's
         tracemalloc.start()
@@ -314,14 +319,17 @@ class TestRunComparison:
         assert main(["--experiment", "fig3a", "--config", str(cfg), "--out", str(out),
                      "--trials", "2"]) == 0
         lines = out.read_text().splitlines()
-        assert lines[1:] == [r.csv_row() for r in results]
-        assert lines[0] == CSV_HEADER
         assert lines[0] == "pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,trials,seed"
         assert len(lines) == 1 + len(results)
-        first = lines[1].split(",")
-        assert first[1] in ("backscatter", "traditional")
-        # shortest round-trip decimals parse back exactly
-        assert float(first[0]) == results[0].pb_power_dbm
+        for line, result in zip(lines[1:], results):
+            power, kind, *stats, trials, seed = line.split(",")
+            # shortest round-trip decimals parse back exactly
+            assert float(power) == result.pb_power_dbm and kind == result.kind.value
+            # assert_array_equal takes NaN to match NaN
+            np.testing.assert_array_equal(
+                [float(v) for v in stats],
+                [result.mean_ber, result.ci95_ber, result.active_fraction, result.ci95_active])
+            assert (int(trials), int(seed)) == (result.trials, result.seed)
 
     @pytest.mark.parametrize("config_file,powers", [
         (None, (25.0, 40.0, 70.0)), ("fig3_dense.cfg", (35.0, 55.0, 65.0))])
@@ -334,7 +342,8 @@ class TestRunComparison:
         cfg = dataclasses.replace(cfg, pb_power_dbm_sweep=powers, num_slots=30,
                                   warmup_slots=6, seed=9)
         num_topologies, measured = 6, cfg.num_slots - cfg.warmup_slots
-        gains = netsim._padded_gains(cfg, *place_topologies(cfg, num_topologies))
+        nodes, counts = place_topologies(cfg, num_topologies)
+        gains = netsim._padded_gains(cfg, nodes, counts)
         harvest = (dbm_to_watts(cfg.pb_power_dbm_sweep)[:, None] * gains[0][:, None, :]
                    * cfg.harvest_efficiency * cfg.harvest_s)  # (T, P, N)
         running = np.zeros(harvest.shape)
@@ -351,7 +360,7 @@ class TestRunComparison:
             return bpsk_ber(sinr)
 
         monkeypatch.setattr(netsim, "bpsk_ber", counted)
-        mean_ber, active_fraction, samples, ledgers = netsim._run_kinds(cfg, *gains)
+        mean_ber, active_fraction, samples, ledgers = netsim._run_kinds(cfg, *gains, counts)
         for k in range(len(KINDS)):  # each kind has both, the fixed ones with links
             assert (fixed[:, k] & (samples[:, k] > 0)).any() and not fixed[:, k].all()
         assert (samples[fixed] % measured == 0).all()
@@ -407,8 +416,9 @@ def test_fig3_matches_golden(golden, flags, tmp_path):
 @pytest.mark.parametrize("config_file", [None, "fig3_dense.cfg"])
 def test_fig3b_activity_matches_closed_form(config_file):
     cfg = load_config(DATA / config_file) if config_file else ScenarioConfig()
-    gains = netsim._padded_gains(cfg, *place_topologies(cfg, 50))
-    pb_gain, present = gains[0], gains[3]
+    placed, node_counts = place_topologies(cfg, 50)
+    gains = netsim._padded_gains(cfg, placed, node_counts)
+    pb_gain = gains[0]
     harvest = (dbm_to_watts(cfg.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]
                * cfg.harvest_efficiency * cfg.harvest_s)  # (T, P, N)
     active_s = cfg.active_s
@@ -436,8 +446,8 @@ def test_fig3b_activity_matches_closed_form(config_file):
     counts = {NodeKind.BACKSCATTER: back_count(slots) - back_count(warmup),
               NodeKind.TRADITIONAL: slots // period - warmup // period}
 
-    nodes = present.sum(axis=-1)[:, None]
-    active_fraction = netsim._run_kinds(cfg, *gains)[1]
+    nodes = node_counts[:, None]
+    active_fraction = netsim._run_kinds(cfg, *gains, node_counts)[1]
     for kind, count in counts.items():
         expected = np.where(nodes > 0, count.sum(axis=-1) / np.maximum(nodes, 1), math.nan)
         expected /= slots - warmup
@@ -475,7 +485,8 @@ class TestScreen:
         cfg = load_config(DATA / config_file) if config_file else ScenarioConfig()
         if powers:
             cfg = dataclasses.replace(cfg, pb_power_dbm_sweep=powers)
-        gains = netsim._padded_gains(cfg, *place_topologies(cfg, 50))
+        nodes, counts = place_topologies(cfg, 50)
+        gains = netsim._padded_gains(cfg, nodes, counts)
         steps = []  # (tags, radios) stepped in each slot
 
         def counted(ledger, incident_w, num_tags, config):
@@ -487,7 +498,7 @@ class TestScreen:
             return counted_step
 
         monkeypatch.setattr(netsim, "slot_stepper", counted)
-        ledgers = netsim._run_kinds(cfg, *gains)[3]
+        ledgers = netsim._run_kinds(cfg, *gains, counts)[3]
         assert len(steps) == cfg.num_slots and len(set(steps)) == 1
         for kind, ledger, stepped in zip(KINDS, ledgers, steps[0]):
             _assert_same_ledger(ledger, _unscreened_ledger(cfg, kind, gains[0]))
@@ -522,8 +533,7 @@ class TestScreen:
 
         pb_gain = np.array([[gain, below]])
         mean_ber, _, ber_samples, ledgers = netsim._run_kinds(
-            cfg, pb_gain, np.full((1, 2), 1e-4), np.zeros((1, 2, 2)),
-            np.ones((1, 2), dtype=bool))
+            cfg, pb_gain, np.full((1, 2), 1e-4), np.zeros((1, 2, 2)), np.array([2]))
         k = KINDS.index(kind)
         ledger = ledgers[k]
         assert ledger.slots_active.tolist() == [[[1, 0]]]
@@ -539,10 +549,11 @@ class TestScreen:
         # first; a stepper of this kind's entries alone checks the same
         # incident before any slot runs
         cfg = ScenarioConfig(pb_power_dbm_sweep=(25.0, 40.0), num_slots=40, warmup_slots=8)
-        pb_gain, *rest = netsim._padded_gains(cfg, *place_topologies(cfg, 3))
+        nodes, counts = place_topologies(cfg, 3)
+        pb_gain, *rest = netsim._padded_gains(cfg, nodes, counts)
         pb_gain[0, 0] = bad
         with pytest.raises(ValueError, match="incident power must be non-negative"):
-            netsim._run_kinds(cfg, pb_gain, *rest)
+            netsim._run_kinds(cfg, pb_gain, *rest, counts)
         incident = dbm_to_watts(cfg.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]
         ledger = EnergyLedger.empty(incident.shape)
         with pytest.raises(ValueError, match="incident power must be non-negative"):

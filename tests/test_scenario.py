@@ -75,6 +75,11 @@ def _bad(field, value, case_id=None, **also):
     _bad("harvest_ms", 1e308),  # energy stored over the run
     _bad("pa_efficiency", 5e-324),  # traditional requirement, so amplifier output
     _bad("active_ms", 5e-324),  # active_s underflows to 0
+    _bad("pb_power_dbm_sweep", [], "pb_power_dbm_sweep-empty"),
+    _bad("num_slots", 0),
+    _bad("warmup_slots", -1),
+    # an integer beyond a float, so the stored-energy product overflows
+    _bad("num_slots", 10**400, "num_slots-1e400"),
 ])
 def test_invalid_configs_rejected(field, overrides, tmp_path):
     # every way of making a config runs the one check, which names the key
@@ -242,6 +247,16 @@ class TestConfigFile:
             path.write_text(line)
             with pytest.raises(ValueError, match="unknown config key"):
                 load_config(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("node_density 0.05\n", "1: expected 'key = value', got 'node_density 0.05'"),
+        ("seed = 1\n# a comment\nseed = 2\n", "3: duplicate config key 'seed'"),
+    ], ids=["no-equals", "duplicate"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
+            load_config(path)
 
     def test_malformed_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
