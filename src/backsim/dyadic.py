@@ -14,15 +14,50 @@ the number of tag antennas, not by the reader's array size.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 # Trials per block: it fixes how each point's BER sum is grouped, and so the
 # output bytes; the draws are one stream whatever the block size. At 2^14 a
-# block's working set, the (2^14, L) draws and five 2^14 work rows, is at
-# most 896 KiB: it fits a 2 MB L2, and a fresh process pages in little
-# scratch. 2^17 needs 7 MB; 2^13 saves 0.4 MB more but runs slower.
+# block's working set, the (2^14, L) gains and five 2^14 work rows, which
+# first hold the block's uniforms, is at most 896 KiB: it fits a 2 MB L2,
+# and a fresh process pages in little scratch. 2^17 needs 7 MB; 2^13 saves
+# 0.4 MB more but runs slower.
 _CHUNK = 1 << 14
+# Largest receive-antenna count whose Gamma gains are drawn from uniforms;
+# at 5 numpy's rejection sampler costs about as much, and from 6 less.
+_UNIFORM_GAMMA_MAX = 4
+
+
+def _draw_gains(rng, m, out, work):
+    """Fill ``out`` ((n, L), C-contiguous) with Gamma(m, 1) branch gains; return it.
+
+    Up to ``_UNIFORM_GAMMA_MAX`` a gain is -log of the product of m factors
+    1 - U, U uniform on [0, 1): a sum of m unit exponentials. The stream is
+    trial-major, each gain's m uniforms in a row, drawn into ``work`` (any
+    contiguous scratch of at least m values) as many gains at a time as fit,
+    so it does not depend on how the trials are blocked. A factor is at
+    least 2^-53, so the product is at least 2^-212 and its log is finite.
+    Larger m draws numpy's ``standard_gamma``, the ``rng.gamma(m)`` stream.
+    """
+    if m > _UNIFORM_GAMMA_MAX:
+        return rng.standard_gamma(m, size=out.shape, out=out)
+    gains = out.reshape(-1)  # a view, in the stream's order
+    uniforms = work.reshape(-1)
+    step = uniforms.size // m
+    for lo in range(0, gains.size, step):
+        dest = gains[lo:lo + step]
+        u = rng.random(out=uniforms[:dest.size * m])
+        factors = np.subtract(1.0, u, out=u).reshape(-1, m).T  # strided rows
+        if m == 1:
+            np.copyto(dest, factors[0])
+        else:
+            np.multiply(factors[0], factors[1], out=dest)
+        for factor in factors[2:]:
+            np.multiply(dest, factor, out=dest)
+    np.log(out, out=out)
+    return np.subtract(0.0, out, out=out)  # 0 - 0 is +0, where negation gives -0
 
 
 def _conditional_bers(gains, snrs, work):
@@ -67,37 +102,48 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
 
     Each trial draws the backward hop's maximum-ratio-combined gain per tag
     antenna, a sum of ``num_reader_rx`` unit-variance exponentials and so
-    exactly Gamma(num_reader_rx, 1), and averages the exact error
-    probability conditioned on it, integrating the forward hop
-    analytically. That has orders of magnitude lower variance than error
-    counting, which is what makes deep high-SNR points resolvable at sane
-    trial counts. Every grid point is evaluated on the same draws (common
-    random numbers), so a point's value does not depend on the rest of the
-    grid, and the errors of different points are correlated.
+    exactly Gamma(num_reader_rx, 1) (``_draw_gains``: -log of a product of
+    uniforms for a few receive antennas, numpy's Gamma sampler for more),
+    and averages the exact error probability conditioned on it, integrating
+    the forward hop analytically. That has orders of magnitude lower
+    variance than error counting, which is what makes deep high-SNR points
+    resolvable at sane trial counts. Every grid point is evaluated on the
+    same draws (common random numbers), so a point's value does not depend
+    on the rest of the grid, and the errors of different points are
+    correlated.
 
-    Returns a list of (snr_db, ber) tuples, or (snr_db, ber, stderr) when
-    ``with_stderr`` is set.
+    Antenna counts and ``trials`` must be integers (not bool) and the SNR
+    grid finite, or ValueError is raised. Returns a list of (snr_db, ber)
+    tuples, or (snr_db, ber, stderr) when ``with_stderr`` is set.
     """
+    for name, value in (("num_tag_antennas", num_tag_antennas),
+                        ("num_reader_tx", num_reader_tx),
+                        ("num_reader_rx", num_reader_rx), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if num_tag_antennas not in (1, 2):
         raise ValueError("only 1 or 2 tag antennas are supported (orthogonal designs)")
     if num_reader_tx < 1 or num_reader_rx < 1:
         raise ValueError("reader needs at least one antenna on each side")
     if trials < 10**5:
         raise ValueError("need at least 1e5 trials per point for a meaningful estimate")
-
     grid = [float(snr_db) for snr_db in snr_db_grid]
+    if not all(math.isfinite(snr_db) for snr_db in grid):
+        raise ValueError(f"SNR grid must be finite, got {grid}")
+
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     total = np.zeros(len(grid))
     total_sq = np.zeros(len(grid))
     draws = np.empty((min(_CHUNK, trials), num_tag_antennas))
     work = np.empty((5, len(draws)))
     for done in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - done)  # the rng.gamma(num_reader_rx) stream, drawn in place
-        gains = rng.standard_gamma(num_reader_rx, size=(n, num_tag_antennas), out=draws[:n])
+        gains = _draw_gains(rng, num_reader_rx, draws[:min(_CHUNK, trials - done)], work)
         for i, vals in enumerate(_conditional_bers(gains, snrs, work)):
             total[i] += vals.sum()
             if with_stderr:
-                total_sq[i] += np.dot(vals, vals)
+                # not np.dot: a BLAS call may wake idle BLAS threads, which
+                # costs up to a second in a fresh process
+                total_sq[i] += np.einsum("i,i->", vals, vals)
     curve = []
     for snr_db, point_total, point_sq in zip(grid, total, total_sq):
         mean = float(point_total) / trials

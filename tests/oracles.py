@@ -16,6 +16,7 @@ helpers: the sweep engine on one population, and a round-robin schedule.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import mpmath
 import numpy as np
 
 from backsim.channel import dbm_to_watts, friis_gain
-from backsim.dyadic import _CHUNK
+from backsim.dyadic import _CHUNK, _UNIFORM_GAMMA_MAX
 from backsim.energymodel import EnergyLedger, slot_stepper
 from backsim.mac import aggregate_interference
 from backsim.netsim import _KINDS, _padded_gains, _run_kinds
@@ -379,7 +380,10 @@ def conditional_dyadic_curve(num_tag_antennas, num_reader_rx, snr_db_grid, trial
     """``simulate_dyadic_ber``'s curve with stderr, evaluated point by point.
 
     Draws Gamma(num_reader_rx, 1) branch gains in blocks of the simulator's
-    ``_CHUNK`` trials, scales the block by each grid SNR and sums
+    ``_CHUNK`` trials from the simulator's stream: up to
+    ``_UNIFORM_GAMMA_MAX`` receive antennas -log((1 - U_1) ... (1 - U_M))
+    over each gain's M consecutive uniforms, multiplied left to right, and
+    ``rng.gamma`` above. It scales the block by each grid SNR and sums
     ``conditional_ber`` and its square per block, so the BER sums group as
     the simulator's do.
     """
@@ -387,7 +391,12 @@ def conditional_dyadic_curve(num_tag_antennas, num_reader_rx, snr_db_grid, trial
     total = np.zeros(len(grid))
     total_sq = np.zeros(len(grid))
     for done in range(0, trials, _CHUNK):
-        gains = rng.gamma(num_reader_rx, size=(min(_CHUNK, trials - done), num_tag_antennas))
+        shape = (min(_CHUNK, trials - done), num_tag_antennas)
+        if num_reader_rx > _UNIFORM_GAMMA_MAX:
+            gains = rng.gamma(num_reader_rx, size=shape)
+        else:
+            factors = 1.0 - rng.random((*shape, num_reader_rx))
+            gains = -np.log(functools.reduce(np.multiply, np.moveaxis(factors, -1, 0)))
         for i, snr_db in enumerate(grid):
             vals = conditional_ber(10.0 ** (snr_db / 10.0) * gains)
             total[i] += vals.sum()

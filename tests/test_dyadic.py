@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from backsim import dyadic
-from backsim.dyadic import _CHUNK, _conditional_bers, simulate_dyadic_ber
+from backsim.dyadic import _CHUNK, _conditional_bers, _draw_gains, simulate_dyadic_ber
 from backsim.scenario import PURPOSE_FADING, derive_stream
 from oracles import (_complex_normal, bit_level_dyadic_ber, conditional_ber,
                      conditional_dyadic_curve, dual_branch_equal_ber, dyadic_quadrature,
@@ -218,6 +218,31 @@ class TestSimulate:
         with pytest.raises(ValueError, match="reader needs at least one antenna"):
             simulate_dyadic_ber(1, tx, rx, [10.0], 100_000, rng)
 
+    @pytest.mark.parametrize("args", [
+        (1, 2, math.nan, [10.0], 100_000),
+        (1, 2, 2.5, [10.0], 100_000),
+        (1, 2.5, 2, [10.0], 100_000),
+        (1, True, 2, [10.0], 100_000),
+        (1.0, 2, 2, [10.0], 100_000),
+        (1, 2, 2, [10.0], 100_000.0),
+        (1, 2, 2, [10.0], True),
+        (1, 2, 2, [10.0, math.nan], 100_000),
+        (1, 2, 2, [-math.inf], 100_000),
+    ], ids=["rx-nan", "rx-2.5", "tx-2.5", "tx-bool", "tag-1.0", "trials-float",
+            "trials-bool", "snr-nan", "snr-inf"])
+    def test_rejects_bad_arguments(self, args):
+        # counts must be integers, not bool, and the grid finite: these used
+        # to return NaN, draw Gamma(2.5) or raise TypeError
+        with pytest.raises(ValueError):
+            simulate_dyadic_ber(*args, derive_stream(1, 0, PURPOSE_FADING))
+
+    def test_numpy_integer_counts_accepted(self):
+        ints = (np.int64(2), np.int64(2), np.int64(2), np.int64(100_000))
+        curve = simulate_dyadic_ber(*ints[:3], [10.0], ints[3],
+                                    derive_stream(6, 2, PURPOSE_FADING))
+        assert curve == simulate_dyadic_ber(2, 2, 2, [10.0], 100_000,
+                                            derive_stream(6, 2, PURPOSE_FADING))
+
     def test_trial_floor_enforced(self):
         rng = derive_stream(1, 0, PURPOSE_FADING)
         with pytest.raises(ValueError):
@@ -278,8 +303,8 @@ class TestAgainstAllocatingReference:
 
     @pytest.mark.parametrize("with_stderr", [False, True], ids=["ber", "stderr"])
     @pytest.mark.parametrize("trials", [100_007, 8 * _CHUNK + 7])
-    @pytest.mark.parametrize("ell,m_r", [(1, 1), (1, 2), (2, 2), (1, 8), (2, 8)],
-                             ids=["(1,1)", "(1,2)", "(2,2)", "(1,8)", "(2,8)"])
+    @pytest.mark.parametrize("ell,m_r", [(1, 1), (1, 2), (2, 2), (2, 4), (1, 8), (2, 8)],
+                             ids=["(1,1)", "(1,2)", "(2,2)", "(2,4)", "(1,8)", "(2,8)"])
     def test_curve_matches_reference(self, ell, m_r, trials, with_stderr):
         grid = [-5.0, 10.0, 30.0]
         curve = simulate_dyadic_ber(ell, 2, m_r, grid, trials,
@@ -323,9 +348,93 @@ class TestAgainstMpmath:
             assert worst <= 4e-15, f"relative error {worst:.2e} at {snr_db} dB, means {where}"
 
 
+def gamma_cdf(x, m):
+    """CDF of Gamma(m, 1) at ``x`` for integer m: 1 - e^-x sum_{k<m} x^k / k!."""
+    return 1.0 - np.exp(-x) * sum(x**k / math.factorial(k) for k in range(m))
+
+
+class FilledRng:
+    """A stand-in generator whose ``random`` fills every value with one number."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, out):
+        out.fill(self.value)
+        return out
+
+
+class TestUniformGammaDraws:
+    """Up to ``_UNIFORM_GAMMA_MAX`` receive antennas a branch gain is -log of
+    a product of factors 1 - U over consecutive uniforms of the stream."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_draws_follow_gamma_cdf(self, m, ell):
+        # Kolmogorov-Smirnov distance to the closed-form CDF, against its
+        # 0.1 % critical value 1.95 / sqrt(n)
+        out = np.empty((60_000, ell))
+        gains = _draw_gains(derive_stream(19, 10 * ell + m, PURPOSE_FADING), m, out,
+                            np.empty((5, _CHUNK)))
+        x = np.sort(gains, axis=None)
+        cdf = gamma_cdf(x, m)
+        n = x.size
+        distance = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert distance < 1.95 / math.sqrt(n), f"KS distance {distance:.4f} for Gamma({m})"
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_split_blocks_give_one_block_gains(self, m, ell):
+        # fewer work values than one block needs, or two blocks of trials,
+        # continue the same trial-major stream
+        whole = _draw_gains(np.random.default_rng(9), m, np.empty((1000, ell)),
+                            np.empty((5, 1000)))
+        tiny = _draw_gains(np.random.default_rng(9), m, np.empty((1000, ell)), np.empty(7))
+        rng = np.random.default_rng(9)
+        blocks = np.empty((1000, ell))
+        work = np.empty((5, 600))
+        _draw_gains(rng, m, blocks[:600], work)
+        _draw_gains(rng, m, blocks[600:], work)
+        assert np.array_equal(tiny, whole)
+        assert np.array_equal(blocks, whole)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_zero_uniforms_give_zero_gain(self, ell):
+        # every factor 1 - 0 = 1: the gain is +0, and the error rate 1/2
+        gains = _draw_gains(FilledRng(0.0), 2, np.empty((100, ell)), np.empty((5, 100)))
+        assert np.all(gains == 0.0) and not np.signbit(gains).any()
+        curve = simulate_dyadic_ber(ell, 2, 2, [0.0, 40.0], 100_000, FilledRng(0.0))
+        assert [ber for _, ber in curve] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_largest_uniform_gives_finite_gain(self, m):
+        # every factor is 2^-53, the smallest 1 - U can be: the product stays
+        # above 2^-212, so the gain is 53 m log 2, not inf
+        top = 1.0 - 2.0**-53
+        gains = _draw_gains(FilledRng(top), m, np.empty((100, 2)), np.empty((5, 100)))
+        np.testing.assert_allclose(gains, 53 * m * math.log(2.0), rtol=1e-15)
+        curve = simulate_dyadic_ber(2, 2, m, [0.0, 40.0], 100_000, FilledRng(top))
+        assert all(0.0 < ber < 0.5 for _, ber in curve)
+
+    def test_uniforms_stay_in_work_rows(self):
+        # two tag antennas of four receive antennas need 8 uniforms a trial,
+        # more than the five work rows hold per trial: the block is split,
+        # not given a buffer of its own. The work rows and the (2^14, 2)
+        # gains take 917,504 bytes; a (2^14, 8) uniform buffer would add 1 MiB
+        tracemalloc.start()
+        try:
+            simulate_dyadic_ber(2, 2, 4, [0.0, 35.0], 100_000, derive_stream(5, 3, PURPOSE_FADING))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1e6, f"peak allocation {peak} bytes"
+
+
 class TestGammaStream:
-    """The simulator draws with ``standard_gamma(..., out=)`` into one buffer,
-    block by block; the CLI golden was recorded from ``gamma`` in one call."""
+    """Above ``_UNIFORM_GAMMA_MAX`` receive antennas the simulator draws with
+    ``standard_gamma(..., out=)`` into one buffer, block by block; the
+    allocating reference (``oracles.conditional_dyadic_curve``) draws
+    ``gamma`` in one call per block."""
 
     @pytest.mark.parametrize("m", [1, 2, 8])
     def test_standard_gamma_into_buffer_is_gamma_stream(self, m):
