@@ -19,15 +19,15 @@ def friis_gain(distance_m, wavelength_m, aperture_tx_m2, aperture_rx_m2):
     """Free-space power gain between two aperture antennas.
 
     Accepts scalars or numpy arrays for ``distance_m``. Raises ValueError
-    for non-positive distances, wavelengths or apertures (degenerate
+    for non-positive or NaN distances, wavelengths or apertures (degenerate
     geometry), and clamps the result to at most 1.
     """
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):  # each check is not-within, so NaN fails it too
         raise ValueError("distance must be strictly positive")
-    if wavelength_m <= 0.0:
+    if not wavelength_m > 0.0:
         raise ValueError("wavelength must be strictly positive")
-    if aperture_tx_m2 <= 0.0 or aperture_rx_m2 <= 0.0:
+    if not (aperture_tx_m2 > 0.0 and aperture_rx_m2 > 0.0):
         raise ValueError("antenna apertures must be strictly positive")
     # a quotient that overflows, or a denominator that underflows to 0, is
     # above 1 and clamped there

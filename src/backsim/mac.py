@@ -37,9 +37,9 @@ def co_slot_mask(slots):
 def th_ss_collision_probability(num_links, frame_length):
     """Probability that a given node shares its slot with anyone,
     1 - (1 - 1/N)^(K-1)."""
-    if num_links < 1:
+    if not num_links >= 1:  # NaN fails too
         raise ValueError("need at least one link")
-    if frame_length < 1:
+    if not frame_length >= 1:
         raise ValueError("frame_length must be at least 1")
     return 1.0 - (1.0 - 1.0 / frame_length) ** (num_links - 1)
 

@@ -8,14 +8,14 @@ active nodes transmit concurrently; per-link BER is evaluated
 semi-analytically as Q(sqrt(2 * SINR)) of the per-slot SINR, which has the
 same expectation as bit-level simulation under the Gaussian detector model
 at a fraction of the cost. The whole sweep runs as one padded array batch
-over (topology, kind, power, node) in one slot loop; padded nodes receive no
-carrier, so like every node whose harvest never reaches its requirement they
-are not stepped.
+over (topology, kind, power, node); ``_run_kinds`` states which entries it
+steps, which populations it evaluates once and how it bounds its buffers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -97,34 +97,41 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     independent population; all of them advance together, one slot at a
     time, so that the interference of each topology is one (2P, N) @ (N, N)
     product over (T, 2, P, N) emitted powers, kinds in ``_KINDS`` order.
-    Until a node first turns on, its battery is its running harvest, which
-    never decreases and does not depend on the kind. A node, padded ones
-    included, whose harvest alone stays below its kind's requirement through
-    the last slot is therefore silent throughout: it is not stepped, emits
-    +0.0 and its ledger row is (harvest, harvest, 0, 0). One stepper runs on
-    the other entries, the tags that can turn on followed by the radios that
-    can.
 
-    A population is fixed when each of its stepped entries harvests at least
-    its requirement in every slot. Such an entry is active in every slot and
-    always emits the same power: a tag keeps at least 0.0, so each harvest
-    lifts it over the requirement again, and a radio spends exactly all it
-    holds. A fixed population's SINRs are then the same in every slot, so
-    ``_slot_loop`` evaluates its links once and counts them once per
-    measured slot. The entries of the other populations form one slice of
-    the stepped array, between the fixed tags and the fixed radios.
+    Screen. Until a node first turns on, its battery is its running
+    harvest, which never decreases and does not depend on the kind. A node,
+    padded ones included, whose harvest alone stays below its kind's
+    requirement through the last slot is therefore silent throughout: it is
+    not stepped and emits +0.0. One stepper runs on the other entries, the
+    tags that can turn on followed by the radios that can.
 
-    Returns the mean BER, the active fraction and the BER sample count, each
-    (T, 2, P), and one (T, P, N) energy ledger per kind; the two ledgers
-    share one ``harvested_j`` array.
+    Group. A population is fixed when each of its stepped entries harvests
+    at least its requirement in every slot. Such an entry is active in
+    every slot and always emits the same power: a tag keeps at least 0.0,
+    so each harvest lifts it over the requirement again, and a radio spends
+    exactly all it holds. A fixed population's SINRs are then the same in
+    every slot, so its links are evaluated once, after the last slot, and
+    counted once per measured slot. The entries of the other populations
+    form one slice of the stepped array, between the fixed tags and the
+    fixed radios.
+
+    Step. Each measured slot writes the signal, interference plus noise and
+    population of the changing populations' active links into three
+    buffers allocated once, whose link-slots are evaluated a block at a
+    time (``_BER_BLOCK``). An interference sum that overflows fails the run
+    with a ValueError, and energy that is not conserved with a RuntimeError.
+
+    Returns the mean BER, the active fraction and the BER sample count,
+    each (T, 2, P), the stepped entries' ``EnergyLedger`` and each stepped
+    entry's flat (T, 2, P, N) index.
     """
     incident = dbm_to_watts(config.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]  # (T, P, N)
-    shape = incident.shape
-    num_topologies, num_powers, num_nodes = shape
+    num_topologies, num_powers, num_nodes = incident.shape
+    noise_w, measured = config.noise_w, config.num_slots - config.warmup_slots
 
     # the whole incident is checked here, before any entry is screened out
     harvested = slot_harvest(incident, config)
-    harvest_only = np.zeros(shape)
+    harvest_only = np.zeros(incident.shape)
     for _ in range(config.num_slots):  # the stepper's own float recursion
         harvest_only += harvested
     groups = []  # flat (T, P, N) indices: fixed tags, changing tags, changing radios, fixed radios
@@ -143,64 +150,12 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     emitter = entries + topology * (num_powers * num_nodes)  # flat (T, 2, P, N) index
     emitter[num_tags:] += num_powers * num_nodes  # radios sit one kind further on
     population, node = np.divmod(emitter, num_nodes)  # flat (T, 2, P) index
-    stepped_link_gain = link_gain[topology, node]
-    stepped_incident = incident.take(entries)
-    # the slot loop sets the sweep's peak memory
-    del incident, harvested, stepped, groups, topology, node
+    link_gain = link_gain[topology, node]
     part = EnergyLedger.empty(entries.size)
-    ber_sum, warm = _slot_loop(config, part, stepped_incident, num_tags, changing, emitter,
-                               population, stepped_link_gain, cross_gain, num_powers)
+    step = slot_stepper(part, incident.take(entries), num_tags, config)
+    # the slot loop sets the sweep's peak memory
+    del incident, harvested, harvest_only, stepped, groups, entries, topology, node
 
-    # written as not-within so that a NaN drift is flagged too
-    drifted = ~(np.abs(part.drift_j()) <= 1e-9 * np.maximum(part.harvested_j, 1e-30))
-    if drifted.any():
-        first = drifted.argmax()
-        kind = _KINDS[int(first >= num_tags)]
-        where = tuple(int(i) for i in np.unravel_index(entries[first], shape))
-        raise RuntimeError(f"energy conservation violated for {kind.value} at "
-                           f"(topology, power, node) {where}")
-    ledgers = []
-    for kind_part in (slice(None, num_tags), slice(num_tags, None)):
-        # a stepped entry's harvested_j is harvest_only too: the same additions
-        ledger = EnergyLedger(harvest_only.copy(), harvest_only, np.zeros(shape),
-                              np.zeros(shape, dtype=np.int64))
-        for name in ("battery_j", "consumed_j", "slots_active"):
-            getattr(ledger, name).put(entries[kind_part], getattr(part, name)[kind_part])
-        ledgers.append(ledger)
-
-    # the weights are integers, so their float sums are exact
-    ber_samples = np.bincount(population, weights=part.slots_active - warm,
-                              minlength=ber_sum.size).astype(np.int64)
-    ber_samples = ber_samples.reshape(num_topologies, len(_KINDS), num_powers)
-    ber_sum = ber_sum.reshape(ber_samples.shape)
-    mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
-    nodes = counts[:, None, None]
-    active_fraction = np.where(nodes > 0, ber_samples / np.maximum(nodes, 1), math.nan)
-    active_fraction /= config.num_slots - config.warmup_slots
-    return mean_ber, active_fraction, ber_samples, ledgers
-
-
-def _slot_loop(config, part, incident, num_tags, changing, emitter, population, link_gain,
-               cross_gain, num_powers):
-    """The slot loop of ``_run_kinds`` over the stepped entries of ``part``.
-
-    ``incident``, ``emitter`` (flat (T, 2, P, N) index), ``population``
-    (flat (T, 2, P) index) and ``link_gain`` hold one value per stepped
-    entry, the first ``num_tags`` of them tags; the ``changing`` slice holds
-    the entries of populations that are not fixed. Each measured slot
-    writes the signal, interference plus noise and population of their
-    active links into three buffers allocated once, and BER is evaluated on
-    them whenever they hold at least ``_BER_BLOCK`` link-slots. The fixed
-    entries' links are evaluated once after the last slot. An interference
-    sum that overflows fails the run with a ValueError.
-
-    Returns each population's BER sum over the measured slots and
-    ``part.slots_active`` when warm-up ends. The loop's buffers are freed
-    when it returns.
-    """
-    step = slot_stepper(part, incident, num_tags, config)
-    noise_w, measured = config.noise_w, config.num_slots - config.warmup_slots
-    num_topologies, num_nodes = cross_gain.shape[:2]
     emitted_all = np.zeros((num_topologies, len(_KINDS) * num_powers, num_nodes))
     emitted_flat = emitted_all.reshape(-1)  # a view; setitem scatters faster than put
     ber_sum = np.zeros(emitted_all.shape[:2]).reshape(-1)
@@ -227,7 +182,7 @@ def _slot_loop(config, part, incident, num_tags, changing, emitter, population, 
     moving_population = population[changing]
     warm = np.zeros_like(part.slots_active)
 
-    for slot in range(config.num_slots if incident.size else 0):
+    for slot in range(config.num_slots if emitter.size else 0):
         if slot == config.warmup_slots:
             warm = part.slots_active.copy()
         active, emitted = step()
@@ -258,7 +213,7 @@ def _slot_loop(config, part, incident, num_tags, changing, emitter, population, 
         add_ber(signal[:filled], denominator[:filled], owner[:filled], 1)
     del signal, denominator, owner
 
-    fixed = np.r_[:changing.start, changing.stop:incident.size]
+    fixed = np.r_[:changing.start, changing.stop:emitter.size]
     if fixed.size:  # every fixed entry is active, emitting what it did in the last slot
         fixed_emitter = emitter.take(fixed)
         fixed_signal = emitted.take(fixed)
@@ -268,7 +223,25 @@ def _slot_loop(config, part, incident, num_tags, changing, emitter, population, 
         denominator += noise_w
         fixed_signal *= link_gain.take(fixed)
         add_ber(fixed_signal, denominator, population.take(fixed), measured)
-    return ber_sum, warm
+
+    # written as not-within so that a NaN drift is flagged too
+    drifted = ~(np.abs(part.drift_j()) <= 1e-9 * np.maximum(part.harvested_j, 1e-30))
+    if drifted.any():
+        topology, kind, power, node = np.unravel_index(
+            emitter[drifted.argmax()], (num_topologies, len(_KINDS), num_powers, num_nodes))
+        raise RuntimeError(f"energy conservation violated for {_KINDS[kind].value} at "
+                           f"(topology, power, node) ({topology}, {power}, {node})")
+
+    # the weights are integers, so their float sums are exact
+    ber_samples = np.bincount(population, weights=part.slots_active - warm,
+                              minlength=ber_sum.size).astype(np.int64)
+    ber_samples = ber_samples.reshape(num_topologies, len(_KINDS), num_powers)
+    ber_sum = ber_sum.reshape(ber_samples.shape)
+    mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
+    nodes = counts[:, None, None]
+    active_fraction = np.where(nodes > 0, ber_samples / np.maximum(nodes, 1), math.nan)
+    active_fraction /= measured
+    return mean_ber, active_fraction, ber_samples, part, emitter
 
 
 def _mean_ci(values):
@@ -296,6 +269,8 @@ def run_comparison(config, num_topologies):
     order, backscatter before traditional at each power, and are
     byte-reproducible for a fixed (config, seed).
     """
+    if isinstance(num_topologies, bool) or not isinstance(num_topologies, numbers.Integral):
+        raise ValueError(f"the number of topologies must be an integer, got {num_topologies!r}")
     if num_topologies < 1:
         raise ValueError("need at least one topology draw")
     # The expected node count is usually below the padded one, so the

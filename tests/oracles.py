@@ -11,8 +11,9 @@ the gains, the interference and the BER aggregation. The dyadic
 oracles estimate the same error rate as ``simulate_dyadic_ber`` by drawing
 both hops instead of integrating one out, or compute it by quadrature, or
 repeat its conditional estimator one allocating array expression at a time.
-``run_population`` and ``tdma_schedule`` are not oracles but small test
-helpers: the sweep engine on one population, and a round-robin schedule.
+``run_population``, ``sweep_ledgers`` and ``tdma_schedule`` are not
+oracles but small test helpers: the sweep engine on one population, every
+entry's ledger after a sweep, and a round-robin schedule.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ import numpy as np
 
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.dyadic import _CHUNK, _UNIFORM_GAMMA_MAX
-from backsim.energymodel import EnergyLedger, slot_stepper
+from backsim.energymodel import EnergyLedger, slot_harvest, slot_stepper
 from backsim.mac import aggregate_interference
 from backsim.netsim import _KINDS, _padded_gains, _run_kinds
 from backsim.phylink import bpsk_ber, q_function
@@ -238,11 +239,36 @@ def run_population(config, kind, topology, pb_power_dbm):
     """
     config = dataclasses.replace(config, pb_power_dbm_sweep=(pb_power_dbm,))
     counts = np.array([len(topology)])
-    mean_ber, active_fraction, ber_samples, ledgers = _run_kinds(
-        config, *_padded_gains(config, topology, counts), counts)
+    gains = _padded_gains(config, topology, counts)
+    mean_ber, active_fraction, ber_samples, part, emitter = _run_kinds(config, *gains, counts)
     k = _KINDS.index(NodeKind(kind))
-    ledger = EnergyLedger(*(flows[0, 0] for flows in vars(ledgers[k]).values()))
+    ledger = sweep_ledgers(config, gains[0], part, emitter)[k]
+    ledger = EnergyLedger(*(flows[0, 0] for flows in vars(ledger).values()))
     return mean_ber[0, k, 0], active_fraction[0, k, 0], ber_samples[0, k, 0], ledger
+
+
+def sweep_ledgers(config, pb_gain, part, emitter):
+    """Every entry's ledger after a ``_run_kinds`` sweep, one (T, P, N) ledger per kind.
+
+    ``pb_gain`` is the sweep's (T, N) beacon gains, and ``part`` and
+    ``emitter`` are what ``_run_kinds`` returns: the stepped entries'
+    ledger and their flat (T, 2, P, N) indices. An entry the engine did not
+    step holds its running harvest whole, with nothing consumed; the
+    stepped entries' flows are then put at ``emitter``.
+    """
+    incident = dbm_to_watts(config.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]
+    harvested = slot_harvest(incident, config)
+    running = np.zeros(harvested.shape)
+    for _ in range(config.num_slots):  # the stepper's own float recursion
+        running += harvested
+    shape = (len(running), len(_KINDS)) + running.shape[1:]
+    running = np.broadcast_to(running[:, None], shape)
+    ledger = EnergyLedger(running.copy(), running.copy(), np.zeros(shape),
+                          np.zeros(shape, dtype=np.int64))
+    for name, flows in vars(part).items():
+        getattr(ledger, name).put(emitter, flows)
+    return [EnergyLedger(*(flows[:, k] for flows in vars(ledger).values()))
+            for k in range(len(_KINDS))]
 
 
 # Dyadic MIMO estimators ----------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ class TestFriisGain:
             friis_gain(1.0, 0.125, 0.0, 0.001)
         with pytest.raises(ValueError, match="wavelength"):
             friis_gain(1.0, 0.0, 0.001, 0.001)
+        # NaN compares false with every bound, so it must fail each check
+        with pytest.raises(ValueError, match="distance"):
+            friis_gain(np.array([1.0, math.nan]), 0.125, 0.001, 0.001)
+        with pytest.raises(ValueError, match="wavelength"):
+            friis_gain(1.0, math.nan, 0.001, 0.001)
+        for apertures in ((math.nan, 0.001), (0.001, math.nan)):
+            with pytest.raises(ValueError, match="apertures"):
+                friis_gain(1.0, 0.125, *apertures)
 
     def test_vectorised(self):
         gains = friis_gain(np.array([0.5, 10.0]), 0.125, 0.001, 0.001)

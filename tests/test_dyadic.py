@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from backsim import dyadic
-from backsim.dyadic import _CHUNK, _conditional_bers, _draw_gains, simulate_dyadic_ber
+from backsim.dyadic import (_CHUNK, _UNIFORM_GAMMA_MAX, _conditional_bers, _draw_gains,
+                            simulate_dyadic_ber)
 from backsim.scenario import PURPOSE_FADING, derive_stream
 from oracles import (_complex_normal, bit_level_dyadic_ber, conditional_ber,
                      conditional_dyadic_curve, dual_branch_equal_ber, dyadic_quadrature,
@@ -436,7 +437,7 @@ class TestGammaStream:
     allocating reference (``oracles.conditional_dyadic_curve``) draws
     ``gamma`` in one call per block."""
 
-    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("m", [_UNIFORM_GAMMA_MAX + 1, 8])
     def test_standard_gamma_into_buffer_is_gamma_stream(self, m):
         expected = np.random.default_rng(9).gamma(m, size=(1000, 2))
         out = np.empty((1000, 2))
@@ -444,7 +445,7 @@ class TestGammaStream:
         assert np.array_equal(out, expected), (
             f"standard_gamma({m}, out=) no longer draws the gamma({m}) stream")
 
-    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("m", [_UNIFORM_GAMMA_MAX + 1, 8])
     def test_split_draws_are_one_stream(self, m):
         expected = np.random.default_rng(9).standard_gamma(m, size=(1000, 2))
         rng = np.random.default_rng(9)

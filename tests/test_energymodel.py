@@ -339,5 +339,6 @@ class TestDutyCycleTradeoff:
             duty_cycle_harvest(1.5, 1e-3, config)
 
     def test_negative_incident_rejected(self, config):
-        with pytest.raises(ValueError, match="incident power must be non-negative"):
-            duty_cycle_harvest(0.5, -1e-3, config)
+        for bad in (-1e-3, math.nan):
+            with pytest.raises(ValueError, match="incident power must be non-negative"):
+                duty_cycle_harvest(0.5, bad, config)

@@ -53,6 +53,10 @@ class TestThSs:
             th_ss_collision_probability(2, 0)
         with pytest.raises(ValueError, match="link"):
             th_ss_collision_probability(0, 10)
+        with pytest.raises(ValueError, match="frame_length"):
+            th_ss_collision_probability(2, math.nan)
+        with pytest.raises(ValueError, match="link"):
+            th_ss_collision_probability(math.nan, 10)
         with pytest.raises(ValueError, match="trial"):
             th_ss_collision_rate_mc(2, 10, 0, rng)
 

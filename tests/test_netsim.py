@@ -16,7 +16,7 @@ from backsim.phylink import bpsk_ber
 from backsim.scenario import (NodeKind, PURPOSE_MAC, PURPOSE_PLACEMENT, ScenarioConfig,
                               derive_stream, load_config, place_topologies)
 from oracles import (interference_at, place_nodes_loop, population_loop, run_population,
-                     tdma_schedule)
+                     sweep_ledgers, tdma_schedule)
 
 KINDS = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)
 DATA = Path(__file__).parent / "data"
@@ -218,6 +218,10 @@ class TestRunComparison:
     def test_needs_a_topology(self, small_config):
         with pytest.raises(ValueError, match="at least one topology"):
             run_comparison(small_config, 0)
+        for bad in (True, 2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                run_comparison(small_config, bad)
+        assert run_comparison(small_config, np.int64(1))[0].trials == 1
 
     def test_sweep_layout(self, small_config):
         results = run_comparison(small_config, num_topologies=3)
@@ -281,34 +285,47 @@ class TestRunComparison:
 
     def test_sweep_memory_is_bounded(self):
         # link-slots go into buffers of max(min(_BER_BLOCK, run), one slot)
-        # entries, so the 50-topology default sweep peaks near 0.75 MB;
+        # entries, so the 50-topology default sweep peaks near 0.69 MB;
         # queuing whole blocks of 2^15 link-slots and concatenating them
-        # peaked near 2.8 MB
+        # peaked near 2.8 MB. At 200 topologies the sweep peaks near 2.97 MB;
+        # rebuilding two (T, P, N) energy ledgers after the slot loop raised
+        # that to 3.37 MB.
         config = ScenarioConfig()
         run_comparison(config, 2)  # first-call allocations are not the sweep's
-        tracemalloc.start()
-        try:
-            run_comparison(config, 50)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5e6, f"peak allocation {peak} bytes"
+        for num_topologies, bound in ((50, 1.5e6), (200, 3.2e6)):
+            tracemalloc.start()
+            try:
+                run_comparison(config, num_topologies)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"peak allocation {peak} bytes at {num_topologies} topologies"
 
     def test_nan_in_ledger_fails_conservation(self, small_config, monkeypatch):
         # a NaN compares false with every tolerance, so the drift check must
         # flag what is not within it rather than what exceeds it
+        poison = [0]  # the stepped entry poisoned
+
         def poisoned(ledger, incident_w, num_tags, config):
             step = slot_stepper(ledger, incident_w, num_tags, config)
 
             def poisoned_step():
                 result = step()
-                ledger.consumed_j.flat[0] = math.nan
+                ledger.consumed_j.flat[poison[0]] = math.nan
                 return result
             return poisoned_step
 
         monkeypatch.setattr(netsim, "slot_stepper", poisoned)
         with pytest.raises(RuntimeError, match="energy conservation violated for backscatter"):
             run_comparison(small_config, 2)
+        # the error names the entry: only node 1 is stepped, as a tag first and a radio last
+        cfg = dataclasses.replace(small_config, pb_power_dbm_sweep=(40.0,))
+        for index, kind in ((0, "backscatter"), (-1, "traditional")):
+            poison[0] = index
+            with pytest.raises(RuntimeError,
+                               match=fr"for {kind} at \(topology, power, node\) \(0, 0, 1\)$"):
+                netsim._run_kinds(cfg, np.array([[1e-12, 1e-3]]), np.full((1, 2), 1e-4),
+                                  np.zeros((1, 2, 2)), np.array([2]))
 
     def test_csv_schema(self, small_config, tmp_path):
         results = run_comparison(small_config, num_topologies=2)
@@ -360,7 +377,8 @@ class TestRunComparison:
             return bpsk_ber(sinr)
 
         monkeypatch.setattr(netsim, "bpsk_ber", counted)
-        mean_ber, active_fraction, samples, ledgers = netsim._run_kinds(cfg, *gains, counts)
+        mean_ber, active_fraction, samples, *stepped = netsim._run_kinds(cfg, *gains, counts)
+        ledgers = sweep_ledgers(cfg, gains[0], *stepped)
         for k in range(len(KINDS)):  # each kind has both, the fixed ones with links
             assert (fixed[:, k] & (samples[:, k] > 0)).any() and not fixed[:, k].all()
         assert (samples[fixed] % measured == 0).all()
@@ -498,7 +516,7 @@ class TestScreen:
             return counted_step
 
         monkeypatch.setattr(netsim, "slot_stepper", counted)
-        ledgers = netsim._run_kinds(cfg, *gains, counts)[3]
+        ledgers = sweep_ledgers(cfg, gains[0], *netsim._run_kinds(cfg, *gains, counts)[3:])
         assert len(steps) == cfg.num_slots and len(set(steps)) == 1
         for kind, ledger, stepped in zip(KINDS, ledgers, steps[0]):
             _assert_same_ledger(ledger, _unscreened_ledger(cfg, kind, gains[0]))
@@ -532,8 +550,9 @@ class TestScreen:
         assert final_harvest(below)[0] < required
 
         pb_gain = np.array([[gain, below]])
-        mean_ber, _, ber_samples, ledgers = netsim._run_kinds(
+        mean_ber, _, ber_samples, *stepped = netsim._run_kinds(
             cfg, pb_gain, np.full((1, 2), 1e-4), np.zeros((1, 2, 2)), np.array([2]))
+        ledgers = sweep_ledgers(cfg, pb_gain, *stepped)
         k = KINDS.index(kind)
         ledger = ledgers[k]
         assert ledger.slots_active.tolist() == [[[1, 0]]]
