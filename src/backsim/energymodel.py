@@ -1,4 +1,4 @@
-"""RF energy harvesting, battery bookkeeping and the per-slot duty cycle.
+"""RF energy harvesting, battery stepping and the per-slot duty cycle.
 
 Each slot follows a harvest-then-sense-and-transmit sequence: the node
 harvests ``incident_w * harvest_efficiency`` during the short harvesting
@@ -13,12 +13,12 @@ the power amplifier (greedy policy, which maximises per-slot SNR and keeps
 "sufficient energy" a single threshold). Batteries carry over between
 slots with no cap and no leakage. ``slot_harvest`` is the one place the
 harvest is written, ``turn_on_energy`` the one place each kind's
-requirement is, and ``slot_stepper`` the one place a slot is stepped.
+requirement is, and ``slot_stepper`` the one place a slot is stepped. It
+keeps no running totals: each step returns what that slot paid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,32 +27,6 @@ import numpy as np
 class NodeKind(str, Enum):
     BACKSCATTER = "backscatter"
     TRADITIONAL = "traditional"
-
-
-@dataclass
-class EnergyLedger:
-    """Per-node battery and cumulative energy flows of populations.
-
-    The last axis of every array indexes nodes, leading axes (if any)
-    independent populations; batteries start empty. ``slot_stepper`` splits
-    the kinds along axis 0, the node axis only in a one-axis ledger. The
-    network sweep takes its BER sample counts and active fractions from
-    ``slots_active``.
-    """
-
-    battery_j: np.ndarray
-    harvested_j: np.ndarray
-    consumed_j: np.ndarray
-    slots_active: np.ndarray
-
-    @classmethod
-    def empty(cls, shape):
-        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape),
-                   np.zeros(shape, dtype=np.int64))
-
-    def drift_j(self):
-        """Harvested minus consumed minus stored energy; zero up to rounding."""
-        return self.harvested_j - self.consumed_j - self.battery_j
 
 
 def slot_harvest(incident_w, config):
@@ -80,41 +54,40 @@ def turn_on_energy(kind, config):
     return overhead + config.noise_w * config.active_s / config.pa_efficiency, overhead
 
 
-def slot_stepper(ledger, incident_w, num_tags, config):
+def slot_stepper(battery, incident_w, num_tags, config):
     """Slot stepper for backscatter tags and traditional radios held in one array.
 
-    Along axis 0 of the ledger arrays, the first ``num_tags`` entries are
-    tags and the rest radios. Those entries are nodes in a one-axis ledger
-    but whole populations in a multi-axis one, which is therefore all one
-    kind unless ``num_tags`` splits axis 0. ``incident_w`` is the carrier
-    power reaching each node, shaped like the ledger arrays and fixed for
-    the stepper's life, so its check, the per-slot harvest and each entry's
-    requirement are computed here once. Each call of the returned
-    ``step()`` advances every node one slot: each node harvests, activates
-    iff its battery covers its requirement, and pays for the slot. The harvest, activation
-    and bookkeeping run on the whole array, the payment and the emission on
-    each kind's slice. ``step()`` updates ``ledger``'s arrays in place and
-    returns the active mask and the power each node emits: the full
-    reflected incident wave for an active tag, the amplifier output for an
-    active radio, +0.0 for a silent node. Both are buffers that the next
-    ``step()`` overwrites. The ledger's ``slots_active`` is the one count
-    of active slots; the sweep reads it.
+    ``battery`` holds every entry's stored energy; the caller makes it (zeroed,
+    for empty batteries) and the stepper updates it in place. Along axis 0,
+    the first ``num_tags`` entries are tags and the rest radios. Those
+    entries are nodes in a one-axis array but whole populations in a
+    multi-axis one, which is therefore all one kind unless ``num_tags``
+    splits axis 0. ``incident_w`` is the carrier power reaching each entry,
+    shaped like ``battery`` and fixed for the stepper's life, so its check,
+    the per-slot harvest and each entry's requirement are computed here
+    once. Each call of the returned ``step()`` advances every entry one
+    slot: each harvests, activates iff its battery covers its requirement,
+    and pays for the slot. The harvest and activation run on the whole
+    array, the payment and the emission on each kind's slice. ``step()``
+    returns the active mask, the power each entry emits (the full reflected
+    incident wave for an active tag, the amplifier output for an active
+    radio, +0.0 for a silent entry) and the energy each entry paid in the
+    slot. All three are buffers that the next ``step()`` overwrites.
     """
     harvested = slot_harvest(incident_w, config)
     tag_required = turn_on_energy(NodeKind.BACKSCATTER, config)[0]
     radio_required, overhead = turn_on_energy(NodeKind.TRADITIONAL, config)
     active_s, pa_efficiency = config.active_s, config.pa_efficiency
-    battery = ledger.battery_j
     shape = battery.shape
     required = np.full(shape, radio_required)
     required[:num_tags] = tag_required
     active = np.zeros(shape, dtype=bool)
-    consumed, emitted = np.zeros(shape), np.zeros(shape)
+    paid, emitted = np.zeros(shape), np.zeros(shape)
     tags, radios = slice(None, num_tags), slice(num_tags, None)
     tag_on, tag_cost, tag_incident = active[tags], required[tags], incident_w[tags]
-    tag_paid, tag_out = consumed[tags], emitted[tags]
+    tag_paid, tag_out = paid[tags], emitted[tags]
     radio_on, radio_held = active[radios], battery[radios]
-    radio_paid, radio_out = consumed[radios], emitted[radios]
+    radio_paid, radio_out = paid[radios], emitted[radios]
 
     def step():
         np.add(battery, harvested, out=battery)
@@ -131,14 +104,11 @@ def slot_stepper(ledger, incident_w, num_tags, config):
         np.divide(radio_out, active_s, out=radio_out)
         np.maximum(radio_out, 0.0, out=radio_out)
         np.multiply(radio_out, radio_on, out=radio_out)
-        np.subtract(battery, consumed, out=battery)
+        np.subtract(battery, paid, out=battery)
         # the minimum is NaN if any battery is
         if not np.minimum.reduce(battery, axis=None, initial=np.inf) >= 0.0:
             raise RuntimeError("battery went negative or NaN; energy accounting is broken")
-        ledger.harvested_j += harvested
-        ledger.consumed_j += consumed
-        ledger.slots_active += active
-        return active, emitted
+        return active, emitted, paid
 
     return step
 

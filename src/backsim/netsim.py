@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dbm_to_watts, friis_gain
-from .energymodel import EnergyLedger, NodeKind, slot_harvest, slot_stepper, turn_on_energy
+from .energymodel import NodeKind, slot_harvest, slot_stepper, turn_on_energy
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
 from .scenario import place_topologies
@@ -118,12 +118,13 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     Step. Each measured slot writes the signal, interference plus noise and
     population of the changing populations' active links into three
     buffers allocated once, whose link-slots are evaluated a block at a
-    time (``_BER_BLOCK``). An interference sum that overflows fails the run
-    with a ValueError, and energy that is not conserved with a RuntimeError.
+    time (``_BER_BLOCK``). Each block adds its BER values and its link-slot
+    count per population, so the sample counts are the measured active
+    slots. An interference sum that overflows fails the run with a
+    ValueError.
 
     Returns the mean BER, the active fraction and the BER sample count,
-    each (T, 2, P), the stepped entries' ``EnergyLedger`` and each stepped
-    entry's flat (T, 2, P, N) index.
+    each (T, 2, P).
     """
     incident = dbm_to_watts(config.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]  # (T, P, N)
     num_topologies, num_powers, num_nodes = incident.shape
@@ -151,14 +152,14 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     emitter[num_tags:] += num_powers * num_nodes  # radios sit one kind further on
     population, node = np.divmod(emitter, num_nodes)  # flat (T, 2, P) index
     link_gain = link_gain[topology, node]
-    part = EnergyLedger.empty(entries.size)
-    step = slot_stepper(part, incident.take(entries), num_tags, config)
+    step = slot_stepper(np.zeros(entries.size), incident.take(entries), num_tags, config)
     # the slot loop sets the sweep's peak memory
     del incident, harvested, harvest_only, stepped, groups, entries, topology, node
 
     emitted_all = np.zeros((num_topologies, len(_KINDS) * num_powers, num_nodes))
     emitted_flat = emitted_all.reshape(-1)  # a view; setitem scatters faster than put
     ber_sum = np.zeros(emitted_all.shape[:2]).reshape(-1)
+    ber_samples = np.zeros(ber_sum.size, dtype=np.int64)
 
     def add_ber(signal, denominator, owner, repeats):
         # validate() bounds each emitter's power over the noise, not the sum
@@ -169,6 +170,7 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
         ber = bpsk_ber(np.divide(signal, denominator, out=signal))
         ber *= repeats  # exact for one repeat
         np.add(ber_sum, np.bincount(owner, weights=ber, minlength=ber_sum.size), out=ber_sum)
+        np.add(ber_samples, np.bincount(owner, minlength=ber_sum.size) * repeats, out=ber_samples)
 
     # a slot is added whole, and the buffers are flushed first if it would
     # take them past _BER_BLOCK, so a block holds at most _BER_BLOCK link-slots
@@ -180,12 +182,9 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     filled = 0
     moving_gain, moving_emitter = link_gain[changing], emitter[changing]
     moving_population = population[changing]
-    warm = np.zeros_like(part.slots_active)
 
     for slot in range(config.num_slots if emitter.size else 0):
-        if slot == config.warmup_slots:
-            warm = part.slots_active.copy()
-        active, emitted = step()
+        active, emitted, _ = step()
         if slot < config.warmup_slots:
             continue
         links = active[changing].nonzero()[0]
@@ -224,24 +223,13 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
         fixed_signal *= link_gain.take(fixed)
         add_ber(fixed_signal, denominator, population.take(fixed), measured)
 
-    # written as not-within so that a NaN drift is flagged too
-    drifted = ~(np.abs(part.drift_j()) <= 1e-9 * np.maximum(part.harvested_j, 1e-30))
-    if drifted.any():
-        topology, kind, power, node = np.unravel_index(
-            emitter[drifted.argmax()], (num_topologies, len(_KINDS), num_powers, num_nodes))
-        raise RuntimeError(f"energy conservation violated for {_KINDS[kind].value} at "
-                           f"(topology, power, node) ({topology}, {power}, {node})")
-
-    # the weights are integers, so their float sums are exact
-    ber_samples = np.bincount(population, weights=part.slots_active - warm,
-                              minlength=ber_sum.size).astype(np.int64)
     ber_samples = ber_samples.reshape(num_topologies, len(_KINDS), num_powers)
     ber_sum = ber_sum.reshape(ber_samples.shape)
     mean_ber = np.where(ber_samples > 0, ber_sum / np.maximum(ber_samples, 1), math.nan)
     nodes = counts[:, None, None]
     active_fraction = np.where(nodes > 0, ber_samples / np.maximum(nodes, 1), math.nan)
     active_fraction /= measured
-    return mean_ber, active_fraction, ber_samples, part, emitter
+    return mean_ber, active_fraction, ber_samples
 
 
 def _mean_ci(values):
@@ -287,7 +275,7 @@ def run_comparison(config, num_topologies):
     nodes, counts = place_topologies(config, num_topologies)
     gains = _padded_gains(config, nodes, counts)
     del nodes  # not held through the slot loop, which sets the peak memory
-    mean_ber, active_fraction = _run_kinds(config, *gains, counts)[:2]
+    mean_ber, active_fraction, _ = _run_kinds(config, *gains, counts)
     # (kind, power) lists; every NaN is math.nan itself, because dataclass
     # equality compares NaN fields by identity
     ber, ci_ber, fraction, ci_fraction = (

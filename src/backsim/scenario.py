@@ -26,6 +26,12 @@ PURPOSE_MAC = 1
 PURPOSE_FADING = 2
 
 
+def _is_number(value, kind):
+    """Whether ``value`` is a ``kind`` number other than a bool, which Python
+    counts as one and which would run as 0 or 1."""
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All physical and protocol constants of the network experiment.
@@ -64,14 +70,18 @@ class ScenarioConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-            if f.type is int and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Integral)):
+            if f.type is int and not _is_number(value, numbers.Integral):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type is float and not _is_number(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             # a dBm level may be negative; every other float is a magnitude
             if f.type is float and not f.name.endswith("_dbm") and value <= 0.0:
                 raise ValueError(f"{f.name} must be strictly positive, got {value}")
+        if not all(_is_number(p, numbers.Real) for p in self.pb_power_dbm_sweep):
+            raise ValueError(f"pb_power_dbm_sweep entries must be numbers, got "
+                             f"{self.pb_power_dbm_sweep}")
         # the engine divides by the noise power and scales by the beacon power,
         # so both must also be finite in watts; an overflow to inf is rejected
         # below instead of warning here

@@ -5,15 +5,18 @@ Python floats, the way the physics reads in the paper's model, so the array
 engine in ``backsim`` can be checked against it term by term. ``step_slot``
 writes out its own harvest, activation thresholds and amplifier output and
 takes none of them from ``backsim``, so it is the oracle for the formulas of
-``slot_stepper`` (``TestArrayStepMatchesOracle``). ``population_loop`` steps
-with ``slot_stepper`` itself, so it guards what the sweep adds to the step:
-the gains, the interference and the BER aggregation. The dyadic
+``slot_stepper`` (``TestArrayStepMatchesOracle``). ``EnergyLedger`` and
+``ledger_stepper`` keep the cumulative flows that ``slot_stepper`` does not:
+every slot's harvest, payment and activity, so that tests can check energy
+conservation on the stepper's own arithmetic. ``population_loop`` steps
+every node with ``ledger_stepper``, so it guards what the sweep adds to the
+step: the screen, the fixed populations, the gains, the interference and
+the BER aggregation, and its ledger holds each node's flows. The dyadic
 oracles estimate the same error rate as ``simulate_dyadic_ber`` by drawing
 both hops instead of integrating one out, or compute it by quadrature, or
 repeat its conditional estimator one allocating array expression at a time.
-``run_population``, ``sweep_ledgers`` and ``tdma_schedule`` are not
-oracles but small test helpers: the sweep engine on one population, every
-entry's ledger after a sweep, and a round-robin schedule.
+``run_population`` and ``tdma_schedule`` are not oracles but small test
+helpers: the sweep engine on one population, and a round-robin schedule.
 """
 
 import dataclasses
@@ -26,11 +29,58 @@ import numpy as np
 
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.dyadic import _CHUNK, _UNIFORM_GAMMA_MAX
-from backsim.energymodel import EnergyLedger, slot_harvest, slot_stepper
+from backsim.energymodel import slot_harvest, slot_stepper
 from backsim.mac import aggregate_interference
 from backsim.netsim import _KINDS, _padded_gains, _run_kinds
 from backsim.phylink import bpsk_ber, q_function
 from backsim.scenario import NodeKind
+
+
+@dataclass
+class EnergyLedger:
+    """Per-node battery and cumulative energy flows of populations.
+
+    The last axis of every array indexes nodes, leading axes (if any)
+    independent populations; batteries start empty.
+    """
+
+    battery_j: np.ndarray
+    harvested_j: np.ndarray
+    consumed_j: np.ndarray
+    slots_active: np.ndarray
+
+    @classmethod
+    def empty(cls, shape):
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape),
+                   np.zeros(shape, dtype=np.int64))
+
+    def drift_j(self):
+        """Harvested minus consumed minus stored energy; zero up to rounding."""
+        return self.harvested_j - self.consumed_j - self.battery_j
+
+
+def ledger_stepper(incident_w, num_tags, config, ledger=None):
+    """``slot_stepper`` on a ledger's batteries, with the ledger keeping the flows.
+
+    ``ledger`` defaults to an empty one shaped like ``incident_w``; passing
+    one lets a ledger run on across steppers of other incident powers. Returns
+    the ledger and a ``step()`` that runs the stepper's step, adds the
+    slot's ``slot_harvest``, the energy paid and the active mask into the
+    ledger, and returns the active mask and the emitted powers.
+    """
+    if ledger is None:
+        ledger = EnergyLedger.empty(np.shape(incident_w))
+    step_batteries = slot_stepper(ledger.battery_j, incident_w, num_tags, config)
+    harvested = slot_harvest(incident_w, config)
+
+    def step():
+        active, emitted, paid = step_batteries()
+        ledger.harvested_j += harvested
+        ledger.consumed_j += paid
+        ledger.slots_active += active
+        return active, emitted
+
+    return ledger, step
 
 
 @dataclass
@@ -188,13 +238,15 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
     """
     kind = NodeKind(kind)
     n = len(topology)
-    ledger = EnergyLedger.empty(n)
     if n == 0:
-        return math.nan, math.nan, 0, ledger
+        return math.nan, math.nan, 0, EnergyLedger.empty(0)
 
     lam, ap = config.wavelength_m, config.aperture_m2
     positions, rx_positions = topology[:, 0], topology[:, 1]
-    incident = float(dbm_to_watts(pb_power_dbm)) * np.atleast_1d(
+    # converted as an array, as the sweep converts its powers: numpy's array
+    # power differs from its scalar one in the last bit for some inputs, and
+    # one bit decides a node whose harvest lands on its requirement
+    incident = dbm_to_watts([pb_power_dbm])[0] * np.atleast_1d(
         friis_gain(np.hypot(positions[:, 0], positions[:, 1]), lam, ap, ap))
     diff = positions[:, None, :] - rx_positions[None, :, :]
     gain_to_rx = friis_gain(np.hypot(diff[..., 0], diff[..., 1]), lam, ap, ap)
@@ -204,7 +256,7 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
     ber_sum = 0.0
     ber_samples = 0
     active_share_sum = 0.0
-    step = slot_stepper(ledger, incident, n if kind == NodeKind.BACKSCATTER else 0, config)
+    ledger, step = ledger_stepper(incident, n if kind == NodeKind.BACKSCATTER else 0, config)
     for slot in range(config.num_slots):
         active, emitted = step()
         if slot < config.warmup_slots:
@@ -234,41 +286,13 @@ def run_population(config, kind, topology, pb_power_dbm):
 
     Runs both kinds on one topology at one beacon power, the config's sweep
     replaced by that power, and returns (mean_ber, active_fraction,
-    ber_samples, ledger) of ``kind`` as ``population_loop`` does, the
-    ledger's arrays holding one entry per node of ``topology``.
+    ber_samples) of ``kind`` as ``population_loop`` does.
     """
     config = dataclasses.replace(config, pb_power_dbm_sweep=(pb_power_dbm,))
     counts = np.array([len(topology)])
-    gains = _padded_gains(config, topology, counts)
-    mean_ber, active_fraction, ber_samples, part, emitter = _run_kinds(config, *gains, counts)
+    stats = _run_kinds(config, *_padded_gains(config, topology, counts), counts)
     k = _KINDS.index(NodeKind(kind))
-    ledger = sweep_ledgers(config, gains[0], part, emitter)[k]
-    ledger = EnergyLedger(*(flows[0, 0] for flows in vars(ledger).values()))
-    return mean_ber[0, k, 0], active_fraction[0, k, 0], ber_samples[0, k, 0], ledger
-
-
-def sweep_ledgers(config, pb_gain, part, emitter):
-    """Every entry's ledger after a ``_run_kinds`` sweep, one (T, P, N) ledger per kind.
-
-    ``pb_gain`` is the sweep's (T, N) beacon gains, and ``part`` and
-    ``emitter`` are what ``_run_kinds`` returns: the stepped entries'
-    ledger and their flat (T, 2, P, N) indices. An entry the engine did not
-    step holds its running harvest whole, with nothing consumed; the
-    stepped entries' flows are then put at ``emitter``.
-    """
-    incident = dbm_to_watts(config.pb_power_dbm_sweep)[:, None] * pb_gain[:, None, :]
-    harvested = slot_harvest(incident, config)
-    running = np.zeros(harvested.shape)
-    for _ in range(config.num_slots):  # the stepper's own float recursion
-        running += harvested
-    shape = (len(running), len(_KINDS)) + running.shape[1:]
-    running = np.broadcast_to(running[:, None], shape)
-    ledger = EnergyLedger(running.copy(), running.copy(), np.zeros(shape),
-                          np.zeros(shape, dtype=np.int64))
-    for name, flows in vars(part).items():
-        getattr(ledger, name).put(emitter, flows)
-    return [EnergyLedger(*(flows[:, k] for flows in vars(ledger).values()))
-            for k in range(len(_KINDS))]
+    return tuple(stat[0, k, 0] for stat in stats)
 
 
 # Dyadic MIMO estimators ----------------------------------------------------

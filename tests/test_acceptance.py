@@ -16,14 +16,14 @@ import pytest
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import parse_args, run as cli_run
 from backsim.dyadic import simulate_dyadic_ber
-from backsim.energymodel import EnergyLedger, duty_cycle_harvest, slot_stepper
+from backsim.energymodel import duty_cycle_harvest
 from backsim.mac import (count_interference_components,
                          th_ss_collision_probability, th_ss_collision_rate_mc)
 from backsim.netsim import run_comparison
 from backsim.phylink import energy_rate_frontier, q_function
 from backsim.scenario import (NodeKind, PURPOSE_FADING, PURPOSE_MAC,
                               PURPOSE_PLACEMENT, ScenarioConfig, derive_stream)
-from oracles import estimate_diversity_order, place_nodes_loop
+from oracles import estimate_diversity_order, ledger_stepper, place_nodes_loop
 
 
 def _report(number, name, ok, detail=""):
@@ -182,8 +182,7 @@ def test_criterion_08_energy_conservation():
     pb_distance = np.hypot(topology[:, 0, 0], topology[:, 0, 1])
     incident = pb_w * friis_gain(pb_distance, lam, ap, ap)
     for num_tags in (len(topology), 0):  # backscatter tags, then traditional radios
-        ledger = EnergyLedger.empty(len(topology))
-        step = slot_stepper(ledger, incident, num_tags, config)
+        ledger, step = ledger_stepper(incident, num_tags, config)
         for _ in range(config.num_slots):
             step()
             ok &= bool(np.all(ledger.battery_j >= 0.0))

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backsim.energymodel import (EnergyLedger, NodeKind, duty_cycle_harvest, slot_stepper,
-                                 turn_on_energy)
+from backsim.energymodel import NodeKind, duty_cycle_harvest, turn_on_energy
 from backsim.scenario import ScenarioConfig
-from oracles import ScalarNode, emitted_power, step_slot
+from oracles import EnergyLedger, ScalarNode, emitted_power, ledger_stepper, step_slot
 
 
 @pytest.fixture
@@ -22,10 +21,10 @@ BACK, TRAD = NodeKind.BACKSCATTER, NodeKind.TRADITIONAL
 def _slot(battery_j, incident_w, kind, config):
     """Step one node with the given battery through one slot on a fresh
     ledger, whose totals are then exactly that slot's flows."""
-    ledger = EnergyLedger.empty(1)
-    ledger.battery_j[0] = battery_j
     num_tags = 1 if kind == BACK else 0
-    active, emitted = slot_stepper(ledger, np.array([incident_w]), num_tags, config)()
+    ledger, step = ledger_stepper(np.array([incident_w]), num_tags, config)
+    ledger.battery_j[0] = battery_j
+    active, emitted = step()
     return active[0], emitted[0], ledger
 
 
@@ -85,9 +84,8 @@ class TestActivation:
         assert _slot(_traditional_requirement(config), 0.0, TRAD, config)[0]
         assert not _slot(_traditional_requirement(config), 0.0, TRAD, changed)[0]
         incident = np.geomspace(1e-7, 1e-3, 9)  # silent, saving and active nodes
-        base, other = EnergyLedger.empty(9), EnergyLedger.empty(9)
-        step_base = slot_stepper(base, incident, incident.size, config)
-        step_other = slot_stepper(other, incident, incident.size, changed)
+        base, step_base = ledger_stepper(incident, incident.size, config)
+        other, step_other = ledger_stepper(incident, incident.size, changed)
         for _ in range(5):
             active, emitted = step_base()
             active_changed, emitted_changed = step_other()
@@ -164,8 +162,7 @@ class TestTraditionalTxPower:
         overhead, required = _traditional_overhead(config), _traditional_requirement(config)
         battery = np.array([0.0, overhead / 2, overhead, (overhead + required) / 2,
                             required, 1.7 * required, 3 * required, 11.3 * required])
-        ledger = EnergyLedger.empty(battery.size)
-        step = slot_stepper(ledger, np.zeros(battery.size), 0, config)
+        ledger, step = ledger_stepper(np.zeros(battery.size), 0, config)
         for held in (battery, battery[::-1]):
             ledger.battery_j[:] = held
             active, emitted = step()
@@ -189,16 +186,15 @@ class TestStepSlot:
         ledger = EnergyLedger.empty(3)
         for bad in (-1e-12, math.nan):
             with pytest.raises(ValueError, match="non-negative"):
-                slot_stepper(ledger, np.array([1e-3, bad, 0.0]), 0, config)
+                ledger_stepper(np.array([1e-3, bad, 0.0]), 0, config, ledger)
         assert ledger.harvested_j.tolist() == [0.0] * 3
 
     @pytest.mark.parametrize("battery", [-1.0, math.nan])
     def test_broken_battery_fails(self, config, battery):
         # no slot drives a battery below zero, so one that is there (or NaN)
         # can only come from broken accounting
-        ledger = EnergyLedger.empty(2)
+        ledger, step = ledger_stepper(np.array([1e-3, 0.0]), 1, config)
         ledger.battery_j[1] = battery
-        step = slot_stepper(ledger, np.array([1e-3, 0.0]), 1, config)
         with pytest.raises(RuntimeError, match="battery went negative or NaN"):
             step()
 
@@ -240,7 +236,7 @@ class TestStepSlot:
         rng = np.random.default_rng(5)
         for _ in range(10_000):
             # a new incident power each slot: one stepper per slot on one ledger
-            slot_stepper(ledger, np.array([rng.random() * 2e-6]), 0, config)()
+            ledger_stepper(np.array([rng.random() * 2e-6]), 0, config, ledger)[1]()
             assert ledger.battery_j[0] >= 0.0
         assert abs(ledger.drift_j()[0]) <= 1e-9 * ledger.harvested_j[0]
 
@@ -253,10 +249,8 @@ class TestActiveSetDominance:
         rng = np.random.default_rng(2)
         incidents = rng.random(40) * 3e-5
         for power_scale in (0.1, 1.0, 10.0):
-            back = EnergyLedger.empty(incidents.size)
-            trad = EnergyLedger.empty(incidents.size)
-            step_back = slot_stepper(back, incidents * power_scale, incidents.size, config)
-            step_trad = slot_stepper(trad, incidents * power_scale, 0, config)
+            back, step_back = ledger_stepper(incidents * power_scale, incidents.size, config)
+            trad, step_trad = ledger_stepper(incidents * power_scale, 0, config)
             for _ in range(100):
                 step_back()
                 step_trad()
@@ -273,6 +267,19 @@ class TestActiveSetDominance:
 _INCIDENT = st.one_of(st.just(0.0), st.floats(0.0, 1e-4), st.floats(0.0, 1e-2))
 
 
+@st.composite
+def _incident_slots(draw):
+    """Incident powers of 1-6 nodes over 1-40 slots: up to six ``_INCIDENT``
+    levels, and one integer per slot whose base-L digits pick each node's
+    level among the L. Drawing up to 240 separate powers cost most of the
+    test's time."""
+    num_nodes = draw(st.integers(1, 6))
+    levels = draw(st.lists(_INCIDENT, min_size=1, max_size=6))
+    base = len(levels)
+    picks = draw(st.lists(st.integers(0, base**num_nodes - 1), min_size=1, max_size=40))
+    return [[levels[pick // base**node % base] for node in range(num_nodes)] for pick in picks]
+
+
 def _assert_agrees_with_oracle(kind, slots, one_stepper):
     """Step a ledger through ``slots``, one incident list per slot, and
     require equality with the scalar oracle every slot and on the totals.
@@ -282,13 +289,12 @@ def _assert_agrees_with_oracle(kind, slots, one_stepper):
     otherwise each slot builds its own stepper on the shared ledger.
     """
     config = ScenarioConfig()
-    ledger = EnergyLedger.empty(len(slots[0]))
     nodes = [ScalarNode() for _ in slots[0]]
     num_tags = len(nodes) if kind == BACK else 0
-    step = slot_stepper(ledger, np.array(slots[0]), num_tags, config)
+    ledger, step = ledger_stepper(np.array(slots[0]), num_tags, config)
     for incident in slots:
         if not one_stepper:
-            step = slot_stepper(ledger, np.array(incident), num_tags, config)
+            step = ledger_stepper(np.array(incident), num_tags, config, ledger)[1]
         active, emitted = step()
         outcomes = [step_slot(node, inc, kind, config) for node, inc in zip(nodes, incident)]
         assert active.tolist() == [o.was_active for o in outcomes]
@@ -301,9 +307,7 @@ def _assert_agrees_with_oracle(kind, slots, one_stepper):
 
 class TestArrayStepMatchesOracle:
     @settings(max_examples=150, deadline=None)
-    @given(kind=st.sampled_from(list(NodeKind)),
-           slots=st.integers(1, 6).flatmap(lambda n: st.lists(
-               st.lists(_INCIDENT, min_size=n, max_size=n), min_size=1, max_size=40)))
+    @given(kind=st.sampled_from(list(NodeKind)), slots=_incident_slots())
     def test_exact_agreement(self, kind, slots):
         _assert_agrees_with_oracle(kind, slots, one_stepper=False)
 

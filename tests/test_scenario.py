@@ -60,6 +60,12 @@ def _bad(field, value, case_id=None, **also):
     # True seed 1, while the CSV's seed column names the value given
     _bad("seed", 42.5),
     _bad("seed", True),
+    # so do float fields: True would run as 1.0, False as 0 dBm
+    _bad("harvest_efficiency", True),
+    _bad("noise_dbm", False),
+    _bad("pb_power_dbm_sweep", [True, 40.0], "pb_power_dbm_sweep-True"),
+    # a numpy float is checked for finiteness as a Python float is
+    _bad("aperture_m2", np.float32(math.inf), "aperture_m2-float32-inf"),
     _bad("num_slots", 30.5),
     _bad("warmup_slots", 2.5),
     # finite fields whose derived quantities overflow, underflow or round away
@@ -92,6 +98,19 @@ def test_invalid_configs_rejected(field, overrides, tmp_path):
                             for key, value in overrides.items()))
     with pytest.raises(ValueError, match=field):
         load_config(path)
+
+
+@pytest.mark.parametrize("field,overrides", [
+    _bad("node_density", "0.02"),
+    _bad("pb_power_dbm_sweep", ("40",), "pb_power_dbm_sweep-str"),
+])
+def test_strings_rejected(field, overrides):
+    # a config file parses each value with its field's type, but a caller's
+    # string reaches the check as it is; numpy numbers pass
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**overrides)
+    assert ScenarioConfig(node_density=np.float32(0.02), noise_dbm=np.int64(-100),
+                          pb_power_dbm_sweep=(np.int64(40),)).noise_w == pytest.approx(1e-13)
 
 
 class TestPlaceNodes:
