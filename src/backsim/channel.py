@@ -40,5 +40,9 @@ def friis_gain(distance_m, wavelength_m, aperture_tx_m2, aperture_rx_m2):
 
 
 def dbm_to_watts(p_dbm):
-    """Convert dBm to watts, 10**((p - 30) / 10)."""
-    return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
+    """Convert dBm to watts, 10**((p - 30) / 10).
+
+    A scalar goes through the array loop too: numpy's scalar ``**`` calls
+    another pow, which differs from the loop in the last bit for some powers.
+    """
+    return np.power(10.0, (np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)

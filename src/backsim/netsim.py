@@ -30,8 +30,8 @@ from .scenario import place_topologies
 _KINDS = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)  # order of the kind axis
 
 # Active link-slots collected for one bpsk_ber call (or one slot's worth,
-# if more): large enough to amortise its per-call cost over many slots,
-# small enough to bound memory.
+# if more). It bounds memory and per-call overhead only; no output bit
+# depends on it.
 # Peak RSS of the 50-topology default sweep rose by 0.1-0.3 MB per doubling
 # from 2^11 to 2^14 and by 0.8 MB from 2^14 to 2^15.
 _BER_BLOCK = 1 << 12
@@ -118,10 +118,10 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     Step. Each measured slot writes the signal, interference plus noise and
     population of the changing populations' active links into three
     buffers allocated once, whose link-slots are evaluated a block at a
-    time (``_BER_BLOCK``). Each block adds its BER values and its link-slot
-    count per population, so the sample counts are the measured active
-    slots. An interference sum that overflows fails the run with a
-    ValueError.
+    time (``_BER_BLOCK``). Each block adds its BER values and link-slot
+    counts to its populations one link-slot at a time, in slot-then-entry
+    order whatever the blocks hold; the sample counts are the measured
+    active slots. An overflowing interference sum fails with a ValueError.
 
     Returns the mean BER, the active fraction and the BER sample count,
     each (T, 2, P).
@@ -169,8 +169,8 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
                              "pb_power_dbm_sweep, aperture_m2 or node_density")
         ber = bpsk_ber(np.divide(signal, denominator, out=signal))
         ber *= repeats  # exact for one repeat
-        np.add(ber_sum, np.bincount(owner, weights=ber, minlength=ber_sum.size), out=ber_sum)
-        np.add(ber_samples, np.bincount(owner, minlength=ber_sum.size) * repeats, out=ber_samples)
+        np.add.at(ber_sum, owner, ber)
+        np.add.at(ber_samples, owner, repeats)
 
     # a slot is added whole, and the buffers are flushed first if it would
     # take them past _BER_BLOCK, so a block holds at most _BER_BLOCK link-slots

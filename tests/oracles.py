@@ -243,10 +243,7 @@ def population_loop(config, kind, topology, pb_power_dbm, bit_level_rng=None,
 
     lam, ap = config.wavelength_m, config.aperture_m2
     positions, rx_positions = topology[:, 0], topology[:, 1]
-    # converted as an array, as the sweep converts its powers: numpy's array
-    # power differs from its scalar one in the last bit for some inputs, and
-    # one bit decides a node whose harvest lands on its requirement
-    incident = dbm_to_watts([pb_power_dbm])[0] * np.atleast_1d(
+    incident = dbm_to_watts(pb_power_dbm) * np.atleast_1d(
         friis_gain(np.hypot(positions[:, 0], positions[:, 1]), lam, ap, ap))
     diff = positions[:, None, :] - rx_positions[None, :, :]
     gain_to_rx = friis_gain(np.hypot(diff[..., 0], diff[..., 1]), lam, ap, ap)

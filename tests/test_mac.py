@@ -60,6 +60,30 @@ class TestThSs:
         with pytest.raises(ValueError, match="trial"):
             th_ss_collision_rate_mc(2, 10, 0, rng)
 
+    @pytest.mark.parametrize("call,name", [
+        (lambda rng: th_ss_collision_rate_mc(0, 4, 1000, rng), "num_links"),
+        (lambda rng: th_ss_collision_rate_mc(2, 4, True, rng), "trials"),
+        (lambda rng: th_ss_collision_probability(2.5, 4), "num_links"),
+        (lambda rng: th_ss_collision_probability(3, 2.5), "frame_length"),
+        (lambda rng: th_ss_collision_probability(True, 4), "num_links"),
+        (lambda rng: th_ss_assign(3, 2.5, rng), "frame_length"),
+        (lambda rng: count_interference_components(2.5), "num_links"),
+    ], ids=["mc_no_links", "mc_bool_trials", "p_half_links", "p_half_frame",
+            "p_bool_links", "assign_half_frame", "components_half_links"])
+    def test_counts_must_be_integers(self, call, name):
+        # none of these fails by itself: each would return a number, or draw
+        # sub-slots from a frame 2.5 long
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(derive_stream(1, 0, 1))
+
+    def test_numpy_integer_counts_pass(self):
+        k, n = np.int64(2), np.int64(10)
+        assert th_ss_collision_probability(k, n) == th_ss_collision_probability(2, 10)
+        assert count_interference_components(np.int32(5)) == 20
+        rate = th_ss_collision_rate_mc(k, n, np.int64(100), derive_stream(1, 0, 1))
+        assert rate == th_ss_collision_rate_mc(2, 10, 100, derive_stream(1, 0, 1))
+        assert th_ss_assign(3, n, derive_stream(1, 0, 1)).shape == (3,)
+
     @pytest.mark.parametrize("k,n", [(2, 10), (10, 100), (50, 10)])
     def test_empirical_matches_closed_form(self, k, n):
         trials = 20_000

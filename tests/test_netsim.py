@@ -351,18 +351,21 @@ class TestRunComparison:
                        for r in results)
 
     def test_ber_block_size_only_regroups_sums(self, small_config, monkeypatch):
-        # BER is evaluated on queued blocks of link-slots; the block size may
-        # change the order of the sums, never which link-slots they hold, and
-        # never the activity, which the energy ledger counts
-        def means(block):
+        # BER is evaluated on queued blocks of link-slots. Each population's
+        # sum is built one link-slot at a time in slot-then-entry order, so
+        # the block size, and the link-slots other populations put in a
+        # block, change no bit of any statistic
+        def stats(config, num_topologies, block):
             monkeypatch.setattr(netsim, "_BER_BLOCK", block)
-            return np.array([(r.mean_ber, r.active_fraction, r.ci95_active)
-                             for r in run_comparison(small_config, 6)])
-        whole = means(1 << 30)
-        for block in (1, 7):
-            got = means(block)
-            np.testing.assert_allclose(got[:, 0], whole[:, 0], rtol=1e-14, atol=0.0)
-            np.testing.assert_array_equal(got[:, 1:], whole[:, 1:])
+            return np.array([(r.mean_ber, r.ci95_ber, r.active_fraction, r.ci95_active)
+                             for r in run_comparison(config, num_topologies)])
+        for config, num_topologies in ((small_config, 6),
+                                       (load_config(DATA / "fig3_dense.cfg"), 3)):
+            whole = stats(config, num_topologies, 1 << 30)
+            for block in (1, 7, 1 << 12):
+                # assert_array_equal takes NaN to match NaN, and only NaN
+                np.testing.assert_array_equal(stats(config, num_topologies, block), whole,
+                                              strict=True, err_msg=f"block {block}")
 
     def test_sweep_memory_is_bounded(self):
         # link-slots go into buffers of max(min(_BER_BLOCK, run), one slot)
