@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .channel import dbm_to_watts, friis_gain
 from .dyadic import simulate_dyadic_ber
-from .energymodel import duty_cycle_harvest
+from .energymodel import NodeKind, duty_cycle_harvest
 from .mac import (count_interference_components, th_ss_collision_probability,
                   th_ss_collision_rate_mc)
 from .netsim import run_comparison
@@ -63,11 +63,10 @@ def parse_args(argv):
 
 
 def _fig3_rows(config, trials):
-    results = run_comparison(config, num_topologies=200 if trials is None else trials)
-    # the casts keep a numpy scalar from printing as np.float64(...)
-    rows = [f"{float(r.pb_power_dbm)!r},{r.kind.value},{float(r.mean_ber)!r},"
-            f"{float(r.ci95_ber)!r},{float(r.active_fraction)!r},{float(r.ci95_active)!r},"
-            f"{int(r.trials)},{int(r.seed)}" for r in results]
+    trials = 200 if trials is None else trials
+    stats = [stat.tolist() for stat in run_comparison(config, num_topologies=trials)]
+    rows = [f"{pb!r},{kind.value},{','.join(repr(s[k][p]) for s in stats)},{trials},{config.seed}"
+            for p, pb in enumerate(config.pb_power_dbm_sweep) for k, kind in enumerate(NodeKind)]
     return ("pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,trials,seed",
             rows)
 

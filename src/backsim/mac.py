@@ -32,9 +32,12 @@ def th_ss_assign(shape, frame_length, rng):
     """Slot index per node, each drawn uniformly from ``frame_length`` sub-slots.
 
     ``shape`` is the node count, or a tuple whose last axis is the nodes and
-    whose leading axes index independent frames.
+    whose leading axes index independent frames; it must be a positive
+    integer or a non-empty tuple of them.
     """
     _check_counts(frame_length=frame_length)
+    for size in shape if isinstance(shape, tuple) and shape else (shape,):
+        _check_counts(shape=size)
     return rng.integers(0, frame_length, size=shape)
 
 

@@ -15,9 +15,7 @@ steps, which populations it evaluates once and how it bounds its buffers.
 from __future__ import annotations
 
 import math
-import numbers
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +23,9 @@ from .channel import dbm_to_watts, friis_gain
 from .energymodel import NodeKind, slot_harvest, slot_stepper, turn_on_energy
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
-from .scenario import place_topologies
+from .scenario import _check_topology_count, place_topologies
 
-_KINDS = (NodeKind.BACKSCATTER, NodeKind.TRADITIONAL)  # order of the kind axis
+_KINDS = tuple(NodeKind)  # order of the kind axis
 
 # Active link-slots collected for one bpsk_ber call (or one slot's worth,
 # if more). It bounds memory and per-call overhead only; no output bit
@@ -42,20 +40,6 @@ _BER_BLOCK = 1 << 12
 # plus the boolean pair mask. On fig3_dense.cfg at 2,000 topologies the peak
 # RSS rose by 5.3 times 8 T N^2 bytes.
 _GAIN_BYTES_PER_PAIR = 5 * 8 + 1
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Aggregate outcome of one (beacon power, node kind) sweep point."""
-
-    pb_power_dbm: float
-    kind: NodeKind
-    mean_ber: float        # NaN when no link was ever active
-    ci95_ber: float
-    active_fraction: float
-    ci95_active: float
-    trials: int            # number of topology draws
-    seed: int
 
 
 def _padded_gains(config, nodes, counts):
@@ -253,14 +237,17 @@ def run_comparison(config, num_topologies):
     every (topology, kind, power) population runs in one array pass over
     the slots. Per-topology means are aggregated unweighted across
     topology draws; topologies without samples (e.g. no node ever active at
-    a low power) simply drop out of the BER mean. Results come out in sweep
-    order, backscatter before traditional at each power, and are
-    byte-reproducible for a fixed (config, seed).
+    a low power) simply drop out of the BER mean.
+
+    Returns four float arrays: the mean BER, its 95% half-width, the active
+    fraction and its 95% half-width. Each is (len(NodeKind), number of
+    powers), kinds in ``NodeKind`` declaration order and powers in
+    ``config.pb_power_dbm_sweep`` order. An entry is NaN where no topology
+    contributed: the BER pair where no link of that kind was ever active at
+    that power, the activity pair where no topology has a node. The arrays
+    are byte-reproducible for a fixed (config, seed).
     """
-    if isinstance(num_topologies, bool) or not isinstance(num_topologies, numbers.Integral):
-        raise ValueError(f"the number of topologies must be an integer, got {num_topologies!r}")
-    if num_topologies < 1:
-        raise ValueError("need at least one topology draw")
+    _check_topology_count(num_topologies)
     # The expected node count is usually below the padded one, so the
     # estimate errs towards running; it exists to stop absurd densities
     # before placement allocates anything.
@@ -276,15 +263,4 @@ def run_comparison(config, num_topologies):
     gains = _padded_gains(config, nodes, counts)
     del nodes  # not held through the slot loop, which sets the peak memory
     mean_ber, active_fraction, _ = _run_kinds(config, *gains, counts)
-    # (kind, power) lists; every NaN is math.nan itself, because dataclass
-    # equality compares NaN fields by identity
-    ber, ci_ber, fraction, ci_fraction = (
-        [[math.nan if math.isnan(v) else v for v in row] for row in stat.tolist()]
-        for stat in (*_mean_ci(mean_ber), *_mean_ci(active_fraction)))
-    return [ExperimentResult(
-                pb_power_dbm=float(pb_dbm), kind=kind,
-                mean_ber=ber[k][p], ci95_ber=ci_ber[k][p],
-                active_fraction=fraction[k][p], ci95_active=ci_fraction[k][p],
-                trials=num_topologies, seed=config.seed)
-            for p, pb_dbm in enumerate(config.pb_power_dbm_sweep)
-            for k, kind in enumerate(_KINDS)]
+    return (*_mean_ci(mean_ber), *_mean_ci(active_fraction))

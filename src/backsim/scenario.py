@@ -194,8 +194,13 @@ def derive_stream(master_seed, node_id, purpose_tag):
     """Deterministic, statistically independent stream per (node, purpose).
 
     Distinct (node_id, purpose_tag) pairs seed distinct PCG64 streams; the
-    same inputs always reproduce the same stream.
+    same inputs always reproduce the same stream. Each argument must be a
+    non-negative integer, numpy integers included and bools excluded.
     """
+    for name, value in (("master_seed", master_seed), ("node_id", node_id),
+                        ("purpose_tag", purpose_tag)):
+        if not _is_number(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return default_rng(SeedSequence([int(master_seed), int(node_id), int(purpose_tag)]))
 
 
@@ -235,6 +240,14 @@ def place_nodes(config, rng):
     return _annulus_layout(config, _draw_topology(config, rng))
 
 
+def _check_topology_count(num_topologies):
+    """Raise ValueError unless ``num_topologies`` is an integer of at least 1."""
+    if not _is_number(num_topologies, numbers.Integral):
+        raise ValueError(f"the number of topologies must be an integer, got {num_topologies!r}")
+    if num_topologies < 1:
+        raise ValueError("need at least one topology draw")
+
+
 def place_topologies(config, num_topologies):
     """Topologies 0 .. num_topologies - 1 of ``config``'s sweep, placed in one pass.
 
@@ -243,7 +256,9 @@ def place_topologies(config, num_topologies):
     are computed together, so topology t equals ``place_nodes`` on its
     stream bit for bit. Returns the nodes of every topology in topology
     order, (sum of counts, 2, 2), and the node count of each topology.
+    ``num_topologies`` must be an integer of at least 1.
     """
+    _check_topology_count(num_topologies)
     draws = [_draw_topology(config, derive_stream(config.seed, t, PURPOSE_PLACEMENT))
              for t in range(num_topologies)]
     counts = np.array([d.shape[1] for d in draws], dtype=np.intp)

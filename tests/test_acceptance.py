@@ -8,6 +8,7 @@ its full size (seed 42, 200 topology draws, default sweep) and is shared.
 import hashlib
 import math
 import time
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -38,9 +39,11 @@ def fig3():
     config = ScenarioConfig()
     assert config.seed == 42
     started = time.perf_counter()
-    results = run_comparison(config, num_topologies=200)
+    stats = [stat.tolist() for stat in run_comparison(config, num_topologies=200)]
     elapsed = time.perf_counter() - started
-    table = {(r.pb_power_dbm, r.kind): r for r in results}
+    table = {(pb, kind): SimpleNamespace(mean_ber=stats[0][k][p], active_fraction=stats[2][k][p])
+             for p, pb in enumerate(config.pb_power_dbm_sweep)
+             for k, kind in enumerate(NodeKind)}
     return config, table, elapsed
 
 

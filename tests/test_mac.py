@@ -83,6 +83,15 @@ class TestThSs:
         rate = th_ss_collision_rate_mc(k, n, np.int64(100), derive_stream(1, 0, 1))
         assert rate == th_ss_collision_rate_mc(2, 10, 100, derive_stream(1, 0, 1))
         assert th_ss_assign(3, n, derive_stream(1, 0, 1)).shape == (3,)
+        assert th_ss_assign((np.int64(2), 3), n, derive_stream(1, 0, 1)).shape == (2, 3)
+
+    @pytest.mark.parametrize("shape", [True, 2.5, (2, 2.5), 0, (), (3, 0)],
+                             ids=["bool", "half", "half_axis", "zero", "empty", "zero_axis"])
+    def test_shape_must_be_positive_integers(self, shape):
+        # the first three raised numpy's TypeError, the others returned an
+        # empty or 0-d frame
+        with pytest.raises(ValueError, match="^shape must be an integer"):
+            th_ss_assign(shape, 4, derive_stream(1, 0, 1))
 
     @pytest.mark.parametrize("k,n", [(2, 10), (10, 100), (50, 10)])
     def test_empirical_matches_closed_form(self, k, n):

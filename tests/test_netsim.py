@@ -294,7 +294,10 @@ class TestRunComparison:
     def test_deterministic(self, small_config):
         a = run_comparison(small_config, num_topologies=4)
         b = run_comparison(small_config, num_topologies=4)
-        assert a == b
+        assert len(a) == len(b) == 4
+        for stat_a, stat_b in zip(a, b):
+            # assert_array_equal takes NaN to match NaN, and only NaN
+            np.testing.assert_array_equal(stat_a, stat_b, strict=True)
 
     def test_needs_a_topology(self, small_config):
         with pytest.raises(ValueError, match="at least one topology"):
@@ -302,20 +305,19 @@ class TestRunComparison:
         for bad in (True, 2.5, 2.0, "3"):
             with pytest.raises(ValueError, match="must be an integer"):
                 run_comparison(small_config, bad)
-        assert run_comparison(small_config, np.int64(1))[0].trials == 1
+        shape = (len(KINDS), len(small_config.pb_power_dbm_sweep))
+        assert [stat.shape for stat in run_comparison(small_config, np.int64(1))] == [shape] * 4
 
     def test_sweep_layout(self, small_config):
-        results = run_comparison(small_config, num_topologies=3)
-        assert len(results) == 4  # 2 powers x 2 kinds
-        assert [r.pb_power_dbm for r in results] == [25.0, 25.0, 40.0, 40.0]
-        assert [r.kind for r in results] == [NodeKind.BACKSCATTER, NodeKind.TRADITIONAL] * 2
-        for r in results:
-            assert r.trials == 3
-            assert r.seed == small_config.seed
-            assert 0.0 <= r.active_fraction <= 1.0
-            if not math.isnan(r.mean_ber):
-                assert 0.0 <= r.mean_ber <= 0.5
-                assert r.ci95_ber >= 0.0
+        stats = run_comparison(small_config, num_topologies=3)
+        assert len(stats) == 4
+        for stat in stats:  # 2 kinds x 2 powers
+            assert stat.shape == (2, 2) and stat.dtype == np.float64
+        mean_ber, ci95_ber, active_fraction, _ = stats
+        assert ((0.0 <= active_fraction) & (active_fraction <= 1.0)).all()
+        linked = ~np.isnan(mean_ber)
+        assert ((0.0 <= mean_ber[linked]) & (mean_ber[linked] <= 0.5)).all()
+        assert (ci95_ber[linked] >= 0.0).all()
 
     @pytest.mark.parametrize("overrides,empty", [
         ({"node_density": 0.05}, "none"),     # about 16 nodes: padded rows exceed 8
@@ -333,22 +335,17 @@ class TestRunComparison:
         assert {"none": empties == 0 and max(map(len, topologies)) > 8,
                 "some": 0 < empties < num_topologies,
                 "all": empties == num_topologies}[empty]
-        results = run_comparison(cfg, num_topologies=num_topologies)
-        expected = []
-        for pb in cfg.pb_power_dbm_sweep:
-            for kind in KINDS:
+        stats = run_comparison(cfg, num_topologies=num_topologies)
+        shape = (len(KINDS), len(cfg.pb_power_dbm_sweep))
+        assert [stat.shape for stat in stats] == [shape] * 4
+        for p, pb in enumerate(cfg.pb_power_dbm_sweep):
+            for k, kind in enumerate(KINDS):
                 runs = [population_loop(cfg, kind, topo, pb) for topo in topologies]
-                expected.append((pb, kind, *_mean_ci([r[0] for r in runs]),
-                                 *_mean_ci([r[1] for r in runs])))
-        assert len(results) == len(expected)
-        for r, (pb, kind, ber, ci_ber, frac, ci_frac) in zip(results, expected):
-            assert (r.pb_power_dbm, r.kind) == (pb, kind)
-            for got, want in ((r.mean_ber, ber), (r.ci95_ber, ci_ber),
-                              (r.active_fraction, frac), (r.ci95_active, ci_frac)):
-                assert _close(got, want), (pb, kind, got, want)
+                expected = (*_mean_ci([r[0] for r in runs]), *_mean_ci([r[1] for r in runs]))
+                for stat, want in zip(stats, expected):
+                    assert _close(stat[k, p], want), (pb, kind, stat[k, p], want)
         if empty == "all":
-            assert all(math.isnan(r.mean_ber) and math.isnan(r.active_fraction)
-                       for r in results)
+            assert np.isnan(stats[0]).all() and np.isnan(stats[2]).all()
 
     def test_ber_block_size_only_regroups_sums(self, small_config, monkeypatch):
         # BER is evaluated on queued blocks of link-slots. Each population's
@@ -357,8 +354,7 @@ class TestRunComparison:
         # block, change no bit of any statistic
         def stats(config, num_topologies, block):
             monkeypatch.setattr(netsim, "_BER_BLOCK", block)
-            return np.array([(r.mean_ber, r.ci95_ber, r.active_fraction, r.ci95_active)
-                             for r in run_comparison(config, num_topologies)])
+            return np.array(run_comparison(config, num_topologies))
         for config, num_topologies in ((small_config, 6),
                                        (load_config(DATA / "fig3_dense.cfg"), 3)):
             whole = stats(config, num_topologies, 1 << 30)
@@ -387,7 +383,7 @@ class TestRunComparison:
             assert peak < bound, f"peak allocation {peak} bytes at {num_topologies} topologies"
 
     def test_csv_schema(self, small_config, tmp_path):
-        results = run_comparison(small_config, num_topologies=2)
+        stats = run_comparison(small_config, num_topologies=2)
         cfg = tmp_path / "small.cfg"
         cfg.write_text("pb_power_dbm_sweep = 25, 40\nnum_slots = 40\nwarmup_slots = 8\n"
                        "seed = 11\n")
@@ -396,16 +392,17 @@ class TestRunComparison:
                      "--trials", "2"]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "pb_power_dbm,kind,mean_ber,ci95_ber,active_fraction,ci95_active,trials,seed"
-        assert len(lines) == 1 + len(results)
-        for line, result in zip(lines[1:], results):
-            power, kind, *stats, trials, seed = line.split(",")
-            # shortest round-trip decimals parse back exactly
-            assert float(power) == result.pb_power_dbm and kind == result.kind.value
-            # assert_array_equal takes NaN to match NaN
-            np.testing.assert_array_equal(
-                [float(v) for v in stats],
-                [result.mean_ber, result.ci95_ber, result.active_fraction, result.ci95_active])
-            assert (int(trials), int(seed)) == (result.trials, result.seed)
+        assert len(lines) == 1 + stats[0].size
+        rows = iter(lines[1:])  # powers in sweep order, then kinds
+        for p, pb in enumerate(small_config.pb_power_dbm_sweep):
+            for k, kind in enumerate(KINDS):
+                power, kind_value, *fields, trials, seed = next(rows).split(",")
+                # shortest round-trip decimals parse back exactly
+                assert float(power) == pb and kind_value == kind.value
+                # assert_array_equal takes NaN to match NaN
+                np.testing.assert_array_equal([float(v) for v in fields],
+                                              [stat[k, p] for stat in stats])
+                assert (int(trials), int(seed)) == (2, small_config.seed)
 
     @pytest.mark.parametrize("config_file,powers", [
         (None, (25.0, 40.0, 70.0)), ("fig3_dense.cfg", (35.0, 55.0, 65.0))])
@@ -455,29 +452,28 @@ class TestRunComparison:
     @settings(max_examples=40, deadline=None)
     @given(case=_sweep_cases())
     def test_matches_oracle_for_any_valid_config(self, case):
-        # every CSV field of the sweep against the unbatched loop, aggregated
+        # every statistic of the sweep against the unbatched loop, aggregated
         # the same way, on configs that put a node on the screen's or the
         # fixed-population boundary
         cfg, num_topologies = case
-        results = run_comparison(cfg, num_topologies)
+        mean_ber, ci95_ber, active_fraction, ci95_active = run_comparison(cfg, num_topologies)
         topologies = [_topology(cfg, t) for t in range(num_topologies)]
-        assert len(results) == 2 * len(cfg.pb_power_dbm_sweep)
-        for r, (pb, kind) in zip(results, [(pb, kind) for pb in cfg.pb_power_dbm_sweep
-                                           for kind in KINDS]):
-            assert (r.pb_power_dbm, r.kind, r.trials, r.seed) == (pb, kind, num_topologies,
-                                                                  cfg.seed)
-            runs = np.array([population_loop(cfg, kind, topo, pb)[:2] for topo in topologies])
-            got = ((r.mean_ber, r.ci95_ber), (r.active_fraction, r.ci95_active))
-            for (got_mean, got_half), mean, half, values in zip(got, *_mean_ci(runs), runs.T):
-                # A half-width is the spread of per-topology values, so its
-                # rounding error is on the scale of those values, not of
-                # itself: four topologies active 0.25 of the time give 0.0
-                # from the sweep and 3.8e-17 from the loop, whose per-slot
-                # sums of n_active / n round otherwise.
-                scale = np.nanmax(values, initial=0.0)
-                assert _close(got_mean, mean, rel=1e-11), (r, mean)
-                assert (_close(got_half, half, rel=1e-11)
-                        or abs(got_half - half) <= 1e-11 * scale), (r, half)
+        assert mean_ber.shape == (len(KINDS), len(cfg.pb_power_dbm_sweep))
+        for p, pb in enumerate(cfg.pb_power_dbm_sweep):
+            for k, kind in enumerate(KINDS):
+                runs = np.array([population_loop(cfg, kind, topo, pb)[:2] for topo in topologies])
+                got = ((mean_ber[k, p], ci95_ber[k, p]),
+                       (active_fraction[k, p], ci95_active[k, p]))
+                for (got_mean, got_half), mean, half, values in zip(got, *_mean_ci(runs), runs.T):
+                    # A half-width is the spread of per-topology values, so its
+                    # rounding error is on the scale of those values, not of
+                    # itself: four topologies active 0.25 of the time give 0.0
+                    # from the sweep and 3.8e-17 from the loop, whose per-slot
+                    # sums of n_active / n round otherwise.
+                    scale = np.nanmax(values, initial=0.0)
+                    assert _close(got_mean, mean, rel=1e-11), (pb, kind, got_mean, mean)
+                    assert (_close(got_half, half, rel=1e-11)
+                            or abs(got_half - half) <= 1e-11 * scale), (pb, kind, got_half, half)
 
 
 # Golden sweeps written by ``backsim --experiment fig3a --seed 42`` before the

@@ -170,6 +170,18 @@ class TestPlaceNodes:
         if density < 0.01:
             assert 0 < (counts == 0).sum() < len(counts)
 
+    def test_topology_count_must_be_a_positive_integer(self):
+        # True placed one topology, 2.5 raised numpy's TypeError and 0 or -1
+        # numpy's "need at least one array to concatenate"
+        cfg = ScenarioConfig()
+        for bad in (True, 2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                place_topologies(cfg, bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="at least one topology"):
+                place_topologies(cfg, bad)
+        assert len(place_topologies(cfg, np.int64(2))[1]) == 2
+
 
 class TestDeriveStream:
     def test_reproducible(self):
@@ -187,6 +199,25 @@ class TestDeriveStream:
         a = derive_stream(42, 0, 0).random(8)
         b = derive_stream(42, 0, 1).random(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("args,name", [
+        ((42.5, 0, 0), "master_seed"),   # ran as seed 42
+        ((42, 1.7, 0), "node_id"),       # ran as node 1
+        ((True, 0, 0), "master_seed"),   # ran as seed 1
+        (("42", 0, 0), "master_seed"),   # ran as seed 42
+        ((42, 0, False), "purpose_tag"),
+        ((-1, 0, 0), "master_seed"),     # SeedSequence's error named no argument
+        ((42, -3, 0), "node_id"),
+        ((42, 0, -1), "purpose_tag"),
+    ], ids=["float_seed", "float_node", "bool_seed", "str_seed", "bool_tag",
+            "negative_seed", "negative_node", "negative_tag"])
+    def test_arguments_must_be_non_negative_integers(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+            derive_stream(*args)
+
+    def test_numpy_integers_give_the_same_stream(self):
+        a = derive_stream(np.uint64(2**64 - 1), np.int64(3), np.int32(2)).random(8)
+        assert np.array_equal(a, derive_stream(2**64 - 1, 3, 2).random(8))
 
 
 class TestConfigFile:
