@@ -77,6 +77,7 @@ def count_interference_components(num_links):
     total is K times this, K^2 * (K - 1).
     """
     _check_counts(num_links=num_links)
+    num_links = int(num_links)  # a fixed-width numpy integer would wrap
     return (num_links - 1) * num_links
 
 

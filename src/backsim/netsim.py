@@ -29,9 +29,9 @@ _KINDS = tuple(NodeKind)  # order of the kind axis
 
 # Active link-slots collected for one bpsk_ber call (or one slot's worth,
 # if more). It bounds memory and per-call overhead only; no output bit
-# depends on it.
-# Peak RSS of the 50-topology default sweep rose by 0.1-0.3 MB per doubling
-# from 2^11 to 2^14 and by 0.8 MB from 2^14 to 2^15.
+# depends on it. On the 50-topology default sweep, one call per slot gave
+# the same bytes at 1.6 times the CPU (0.022 against 0.014 s), and peak RSS
+# rose by 0.1-0.3 MB per doubling from 2^11 to 2^14 and by 0.8 MB to 2^15.
 _BER_BLOCK = 1 << 12
 
 # Peak bytes per (topology, node, node) entry while _padded_gains runs: five
@@ -73,6 +73,23 @@ def _padded_gains(config, nodes, counts):
     return pb_gain, link_gain, cross_gain
 
 
+def _stepped(per_kind, incident, link_gain, config):
+    """Emitter index, population, own link gain and stepper of stepped entries.
+
+    ``per_kind`` holds each kind's flat (T, P, N) entry indices, in
+    ``_KINDS`` order, laid out tags then radios. An emitter index is flat
+    (T, 2, P, N), a population flat (T, 2, P); batteries start empty.
+    """
+    entries, num_tags = np.concatenate(per_kind), per_kind[0].size
+    row = incident[0].size  # entries per topology and kind
+    topology = entries // row
+    emitter = entries + topology * row
+    emitter[num_tags:] += row  # radios sit one kind further on
+    population, node = np.divmod(emitter, incident.shape[-1])
+    step = slot_stepper(np.zeros(entries.size), incident.take(entries), num_tags, config)
+    return emitter, population, link_gain[topology, node], step
+
+
 def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     """Run both kinds' populations at every sweep power over padded topologies.
 
@@ -86,18 +103,16 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     harvest, which never decreases and does not depend on the kind. A node,
     padded ones included, whose harvest alone stays below its kind's
     requirement through the last slot is therefore silent throughout: it is
-    not stepped and emits +0.0. One stepper runs on the other entries, the
-    tags that can turn on followed by the radios that can.
+    not stepped and emits +0.0.
 
     Group. A population is fixed when each of its stepped entries harvests
-    at least its requirement in every slot. Such an entry is active in
-    every slot and always emits the same power: a tag keeps at least 0.0,
-    so each harvest lifts it over the requirement again, and a radio spends
-    exactly all it holds. A fixed population's SINRs are then the same in
-    every slot, so its links are evaluated once, after the last slot, and
-    counted once per measured slot. The entries of the other populations
-    form one slice of the stepped array, between the fixed tags and the
-    fixed radios.
+    at least its requirement in every slot, and is then active in every
+    slot with the same emission: a tag reflects its incident wave, and a
+    radio, which spends exactly all it holds, starts each slot at 0.0. The
+    fixed and the changing populations' entries are laid out apart
+    (``_stepped``). The fixed ones take one step, and their links are
+    evaluated once and counted once per measured slot; the others are
+    stepped in every slot.
 
     Step. Each measured slot writes the signal, interference plus noise and
     population of the changing populations' active links into three
@@ -119,26 +134,14 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
     harvest_only = np.zeros(incident.shape)
     for _ in range(config.num_slots):  # the stepper's own float recursion
         harvest_only += harvested
-    groups = []  # flat (T, P, N) indices: fixed tags, changing tags, changing radios, fixed radios
+    fixed, changing = [], []  # flat (T, P, N) indices of each kind's stepped entries
     for kind in _KINDS:
         required = turn_on_energy(kind, config)[0]
         stepped = harvest_only >= required
         changes = (stepped & (harvested < required)).any(axis=-1, keepdims=True)
-        pair = [(stepped & ~changes).reshape(-1).nonzero()[0],
-                (stepped & changes).reshape(-1).nonzero()[0]]
-        groups.extend(pair if kind == NodeKind.BACKSCATTER else pair[::-1])
-    entries = np.concatenate(groups)
-    num_tags = groups[0].size + groups[1].size
-    changing = slice(groups[0].size, num_tags + groups[2].size)
-
-    topology = entries // (num_powers * num_nodes)
-    emitter = entries + topology * (num_powers * num_nodes)  # flat (T, 2, P, N) index
-    emitter[num_tags:] += num_powers * num_nodes  # radios sit one kind further on
-    population, node = np.divmod(emitter, num_nodes)  # flat (T, 2, P) index
-    link_gain = link_gain[topology, node]
-    step = slot_stepper(np.zeros(entries.size), incident.take(entries), num_tags, config)
-    # the slot loop sets the sweep's peak memory
-    del incident, harvested, harvest_only, stepped, groups, entries, topology, node
+        fixed.append((stepped & ~changes).reshape(-1).nonzero()[0])
+        changing.append((stepped & changes).reshape(-1).nonzero()[0])
+    del harvested, harvest_only, stepped
 
     emitted_all = np.zeros((num_topologies, len(_KINDS) * num_powers, num_nodes))
     emitted_flat = emitted_all.reshape(-1)  # a view; setitem scatters faster than put
@@ -156,56 +159,51 @@ def _run_kinds(config, pb_gain, link_gain, cross_gain, counts):
         np.add.at(ber_sum, owner, ber)
         np.add.at(ber_samples, owner, repeats)
 
+    emitter, population, gain, step = _stepped(fixed, incident, link_gain, config)
+    if emitter.size:  # every fixed entry is active, emitting what one step gives
+        signal = step()[1]
+        emitted_flat[emitter] = signal
+        with np.errstate(over="ignore"):
+            interference = aggregate_interference(emitted_all, cross_gain).take(emitter)
+        add_ber(signal * gain, interference + noise_w, population, measured)
+
+    emitter, population, gain, step = _stepped(changing, incident, link_gain, config)
+    del incident, changing  # the slot loop sets the sweep's peak memory
+
     # a slot is added whole, and the buffers are flushed first if it would
     # take them past _BER_BLOCK, so a block holds at most _BER_BLOCK link-slots
     # or one slot's worth, and never more than the run produces
-    moving = changing.stop - changing.start
-    capacity = max(min(_BER_BLOCK, moving * measured), moving)
+    capacity = max(min(_BER_BLOCK, emitter.size * measured), emitter.size)
     signal, denominator = np.empty(capacity), np.empty(capacity)
     owner = np.empty(capacity, dtype=np.intp)
     filled = 0
-    moving_gain, moving_emitter = link_gain[changing], emitter[changing]
-    moving_population = population[changing]
 
     for slot in range(config.num_slots if emitter.size else 0):
         active, emitted, _ = step()
         if slot < config.warmup_slots:
             continue
-        links = active[changing].nonzero()[0]
+        links = active.nonzero()[0]
         if filled and filled + links.size > _BER_BLOCK:
             add_ber(signal[:filled], denominator[:filled], owner[:filled], 1)
             filled = 0
         if links.size:
             block = slice(filled, filled + links.size)
             filled += links.size
-            moving_emitted = emitted[changing]
             # mode="clip" lets take write straight into ``out`` (the default
             # buffers it); nonzero's indices are in range, so nothing is clipped
-            moving_emitted.take(links, out=signal[block], mode="clip")
-            moving_gain.take(links, out=denominator[block], mode="clip")
+            emitted.take(links, out=signal[block], mode="clip")
+            gain.take(links, out=denominator[block], mode="clip")
             signal[block] *= denominator[block]
-            emitted_flat[moving_emitter] = moving_emitted
+            emitted_flat[emitter] = emitted
             # an overflow is reported once per block, not warned per slot; the
             # product is not kept, so none is alive while BER is evaluated
             with np.errstate(over="ignore"):
                 aggregate_interference(emitted_all, cross_gain).take(
-                    moving_emitter.take(links), out=denominator[block], mode="clip")
+                    emitter.take(links), out=denominator[block], mode="clip")
             denominator[block] += noise_w
-            moving_population.take(links, out=owner[block], mode="clip")
+            population.take(links, out=owner[block], mode="clip")
     if filled:
         add_ber(signal[:filled], denominator[:filled], owner[:filled], 1)
-    del signal, denominator, owner
-
-    fixed = np.r_[:changing.start, changing.stop:emitter.size]
-    if fixed.size:  # every fixed entry is active, emitting what it did in the last slot
-        fixed_emitter = emitter.take(fixed)
-        fixed_signal = emitted.take(fixed)
-        emitted_flat[fixed_emitter] = fixed_signal
-        with np.errstate(over="ignore"):
-            denominator = aggregate_interference(emitted_all, cross_gain).take(fixed_emitter)
-        denominator += noise_w
-        fixed_signal *= link_gain.take(fixed)
-        add_ber(fixed_signal, denominator, population.take(fixed), measured)
 
     ber_samples = ber_samples.reshape(num_topologies, len(_KINDS), num_powers)
     ber_sum = ber_sum.reshape(ber_samples.shape)

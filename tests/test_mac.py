@@ -138,6 +138,13 @@ class TestInterferenceCount:
         with pytest.raises(ValueError):
             count_interference_components(0)
 
+    @pytest.mark.parametrize("k", [np.int32(50_000), np.int64(2**32)], ids=["int32", "int64"])
+    def test_numpy_counts_do_not_wrap(self, k):
+        # computed in the argument's own type, these wrapped to -1795017296
+        # and -4294967296
+        count = count_interference_components(k)
+        assert type(count) is int and count == (int(k) - 1) * int(k)
+
 
 def _grid(config):
     """Four nodes on a small cross around the beacon as an (n, 2, 2)

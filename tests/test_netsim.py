@@ -365,9 +365,9 @@ class TestRunComparison:
 
     def test_sweep_memory_is_bounded(self):
         # link-slots go into buffers of max(min(_BER_BLOCK, run), one slot)
-        # entries, so the 50-topology default sweep peaks near 0.61 MB;
+        # entries, so the 50-topology default sweep peaks near 0.59 MB;
         # queuing whole blocks of 2^15 link-slots and concatenating them
-        # peaked near 2.8 MB. At 200 topologies the sweep peaks near 2.66 MB;
+        # peaked near 2.8 MB. At 200 topologies the sweep peaks near 2.58 MB;
         # keeping an energy ledger of the stepped entries raised that to
         # 2.97 MB, and rebuilding two (T, P, N) ledgers after the slot loop
         # to 3.37 MB.
@@ -409,8 +409,10 @@ class TestRunComparison:
     def test_fixed_populations_are_evaluated_once(self, config_file, powers, monkeypatch):
         # A population whose stepped entries each harvest at least their
         # requirement in every slot is active throughout with the same
-        # emissions, so its SINRs repeat: the sweep evaluates each of its
-        # links once and counts it once per measured slot.
+        # emissions, so its SINRs repeat: the sweep steps each of its
+        # entries once, evaluates each of its links once and counts it once
+        # per measured slot. Only the other populations' entries are
+        # stepped in every slot.
         cfg = load_config(DATA / config_file) if config_file else ScenarioConfig()
         cfg = dataclasses.replace(cfg, pb_power_dbm_sweep=powers, num_slots=30,
                                   warmup_slots=6, seed=9)
@@ -422,9 +424,11 @@ class TestRunComparison:
         running = np.zeros(harvest.shape)
         for _ in range(cfg.num_slots):
             running += harvest
+        requirements = [turn_on_energy(kind, cfg)[0] for kind in KINDS]
         fixed = np.stack([~((running >= required) & (harvest < required)).any(axis=-1)
-                          for required in (turn_on_energy(kind, cfg)[0] for kind in KINDS)],
-                         axis=1)  # (T, kind, P)
+                          for required in requirements], axis=1)  # (T, kind, P)
+        stepped = np.stack([(running >= required).sum(axis=-1) for required in requirements],
+                           axis=1)  # stepped entries per (T, kind, P)
 
         ber_values = []
 
@@ -433,11 +437,16 @@ class TestRunComparison:
             return bpsk_ber(sinr)
 
         monkeypatch.setattr(netsim, "bpsk_ber", counted)
+        steppers = _count_steps(monkeypatch)
         mean_ber, active_fraction, samples = netsim._run_kinds(cfg, *gains, counts)
         for k in range(len(KINDS)):  # each kind has both, the fixed ones with links
             assert (fixed[:, k] & (samples[:, k] > 0)).any() and not fixed[:, k].all()
         assert (samples[fixed] % measured == 0).all()
         assert sum(ber_values) == samples[~fixed].sum() + samples[fixed].sum() // measured
+        by_kind = [[stepped[:, k][where[:, k]].sum() for k in range(len(KINDS))]
+                   for where in (~fixed, fixed)]
+        assert sorted(steppers, key=lambda record: -record[2]) == [
+            [*by_kind[0], cfg.num_slots], [*by_kind[1], 1]]
 
         for t in range(num_topologies):
             topo = _topology(cfg, t)
@@ -570,6 +579,25 @@ def _unscreened(config, kind, pb_gain):
     return ledger, measured
 
 
+def _count_steps(monkeypatch):
+    """Wrap netsim's ``slot_stepper``; the returned list gets one
+    [tags, radios, steps taken] entry per stepper the sweep makes."""
+    steppers = []
+
+    def counted(battery, incident_w, num_tags, config):
+        step = slot_stepper(battery, incident_w, num_tags, config)
+        record = [num_tags, incident_w.size - num_tags, 0]
+        steppers.append(record)
+
+        def counted_step():
+            record[2] += 1
+            return step()
+        return counted_step
+
+    monkeypatch.setattr(netsim, "slot_stepper", counted)
+    return steppers
+
+
 # _run_kinds steps only the entries whose harvest alone reaches their kind's
 # requirement by the last slot; the others would never turn on.
 class TestScreen:
@@ -581,25 +609,16 @@ class TestScreen:
             cfg = dataclasses.replace(cfg, pb_power_dbm_sweep=powers)
         nodes, counts = place_topologies(cfg, 50)
         gains = netsim._padded_gains(cfg, nodes, counts)
-        steps = []  # (tags, radios) stepped in each slot
-
-        def counted(battery, incident_w, num_tags, config):
-            step = slot_stepper(battery, incident_w, num_tags, config)
-
-            def counted_step():
-                steps.append((num_tags, incident_w.size - num_tags))
-                return step()
-            return counted_step
-
-        monkeypatch.setattr(netsim, "slot_stepper", counted)
+        steppers = _count_steps(monkeypatch)
         ber_samples = netsim._run_kinds(cfg, *gains, counts)[2]
-        assert len(steps) == cfg.num_slots and len(set(steps)) == 1
-        for k, (kind, stepped) in enumerate(zip(KINDS, steps[0])):
+        assert max(steps for *_, steps in steppers) == cfg.num_slots  # the per-slot stepper
+        stepped = np.sum([entries for *entries, steps in steppers if steps], axis=0)
+        for k, kind in enumerate(KINDS):
             ledger, measured = _unscreened(cfg, kind, gains[0])
             np.testing.assert_array_equal(ber_samples[:, k], measured, err_msg=kind.value)
-            assert ledger.slots_active.any() == (stepped > 0)
+            assert ledger.slots_active.any() == (stepped[k] > 0)
         # at 10 dBm no traditional radio ever turns on, so none is stepped
-        tags, radios = steps[0]
+        tags, radios = stepped
         assert (radios > 0) == (powers is None) and tags > 0
 
     def test_boundary_is_inclusive(self):
