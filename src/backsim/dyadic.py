@@ -14,9 +14,10 @@ the number of tag antennas, not by the reader's array size.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
+
+from .scenario import _check_integers
 
 # Trials per block: it fixes how each point's BER sum is grouped, and so the
 # output bytes; the draws are one stream whatever the block size. At 2^14 a
@@ -112,24 +113,20 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     on the rest of the grid, and the errors of different points are
     correlated.
 
-    Antenna counts and ``trials`` must be integers (not bool) and the SNR
-    grid finite, or ValueError is raised. Returns a list of (snr_db, ber)
-    tuples, or (snr_db, ber, stderr) when ``with_stderr`` is set.
+    Antenna counts must be integers of at least 1 (at most 2 tag antennas),
+    ``trials`` at least 1e5, and every SNR grid entry finite and at most
+    3000 dB, or ValueError is raised; a linear SNR of at most 1e300 keeps
+    the conditional BER finite for any branch gain below 8e7. Returns a list
+    of (snr_db, ber) tuples, or (snr_db, ber, stderr) when ``with_stderr`` is set.
     """
-    for name, value in (("num_tag_antennas", num_tag_antennas),
-                        ("num_reader_tx", num_reader_tx),
-                        ("num_reader_rx", num_reader_rx), ("trials", trials)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if num_tag_antennas not in (1, 2):
+    _check_integers(1, num_tag_antennas=num_tag_antennas, num_reader_tx=num_reader_tx,
+                    num_reader_rx=num_reader_rx)
+    _check_integers(10**5, trials=trials)  # fewer give no meaningful estimate
+    if num_tag_antennas > 2:
         raise ValueError("only 1 or 2 tag antennas are supported (orthogonal designs)")
-    if num_reader_tx < 1 or num_reader_rx < 1:
-        raise ValueError("reader needs at least one antenna on each side")
-    if trials < 10**5:
-        raise ValueError("need at least 1e5 trials per point for a meaningful estimate")
     grid = [float(snr_db) for snr_db in snr_db_grid]
-    if not all(math.isfinite(snr_db) for snr_db in grid):
-        raise ValueError(f"SNR grid must be finite, got {grid}")
+    if not all(-math.inf < snr_db <= 3000.0 for snr_db in grid):
+        raise ValueError(f"SNR grid entries must be finite and at most 3000 dB, got {grid}")
 
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     total = np.zeros(len(grid))

@@ -122,6 +122,6 @@ def duty_cycle_harvest(alpha, incident_w, config):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if not incident_w >= 0.0:  # NaN fails too
-        raise ValueError("incident power must be non-negative")
+    if not 0.0 <= incident_w < np.inf:  # NaN fails too
+        raise ValueError(f"incident power must be non-negative and finite, got {incident_w!r}")
     return config.harvest_efficiency * incident_w * (1.0 - alpha)

@@ -11,33 +11,24 @@ free-space factor and is numerically negligible at these ranges.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from .scenario import _check_integers
 
 # Frames per draw block in the TH-SS Monte Carlo: about 1.8 MB of slots and
 # comparisons at 50 links.
 _FRAME_BLOCK = 1 << 12
 
 
-def _check_counts(**counts):
-    """Raise ValueError naming the first count that is not an integer (bool
-    excluded) of at least 1."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-
-
 def th_ss_assign(shape, frame_length, rng):
     """Slot index per node, each drawn uniformly from ``frame_length`` sub-slots.
 
     ``shape`` is the node count, or a tuple whose last axis is the nodes and
-    whose leading axes index independent frames; it must be a positive
-    integer or a non-empty tuple of them.
+    whose leading axes index independent frames; a tuple must not be empty.
     """
-    _check_counts(frame_length=frame_length)
+    _check_integers(1, frame_length=frame_length)
     for size in shape if isinstance(shape, tuple) and shape else (shape,):
-        _check_counts(shape=size)
+        _check_integers(1, shape=size)
     return rng.integers(0, frame_length, size=shape)
 
 
@@ -49,7 +40,7 @@ def co_slot_mask(slots):
 def th_ss_collision_probability(num_links, frame_length):
     """Probability that a given node shares its slot with anyone,
     1 - (1 - 1/N)^(K-1)."""
-    _check_counts(num_links=num_links, frame_length=frame_length)
+    _check_integers(1, num_links=num_links, frame_length=frame_length)
     return 1.0 - (1.0 - 1.0 / frame_length) ** (num_links - 1)
 
 
@@ -61,7 +52,7 @@ def th_ss_collision_rate_mc(num_links, frame_length, trials, rng):
     the collisions are counted exactly, so the rate does not depend on the
     block size.
     """
-    _check_counts(num_links=num_links, frame_length=frame_length, trials=trials)
+    _check_integers(1, num_links=num_links, frame_length=frame_length, trials=trials)
     collisions = 0
     for done in range(0, trials, _FRAME_BLOCK):
         slots = th_ss_assign((min(_FRAME_BLOCK, trials - done), num_links), frame_length, rng)
@@ -76,7 +67,7 @@ def count_interference_components(num_links):
     Each of the K - 1 other tags reflects all K carriers. The network-wide
     total is K times this, K^2 * (K - 1).
     """
-    _check_counts(num_links=num_links)
+    _check_integers(1, num_links=num_links)
     num_links = int(num_links)  # a fixed-width numpy integer would wrap
     return (num_links - 1) * num_links
 

@@ -23,7 +23,7 @@ from .channel import dbm_to_watts, friis_gain
 from .energymodel import NodeKind, slot_harvest, slot_stepper, turn_on_energy
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
-from .scenario import _check_topology_count, place_topologies
+from .scenario import _check_integers, place_topologies
 
 _KINDS = tuple(NodeKind)  # order of the kind axis
 
@@ -245,7 +245,7 @@ def run_comparison(config, num_topologies):
     that power, the activity pair where no topology has a node. The arrays
     are byte-reproducible for a fixed (config, seed).
     """
-    _check_topology_count(num_topologies)
+    _check_integers(1, num_topologies=num_topologies)
     # The expected node count is usually below the padded one, so the
     # estimate errs towards running; it exists to stop absurd densities
     # before placement allocates anything.

@@ -123,9 +123,11 @@ def energy_rate_frontier(beta_grid, snr):
     Shrinking both reflection coefficients (+1, -1) by ``beta`` reflects a
     fraction beta^2 of the incident power and leaves 1 - beta^2 to the
     harvester (before harvester efficiency), while the received SINR falls
-    from ``snr`` (linear, unscaled) to beta^2 * snr. Returns one
-    (harvested_fraction, ber) pair per beta, in grid order.
+    from ``snr`` (linear, unscaled, finite and non-negative) to beta^2 * snr.
+    Returns one (harvested_fraction, ber) pair per beta, in grid order.
     """
+    if not 0.0 <= snr < math.inf:  # NaN fails too
+        raise ValueError(f"snr must be finite and non-negative, got {snr!r}")
     frontier = []
     for beta in map(float, beta_grid):
         if not 0.0 <= beta <= 1.0:

@@ -32,6 +32,14 @@ def _is_number(value, kind):
     return not isinstance(value, bool) and isinstance(value, kind)
 
 
+def _check_integers(low, **values):
+    """Raise ValueError naming the first of ``values`` that is not an integer
+    of at least ``low``: numpy integers count, bools do not."""
+    for name, value in values.items():
+        if not (_is_number(value, numbers.Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All physical and protocol constants of the network experiment.
@@ -68,12 +76,12 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        _check_integers(1, num_slots=self.num_slots)
+        _check_integers(0, warmup_slots=self.warmup_slots, seed=self.seed)
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, (float, np.floating)) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-            if f.type is int and not _is_number(value, numbers.Integral):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type is float and not _is_number(value, numbers.Real):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
             # a dBm level may be negative; every other float is a magnitude
@@ -103,11 +111,9 @@ class ScenarioConfig:
             raise ValueError("min_pb_distance_m must be smaller than region_radius")
         if not self.pb_power_dbm_sweep:
             raise ValueError("pb_power_dbm_sweep must not be empty")
-        if self.num_slots <= 0 or self.warmup_slots < 0:
-            raise ValueError("num_slots must be positive and warmup_slots non-negative")
         if self.warmup_slots >= self.num_slots:
             raise ValueError("warmup_slots must be smaller than num_slots")
-        if not 0 <= self.seed < 2**64:
+        if self.seed >= 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         # placement and friis_gain square these, divide by them or draw from them
         lam2 = self.wavelength_m * self.wavelength_m
@@ -194,13 +200,9 @@ def derive_stream(master_seed, node_id, purpose_tag):
     """Deterministic, statistically independent stream per (node, purpose).
 
     Distinct (node_id, purpose_tag) pairs seed distinct PCG64 streams; the
-    same inputs always reproduce the same stream. Each argument must be a
-    non-negative integer, numpy integers included and bools excluded.
+    same inputs always reproduce the same stream.
     """
-    for name, value in (("master_seed", master_seed), ("node_id", node_id),
-                        ("purpose_tag", purpose_tag)):
-        if not _is_number(value, numbers.Integral) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    _check_integers(0, master_seed=master_seed, node_id=node_id, purpose_tag=purpose_tag)
     return default_rng(SeedSequence([int(master_seed), int(node_id), int(purpose_tag)]))
 
 
@@ -240,14 +242,6 @@ def place_nodes(config, rng):
     return _annulus_layout(config, _draw_topology(config, rng))
 
 
-def _check_topology_count(num_topologies):
-    """Raise ValueError unless ``num_topologies`` is an integer of at least 1."""
-    if not _is_number(num_topologies, numbers.Integral):
-        raise ValueError(f"the number of topologies must be an integer, got {num_topologies!r}")
-    if num_topologies < 1:
-        raise ValueError("need at least one topology draw")
-
-
 def place_topologies(config, num_topologies):
     """Topologies 0 .. num_topologies - 1 of ``config``'s sweep, placed in one pass.
 
@@ -256,9 +250,8 @@ def place_topologies(config, num_topologies):
     are computed together, so topology t equals ``place_nodes`` on its
     stream bit for bit. Returns the nodes of every topology in topology
     order, (sum of counts, 2, 2), and the node count of each topology.
-    ``num_topologies`` must be an integer of at least 1.
     """
-    _check_topology_count(num_topologies)
+    _check_integers(1, num_topologies=num_topologies)
     draws = [_draw_topology(config, derive_stream(config.seed, t, PURPOSE_PLACEMENT))
              for t in range(num_topologies)]
     counts = np.array([d.shape[1] for d in draws], dtype=np.intp)

@@ -216,26 +216,37 @@ class TestSimulate:
     @pytest.mark.parametrize("tx,rx", [(0, 2), (2, 0)])
     def test_reader_needs_antennas(self, tx, rx):
         rng = derive_stream(1, 0, PURPOSE_FADING)
-        with pytest.raises(ValueError, match="reader needs at least one antenna"):
+        name = "num_reader_tx" if tx < 1 else "num_reader_rx"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
             simulate_dyadic_ber(1, tx, rx, [10.0], 100_000, rng)
 
-    @pytest.mark.parametrize("args", [
-        (1, 2, math.nan, [10.0], 100_000),
-        (1, 2, 2.5, [10.0], 100_000),
-        (1, 2.5, 2, [10.0], 100_000),
-        (1, True, 2, [10.0], 100_000),
-        (1.0, 2, 2, [10.0], 100_000),
-        (1, 2, 2, [10.0], 100_000.0),
-        (1, 2, 2, [10.0], True),
-        (1, 2, 2, [10.0, math.nan], 100_000),
-        (1, 2, 2, [-math.inf], 100_000),
+    @pytest.mark.parametrize("args,match", [
+        ((1, 2, math.nan, [10.0], 100_000), "^num_reader_rx must be an integer of at least 1"),
+        ((1, 2, 2.5, [10.0], 100_000), "^num_reader_rx must be an integer of at least 1"),
+        ((1, 2.5, 2, [10.0], 100_000), "^num_reader_tx must be an integer of at least 1"),
+        ((1, True, 2, [10.0], 100_000), "^num_reader_tx must be an integer of at least 1"),
+        ((1.0, 2, 2, [10.0], 100_000), "^num_tag_antennas must be an integer of at least 1"),
+        ((1, 2, 2, [10.0], 100_000.0), "^trials must be an integer of at least 100000"),
+        ((1, 2, 2, [10.0], True), "^trials must be an integer of at least 100000"),
+        ((1, 2, 2, [10.0, math.nan], 100_000), "^SNR grid"),
+        ((1, 2, 2, [-math.inf], 100_000), "^SNR grid"),
+        # finite, but 3075 dB returned a NaN BER and 4000 dB raised OverflowError
+        ((2, 2, 2, [10.0, 3075.0], 100_000), "^SNR grid"),
+        ((2, 2, 2, [4000.0], 100_000), "^SNR grid"),
     ], ids=["rx-nan", "rx-2.5", "tx-2.5", "tx-bool", "tag-1.0", "trials-float",
-            "trials-bool", "snr-nan", "snr-inf"])
-    def test_rejects_bad_arguments(self, args):
+            "trials-bool", "snr-nan", "snr-inf", "snr-3075", "snr-4000"])
+    def test_rejects_bad_arguments(self, args, match):
         # counts must be integers, not bool, and the grid finite: these used
         # to return NaN, draw Gamma(2.5) or raise TypeError
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             simulate_dyadic_ber(*args, derive_stream(1, 0, PURPOSE_FADING))
+
+    def test_grid_bound_runs(self):
+        # the largest accepted SNR: no overflow warning, a BER in [0, 0.5]
+        for ell in (1, 2):
+            [(_, ber)] = simulate_dyadic_ber(ell, 2, 8, [3000.0], 100_000,
+                                             derive_stream(1, 0, PURPOSE_FADING))
+            assert 0.0 <= ber <= 0.5
 
     def test_numpy_integer_counts_accepted(self):
         ints = (np.int64(2), np.int64(2), np.int64(2), np.int64(100_000))

@@ -343,6 +343,7 @@ class TestDutyCycleTradeoff:
             duty_cycle_harvest(1.5, 1e-3, config)
 
     def test_negative_incident_rejected(self, config):
-        for bad in (-1e-3, math.nan):
+        # inf returned nan: 1 - alpha is 0 at alpha = 1
+        for bad in (-1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="incident power must be non-negative"):
                 duty_cycle_harvest(0.5, bad, config)

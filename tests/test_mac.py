@@ -73,7 +73,7 @@ class TestThSs:
     def test_counts_must_be_integers(self, call, name):
         # none of these fails by itself: each would return a number, or draw
         # sub-slots from a frame 2.5 long
-        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
             call(derive_stream(1, 0, 1))
 
     def test_numpy_integer_counts_pass(self):
@@ -90,7 +90,7 @@ class TestThSs:
     def test_shape_must_be_positive_integers(self, shape):
         # the first three raised numpy's TypeError, the others returned an
         # empty or 0-d frame
-        with pytest.raises(ValueError, match="^shape must be an integer"):
+        with pytest.raises(ValueError, match="^shape must be an integer of at least 1"):
             th_ss_assign(shape, 4, derive_stream(1, 0, 1))
 
     @pytest.mark.parametrize("k,n", [(2, 10), (10, 100), (50, 10)])

@@ -183,3 +183,14 @@ class TestEnergyRateFrontier:
     def test_beta_out_of_range_rejected(self, snr, beta):
         with pytest.raises(ValueError):
             energy_rate_frontier([0.5, beta], snr)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("snr", [math.inf, math.nan, -1.0])
+    def test_bad_snr_rejected(self, snr, beta):
+        # inf gave BER 0.0 at beta 0.5 and, like nan and -1.0, an error
+        # about the internal SINR at beta 0.0
+        with pytest.raises(ValueError, match="^snr must be finite and non-negative"):
+            energy_rate_frontier([beta], snr)
+
+    def test_zero_snr_is_pure_guessing(self):
+        assert energy_rate_frontier([0.0, 1.0], 0.0) == [(1.0, 0.5), (0.0, 0.5)]

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import math
 import re
@@ -174,11 +175,8 @@ class TestPlaceNodes:
         # True placed one topology, 2.5 raised numpy's TypeError and 0 or -1
         # numpy's "need at least one array to concatenate"
         cfg = ScenarioConfig()
-        for bad in (True, 2.5, 2.0, "3"):
-            with pytest.raises(ValueError, match="must be an integer"):
-                place_topologies(cfg, bad)
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="at least one topology"):
+        for bad in (True, 2.5, 2.0, "3", 0, -1):
+            with pytest.raises(ValueError, match="^num_topologies must be an integer of at least 1"):
                 place_topologies(cfg, bad)
         assert len(place_topologies(cfg, np.int64(2))[1]) == 2
 
@@ -212,7 +210,7 @@ class TestDeriveStream:
     ], ids=["float_seed", "float_node", "bool_seed", "str_seed", "bool_tag",
             "negative_seed", "negative_node", "negative_tag"])
     def test_arguments_must_be_non_negative_integers(self, args, name):
-        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 0"):
             derive_stream(*args)
 
     def test_numpy_integers_give_the_same_stream(self):
@@ -288,6 +286,21 @@ class TestConfigFile:
                 obj = getattr(obj, name)
             checked.append(span)
         assert checked
+
+    def test_integer_rule_has_one_home(self):
+        # every integer argument is checked by scenario._check_integers, so
+        # no other line of the package spells the rule with numbers.Integral
+        package = Path(importlib.import_module("backsim").__file__).parent
+        tree = ast.parse((package / "scenario.py").read_text())
+        [helper] = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_check_integers"]
+        found = [(path.name, lineno) for path in sorted(package.glob("*.py"))
+                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                 if "numbers.Integral" in line]
+        assert found
+        for name, lineno in found:
+            assert name == "scenario.py" and helper.lineno <= lineno <= helper.end_lineno, \
+                (name, lineno)
 
     def test_unknown_key_rejected(self, tmp_path):
         # a misspelt key, and fixed_node_count and slot_ms, which are no
