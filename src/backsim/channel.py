@@ -10,25 +10,68 @@ exclusion zone around the power beacon.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 3.0e8
+
+# The integer and real-number argument rules live here, in the one module
+# that imports no other, so that every module can import them.
+
+
+def _is_number(value, kind):
+    """Whether ``value`` is a ``kind`` number other than a bool, which Python
+    counts as one and which would run as 0 or 1."""
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
+def _check_integers(low, **values):
+    """Raise ValueError naming the first of ``values`` that is not an integer
+    of at least ``low``: numpy integers count, bools do not."""
+    for name, value in values.items():
+        if not (_is_number(value, numbers.Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def _check_reals(name, value, low=-math.inf, high=math.inf, *, above=False, inf=False,
+                 nan=False, ndim=0):
+    """``value`` as a float array if it is a real number (not a bool or string) or, for
+    ``ndim`` 1 (None: any), a list, tuple or numeric array of them with ``ndim`` axes,
+    each at least ``low`` (above it if ``above``) and at most ``high``, finite unless
+    ``inf`` and not NaN unless ``nan``; else ValueError naming ``name``."""
+    # an array costs a dtype check and two reductions, no per-entry Python
+    if isinstance(value, np.ndarray) and ndim != 0:
+        real = value.dtype.kind in "iuf"
+    else:
+        items = value if ndim != 0 and isinstance(value, (list, tuple)) else (value,)
+        real = all(_is_number(v, numbers.Real) for v in items)
+    # an infinite bound is open unless ``inf`` lets entries reach it
+    open_low, open_high = above or (low == -math.inf and not inf), high == math.inf and not inf
+    values = np.asarray(value, dtype=float) if real else None
+    if values is not None and ndim in (None, values.ndim):
+        least, most = (np.fmin, np.fmax) if nan else (np.minimum, np.maximum)
+        lo = least.reduce(values, axis=None, initial=math.inf)  # NaN fails unless ``nan``
+        hi = most.reduce(values, axis=None, initial=-math.inf)
+        if (lo > low if open_low else lo >= low) and (hi < high if open_high else hi <= high):
+            return values
+    kind = {0: "a real number", 1: "a sequence of real numbers", None: "real numbers"}[ndim]
+    raise ValueError(f"{name} must be {kind} in {'[('[open_low]}{low}, {high}{'])'[open_high]}"
+                     f"{' or NaN' if nan else ''}, got {value!r}")
 
 
 def friis_gain(distance_m, wavelength_m, aperture_tx_m2, aperture_rx_m2):
     """Free-space power gain between two aperture antennas.
 
-    Accepts scalars or numpy arrays for ``distance_m``. Raises ValueError
-    for non-positive or NaN distances, wavelengths or apertures (degenerate
-    geometry), and clamps the result to at most 1.
+    ``distance_m`` is a number or an array of them, the rest are numbers;
+    each must be positive and finite (an infinite distance, whose gain is
+    0, is rejected too). The result is clamped to at most 1.
     """
-    d = np.asarray(distance_m, dtype=float)
-    if not np.all(d > 0.0):  # each check is not-within, so NaN fails it too
-        raise ValueError("distance must be strictly positive")
-    if not wavelength_m > 0.0:
-        raise ValueError("wavelength must be strictly positive")
-    if not (aperture_tx_m2 > 0.0 and aperture_rx_m2 > 0.0):
-        raise ValueError("antenna apertures must be strictly positive")
+    d = _check_reals("distance_m", distance_m, 0.0, above=True, ndim=None)
+    for name, value in (("wavelength_m", wavelength_m), ("aperture_tx_m2", aperture_tx_m2),
+                        ("aperture_rx_m2", aperture_rx_m2)):
+        _check_reals(name, value, 0.0, above=True)
     # a quotient that overflows, or a denominator that underflows to 0, is
     # above 1 and clamped there
     with np.errstate(over="ignore", divide="ignore"):
@@ -40,9 +83,10 @@ def friis_gain(distance_m, wavelength_m, aperture_tx_m2, aperture_rx_m2):
 
 
 def dbm_to_watts(p_dbm):
-    """Convert dBm to watts, 10**((p - 30) / 10).
+    """Convert finite dBm, a number or an array, to watts, 10**((p - 30) / 10).
 
+    Above about 3112.5 dBm the watts overflow to inf with numpy's warning.
     A scalar goes through the array loop too: numpy's scalar ``**`` calls
     another pow, which differs from the loop in the last bit for some powers.
     """
-    return np.power(10.0, (np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
+    return np.power(10.0, (_check_reals("p_dbm", p_dbm, ndim=None) - 30.0) / 10.0)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .scenario import _check_integers
+from .channel import _check_integers, _check_reals
 
 # Trials per block: it fixes how each point's BER sum is grouped, and so the
 # output bytes; the draws are one stream whatever the block size. At 2^14 a
@@ -124,9 +124,7 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     _check_integers(10**5, trials=trials)  # fewer give no meaningful estimate
     if num_tag_antennas > 2:
         raise ValueError("only 1 or 2 tag antennas are supported (orthogonal designs)")
-    grid = [float(snr_db) for snr_db in snr_db_grid]
-    if not all(-math.inf < snr_db <= 3000.0 for snr_db in grid):
-        raise ValueError(f"SNR grid entries must be finite and at most 3000 dB, got {grid}")
+    grid = _check_reals("snr_db_grid", snr_db_grid, high=3000.0, ndim=1).tolist()
 
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     total = np.zeros(len(grid))

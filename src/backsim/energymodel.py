@@ -23,6 +23,8 @@ from enum import Enum
 
 import numpy as np
 
+from .channel import _check_reals
+
 
 class NodeKind(str, Enum):
     BACKSCATTER = "backscatter"
@@ -32,11 +34,10 @@ class NodeKind(str, Enum):
 def slot_harvest(incident_w, config):
     """Energy each node harvests in one slot from ``incident_w``.
 
-    Raises ValueError unless every incident power is non-negative.
+    Raises ValueError unless every incident power is non-negative and finite.
     """
-    if not (incident_w >= 0.0).all():  # NaN fails too
-        raise ValueError("incident power must be non-negative")
-    return incident_w * config.harvest_efficiency * config.harvest_s
+    return (_check_reals("incident_w", incident_w, 0.0, ndim=None)
+            * config.harvest_efficiency * config.harvest_s)
 
 
 def turn_on_energy(kind, config):
@@ -118,10 +119,8 @@ def duty_cycle_harvest(alpha, incident_w, config):
 
     An active tag reflects the whole incident wave and harvests nothing;
     a silent one harvests all of it. The information rate is proportional
-    to ``alpha``.
+    to ``alpha``, one number in [0, 1]; ``incident_w`` is one finite number >= 0.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not 0.0 <= incident_w < np.inf:  # NaN fails too
-        raise ValueError(f"incident power must be non-negative and finite, got {incident_w!r}")
+    _check_reals("alpha", alpha, 0.0, 1.0)
+    _check_reals("incident_w", incident_w, 0.0)
     return config.harvest_efficiency * incident_w * (1.0 - alpha)

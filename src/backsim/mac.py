@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import _check_integers
+from .channel import _check_integers
 
 # Frames per draw block in the TH-SS Monte Carlo: about 1.8 MB of slots and
 # comparisons at 50 links.

@@ -19,11 +19,11 @@ import os
 
 import numpy as np
 
-from .channel import dbm_to_watts, friis_gain
+from .channel import _check_integers, dbm_to_watts, friis_gain
 from .energymodel import NodeKind, slot_harvest, slot_stepper, turn_on_energy
 from .mac import aggregate_interference
 from .phylink import bpsk_ber
-from .scenario import _check_integers, place_topologies
+from .scenario import place_topologies
 
 _KINDS = tuple(NodeKind)  # order of the kind axis
 

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .channel import _check_reals
+
 # Rational approximations of erfc from Cephes (S. L. Moshier, ndtr.c), the
 # forms scipy.special.erfc evaluates; coefficients highest degree first.
 # exp(-a^2) * P(a) / Q(a) on 1 <= a < 8:
@@ -96,7 +98,7 @@ def q_function(x):
     x^2 / 2 once, carried through exp(-x^2 / 2)); 0.0 once it underflows
     (x above about 38.6), 1.0 at -inf and NaN for NaN.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_reals("x", x, inf=True, nan=True, ndim=None)
     flat = x.ravel()
     c = np.minimum(np.abs(flat), _ERFC_ARG_CAP * math.sqrt(2.0))
     q = _half_erfc_sqrt(0.5 * c * c)
@@ -109,11 +111,9 @@ def bpsk_ber(sinr_linear):
     """Coherent BPSK bit error probability at a linear SINR.
 
     Interference is treated as Gaussian, so the error probability is
-    Q(sqrt(2 * sinr)) = erfc(sqrt(sinr)) / 2; accepts scalars or arrays.
+    Q(sqrt(2 * sinr)) = erfc(sqrt(sinr)) / 2, of SINRs >= 0 (inf too) or arrays of them.
     """
-    s = np.asarray(sinr_linear, dtype=float)
-    if not np.all(s >= 0.0):  # also rejects NaN
-        raise ValueError("SINR must be non-negative")
+    s = _check_reals("sinr_linear", sinr_linear, 0.0, inf=True, ndim=None)
     return _as_output(_half_erfc_sqrt(s.ravel()), s.shape)
 
 
@@ -124,13 +124,8 @@ def energy_rate_frontier(beta_grid, snr):
     fraction beta^2 of the incident power and leaves 1 - beta^2 to the
     harvester (before harvester efficiency), while the received SINR falls
     from ``snr`` (linear, unscaled, finite and non-negative) to beta^2 * snr.
-    Returns one (harvested_fraction, ber) pair per beta, in grid order.
+    Returns one (harvested_fraction, ber) pair per beta in [0, 1] of ``beta_grid``, in order.
     """
-    if not 0.0 <= snr < math.inf:  # NaN fails too
-        raise ValueError(f"snr must be finite and non-negative, got {snr!r}")
-    frontier = []
-    for beta in map(float, beta_grid):
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        frontier.append((1.0 - beta**2, float(bpsk_ber(beta**2 * snr))))
-    return frontier
+    _check_reals("snr", snr, 0.0)
+    return [(1.0 - beta**2, float(bpsk_ber(beta**2 * snr)))
+            for beta in _check_reals("beta_grid", beta_grid, 0.0, 1.0, ndim=1).tolist()]

@@ -8,7 +8,6 @@ derived from one 64-bit master seed so a scenario is bit-reproducible.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -17,27 +16,13 @@ import numpy as np
 # in backsim's import instead of the first experiment that draws
 from numpy.random import SeedSequence, default_rng
 
-from .channel import SPEED_OF_LIGHT_M_S, dbm_to_watts
+from .channel import SPEED_OF_LIGHT_M_S, _check_integers, _check_reals, dbm_to_watts
 from .energymodel import NodeKind, turn_on_energy
 
 # Purpose tags for derive_stream, so different subsystems never share draws.
 PURPOSE_PLACEMENT = 0
 PURPOSE_MAC = 1
 PURPOSE_FADING = 2
-
-
-def _is_number(value, kind):
-    """Whether ``value`` is a ``kind`` number other than a bool, which Python
-    counts as one and which would run as 0 or 1."""
-    return not isinstance(value, bool) and isinstance(value, kind)
-
-
-def _check_integers(low, **values):
-    """Raise ValueError naming the first of ``values`` that is not an integer
-    of at least ``low``: numpy integers count, bools do not."""
-    for name, value in values.items():
-        if not (_is_number(value, numbers.Integral) and value >= low):
-            raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,35 +63,22 @@ class ScenarioConfig:
     def validate(self):
         _check_integers(1, num_slots=self.num_slots)
         _check_integers(0, warmup_slots=self.warmup_slots, seed=self.seed)
+        # a dBm level may be negative; every other float is a magnitude, and
+        # an efficiency is at most 1
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-            if f.type is float and not _is_number(value, numbers.Real):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
-            # a dBm level may be negative; every other float is a magnitude
-            if f.type is float and not f.name.endswith("_dbm") and value <= 0.0:
-                raise ValueError(f"{f.name} must be strictly positive, got {value}")
-        if not all(_is_number(p, numbers.Real) for p in self.pb_power_dbm_sweep):
-            raise ValueError(f"pb_power_dbm_sweep entries must be numbers, got "
-                             f"{self.pb_power_dbm_sweep}")
+            if f.type is float:
+                _check_reals(f.name, getattr(self, f.name),
+                             -math.inf if f.name.endswith("_dbm") else 0.0,
+                             1.0 if f.name.endswith("_efficiency") else math.inf, above=True)
+        _check_reals("pb_power_dbm_sweep", self.pb_power_dbm_sweep, ndim=1)
         # the engine divides by the noise power and scales by the beacon power,
         # so both must also be finite in watts; an overflow to inf is rejected
         # below instead of warning here
         with np.errstate(over="ignore"):
             noise_w = self.noise_w
             sweep_w = dbm_to_watts(self.pb_power_dbm_sweep)
-        if not (math.isfinite(noise_w) and noise_w > 0.0):
-            raise ValueError(f"noise_dbm must give a finite, positive noise power, got "
-                             f"{self.noise_dbm} dBm = {noise_w} W")
-        if not (all(math.isfinite(p) for p in self.pb_power_dbm_sweep)
-                and np.isfinite(sweep_w).all()):
-            raise ValueError(f"pb_power_dbm_sweep entries must be finite in dBm and in watts, "
-                             f"got {self.pb_power_dbm_sweep}")
-        for name, value in (("harvest_efficiency", self.harvest_efficiency),
-                            ("pa_efficiency", self.pa_efficiency)):
-            if value > 1.0:
-                raise ValueError(f"{name} must not exceed 1, got {value}")
+        _check_reals("noise_dbm in watts", noise_w, 0.0, above=True)
+        _check_reals("pb_power_dbm_sweep in watts", sweep_w, ndim=1)
         if self.min_pb_distance_m >= self.region_radius:
             raise ValueError("min_pb_distance_m must be smaller than region_radius")
         if not self.pb_power_dbm_sweep:

@@ -42,8 +42,9 @@ class TestFriisGain:
             friis_gain(np.array([1.0, math.nan]), 0.125, 0.001, 0.001)
         with pytest.raises(ValueError, match="wavelength"):
             friis_gain(1.0, math.nan, 0.001, 0.001)
-        for apertures in ((math.nan, 0.001), (0.001, math.nan)):
-            with pytest.raises(ValueError, match="apertures"):
+        for name, apertures in (("aperture_tx_m2", (math.nan, 0.001)),
+                                ("aperture_rx_m2", (0.001, math.nan))):
+            with pytest.raises(ValueError, match=f"^{name}"):
                 friis_gain(1.0, 0.125, *apertures)
 
     def test_vectorised(self):

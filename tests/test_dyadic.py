@@ -228,11 +228,11 @@ class TestSimulate:
         ((1.0, 2, 2, [10.0], 100_000), "^num_tag_antennas must be an integer of at least 1"),
         ((1, 2, 2, [10.0], 100_000.0), "^trials must be an integer of at least 100000"),
         ((1, 2, 2, [10.0], True), "^trials must be an integer of at least 100000"),
-        ((1, 2, 2, [10.0, math.nan], 100_000), "^SNR grid"),
-        ((1, 2, 2, [-math.inf], 100_000), "^SNR grid"),
+        ((1, 2, 2, [10.0, math.nan], 100_000), "^snr_db_grid"),
+        ((1, 2, 2, [-math.inf], 100_000), "^snr_db_grid"),
         # finite, but 3075 dB returned a NaN BER and 4000 dB raised OverflowError
-        ((2, 2, 2, [10.0, 3075.0], 100_000), "^SNR grid"),
-        ((2, 2, 2, [4000.0], 100_000), "^SNR grid"),
+        ((2, 2, 2, [10.0, 3075.0], 100_000), "^snr_db_grid"),
+        ((2, 2, 2, [4000.0], 100_000), "^snr_db_grid"),
     ], ids=["rx-nan", "rx-2.5", "tx-2.5", "tx-bool", "tag-1.0", "trials-float",
             "trials-bool", "snr-nan", "snr-inf", "snr-3075", "snr-4000"])
     def test_rejects_bad_arguments(self, args, match):

@@ -175,7 +175,7 @@ class TestTraditionalTxPower:
 
 class TestStepSlot:
     def test_bad_input_rejected(self, config):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^incident_w"):
             _slot(0.0, -1e-9, BACK, config)
         with pytest.raises(ValueError, match="relay"):
             turn_on_energy("relay", config)
@@ -185,7 +185,7 @@ class TestStepSlot:
         # checked once, before any slot runs
         ledger = EnergyLedger.empty(3)
         for bad in (-1e-12, math.nan):
-            with pytest.raises(ValueError, match="non-negative"):
+            with pytest.raises(ValueError, match="^incident_w"):
                 ledger_stepper(np.array([1e-3, bad, 0.0]), 0, config, ledger)
         assert ledger.harvested_j.tolist() == [0.0] * 3
 
@@ -345,5 +345,5 @@ class TestDutyCycleTradeoff:
     def test_negative_incident_rejected(self, config):
         # inf returned nan: 1 - alpha is 0 at alpha = 1
         for bad in (-1e-3, math.nan, math.inf):
-            with pytest.raises(ValueError, match="incident power must be non-negative"):
+            with pytest.raises(ValueError, match="^incident_w"):
                 duty_cycle_harvest(0.5, bad, config)

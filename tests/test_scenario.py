@@ -287,20 +287,28 @@ class TestConfigFile:
             checked.append(span)
         assert checked
 
-    def test_integer_rule_has_one_home(self):
-        # every integer argument is checked by scenario._check_integers, so
-        # no other line of the package spells the rule with numbers.Integral
+    @staticmethod
+    def _assert_rule_has_one_home(rule, helper_name):
+        # the helper is found in whichever module defines it, and no line of
+        # the package outside it spells ``rule``
         package = Path(importlib.import_module("backsim").__file__).parent
-        tree = ast.parse((package / "scenario.py").read_text())
-        [helper] = [node for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "_check_integers"]
-        found = [(path.name, lineno) for path in sorted(package.glob("*.py"))
-                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-                 if "numbers.Integral" in line]
+        sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+        [(home, helper)] = [(name, node) for name, text in sources.items()
+                            for node in ast.parse(text).body
+                            if isinstance(node, ast.FunctionDef) and node.name == helper_name]
+        found = [(name, lineno) for name, text in sources.items()
+                 for lineno, line in enumerate(text.splitlines(), start=1) if rule in line]
         assert found
         for name, lineno in found:
-            assert name == "scenario.py" and helper.lineno <= lineno <= helper.end_lineno, \
-                (name, lineno)
+            assert name == home and helper.lineno <= lineno <= helper.end_lineno, (name, lineno)
+
+    def test_integer_rule_has_one_home(self):
+        # every integer argument is checked by _check_integers
+        self._assert_rule_has_one_home("numbers.Integral", "_check_integers")
+
+    def test_real_rule_has_one_home(self):
+        # every real-number argument is checked by _check_reals
+        self._assert_rule_has_one_home("numbers.Real", "_check_reals")
 
     def test_unknown_key_rejected(self, tmp_path):
         # a misspelt key, and fixed_node_count and slot_ms, which are no
