@@ -11,6 +11,8 @@ free-space factor and is numerically negligible at these ranges.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channel import _check_integers
@@ -41,7 +43,11 @@ def th_ss_collision_probability(num_links, frame_length):
     """Probability that a given node shares its slot with anyone,
     1 - (1 - 1/N)^(K-1)."""
     _check_integers(1, num_links=num_links, frame_length=frame_length)
-    return 1.0 - (1.0 - 1.0 / frame_length) ** (num_links - 1)
+    if frame_length == 1:  # log1p(-1) raises; every other link collides
+        return float(num_links > 1)
+    # expm1 and log1p keep the digits that 1 - (1 - 1/N)^(K-1) cancels (all
+    # of them at N = 1e17); 0.0 minus gives +0.0 at K = 1, not -0.0
+    return 0.0 - math.expm1((num_links - 1) * math.log1p(-1.0 / frame_length))
 
 
 def th_ss_collision_rate_mc(num_links, frame_length, trials, rng):

@@ -57,7 +57,9 @@ class ScenarioConfig:
     seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(self, "pb_power_dbm_sweep", tuple(self.pb_power_dbm_sweep))
+        sweep = self.pb_power_dbm_sweep
+        if np.iterable(sweep) and not isinstance(sweep, (str, bytes)):  # else validate rejects it
+            object.__setattr__(self, "pb_power_dbm_sweep", tuple(sweep))
         self.validate()
 
     def validate(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +45,17 @@ class TestThSs:
         assert th_ss_collision_probability(10, 100) == pytest.approx(
             1 - 0.99**9, rel=1e-12)
         assert th_ss_collision_probability(10, 100) == pytest.approx(0.0861, abs=5e-4)
+
+    def test_closed_form_within_an_ulp(self):
+        # 1 - (1 - 1/N)^(K - 1) cancelled: (10, 1e17) gave 0.0 for 9.0e-17,
+        # and (1000, 1e9) was off by 2.8e-8 relative
+        for k in (1, 2, 10, 1000):
+            for n in (1, 2, 10, 100, 10**9, 10**17):
+                with mpmath.workdps(50):
+                    exact = 1 - (1 - mpmath.mpf(1) / n) ** (k - 1)
+                    got = th_ss_collision_probability(k, n)
+                    assert abs(got - exact) <= math.ulp(float(exact)), (k, n)
+        assert math.copysign(1.0, th_ss_collision_probability(1, 10)) == 1.0  # +0.0
 
     def test_degenerate_arguments_rejected(self):
         rng = derive_stream(1, 0, 1)

@@ -306,6 +306,17 @@ class TestRunComparison:
         shape = (len(KINDS), len(small_config.pb_power_dbm_sweep))
         assert [stat.shape for stat in run_comparison(small_config, np.int64(1))] == [shape] * 4
 
+    def test_gain_memory_guard_counts_the_padded_nodes(self, monkeypatch):
+        # 2,000 default topologies expect 6.22 nodes each, 3.17 MB of gains,
+        # but the gains pad every topology to the largest, of 17 nodes, and
+        # need 23.7 MB: on a host of 16 MiB the sweep refuses before padding
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
+        monkeypatch.setattr(netsim.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(netsim, "_padded_gains", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match=r"^node_density = 0.02 over 2000 topologies "
+                                             r"needs about 2.37e\+07 bytes"):
+            run_comparison(ScenarioConfig(), 2000)
+
     def test_sweep_layout(self, small_config):
         stats = run_comparison(small_config, num_topologies=3)
         assert len(stats) == 4

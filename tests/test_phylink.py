@@ -142,11 +142,15 @@ class TestBpskBer:
         sinr = beta**2 * BETA_REFERENCE_SNR
         assert bpsk_ber(sinr) == pytest.approx(ber_oracle(sinr), rel=1e-14)
 
-    def test_negative_sinr_rejected(self):
-        with pytest.raises(ValueError):
-            bpsk_ber(-0.1)
-        with pytest.raises(ValueError):
-            bpsk_ber([1.0, float("nan")])
+    def test_positive_zero_once_exp_underflows(self):
+        # exp(-s) is 0.0 from s = 745.1332191019412, so the BER is +0.0 there
+        # and beyond, past the 784 cap on the argument; at 700 it is positive
+        s0 = 745.1332191019412
+        assert np.exp(-s0) == 0.0
+        sinrs = np.array([s0, 746.0, 784.0, 785.0, 1e3, 1e300])
+        for ber in (bpsk_ber(sinrs), [bpsk_ber(s) for s in sinrs.tolist()]):
+            assert not np.signbit(ber).any() and (np.asarray(ber) == 0.0).all()
+        assert bpsk_ber(700.0) > 0.0
 
 
 class TestEnergyRateFrontier:
