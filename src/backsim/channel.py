@@ -1,4 +1,4 @@
-"""Free-space path gains and dBm-to-watt conversion.
+"""Free-space path gains, dBm-to-watt conversion and the rules for number arguments.
 
 All links use the aperture form of the Friis transmission equation,
 gain = A_tx * A_rx / (wavelength^2 * distance^2), because node antennas
@@ -49,7 +49,10 @@ def _check_reals(name, value, low=-math.inf, high=math.inf, *, above=False, inf=
         real = all(_is_number(v, numbers.Real) for v in items)
     # an infinite bound is open unless ``inf`` lets entries reach it
     open_low, open_high = above or (low == -math.inf and not inf), high == math.inf and not inf
-    values = np.asarray(value, dtype=float) if real else None
+    try:
+        values = np.asarray(value, dtype=float) if real else None
+    except OverflowError:  # an integer beyond every float
+        values = None
     if values is not None and ndim in (None, values.ndim):
         least, most = (np.fmin, np.fmax) if nan else (np.minimum, np.maximum)
         lo = least.reduce(values, axis=None, initial=math.inf)  # NaN fails unless ``nan``
@@ -57,8 +60,8 @@ def _check_reals(name, value, low=-math.inf, high=math.inf, *, above=False, inf=
         if (lo > low if open_low else lo >= low) and (hi < high if open_high else hi <= high):
             return values
     kind = {0: "a real number", 1: "a sequence of real numbers", None: "real numbers"}[ndim]
-    raise ValueError(f"{name} must be {kind} in {'[('[open_low]}{low}, {high}{'])'[open_high]}"
-                     f"{' or NaN' if nan else ''}, got {value!r}")
+    raise ValueError(f"{name} must be {kind} in {'(' if open_low else '['}{low}, {high}"
+                     f"{')' if open_high else ']'}{' or NaN' if nan else ''}, got {value!r}")
 
 
 def friis_gain(distance_m, wavelength_m, aperture_tx_m2, aperture_rx_m2):

@@ -91,9 +91,7 @@ class ScenarioConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         # placement and friis_gain square these, divide by them or draw from them
         lam2 = self.wavelength_m * self.wavelength_m
-        if not (math.isfinite(lam2) and lam2 >= np.finfo(float).tiny):
-            raise ValueError(f"carrier_hz must give a wavelength with a finite, normal square, "
-                             f"got {self.carrier_hz} Hz = {self.wavelength_m} m")
+        _check_reals("carrier_hz's wavelength squared", lam2, np.finfo(float).tiny)
         try:
             count = self.expected_node_count
         except OverflowError:  # region_radius ** 2

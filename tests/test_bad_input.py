@@ -34,15 +34,16 @@ VALID = {
 
 # bad values of an argument that takes one number, ...
 SCALAR = {"bool": True, "str": "0.5", "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-          "array": np.array([0.5, 0.5])}
+          "huge-int": 10**400, "array": np.array([0.5, 0.5])}
 # ... a sequence of them ...
 GRID = {"bool": [0.5, True], "str": "0.5", "str-entry": ["0.5"], "nan": [0.5, math.nan],
         "inf": [math.inf], "-inf": [-math.inf], "number": 0.5, "2d-array": np.array([[0.5]]),
         "bool-array": np.array([True])}
 # ... or a number or an array of them
-ARRAY = {"bool": True, "str": "0.5", "nan": np.array([0.5, math.nan]), "inf": math.inf,
-         "-inf": np.array([-math.inf]), "bool-list": [0.5, True], "bool-array": np.array([True]),
-         "str-array": np.array(["0.5"]), "complex-array": np.array([0.5j])}
+ARRAY = {"bool": True, "str": "0.5", "nan": math.nan, "nan-array": np.array([0.5, math.nan]),
+         "inf": math.inf, "-inf": np.array([-math.inf]), "bool-list": [0.5, True],
+         "bool-array": np.array([True]), "str-array": np.array(["0.5"]),
+         "complex-array": np.array([0.5j])}
 
 
 def _without(values, *labels):
@@ -56,7 +57,7 @@ ARGUMENTS = [
     (friis_gain, "aperture_tx_m2", SCALAR | {"zero": 0.0}),
     (friis_gain, "aperture_rx_m2", SCALAR | {"zero": 0.0}),
     (dbm_to_watts, "p_dbm", ARRAY),
-    (q_function, "x", _without(ARRAY, "nan", "inf", "-inf")),  # Q is 1, 0 and NaN there
+    (q_function, "x", _without(ARRAY, "nan", "nan-array", "inf", "-inf")),  # Q is NaN, 0, 1
     (bpsk_ber, "sinr_linear", _without(ARRAY, "inf")  # BER 0 at inf
      | {"negative": -0.1, "nan-list": [1.0, math.nan]}),
     (energy_rate_frontier, "beta_grid", GRID | {"above-1": [0.5, 1.5], "negative": [-0.1]}),
