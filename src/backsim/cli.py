@@ -127,9 +127,12 @@ _DISPATCH = {
 def run(args):
     """Run the experiment that ``parse_args`` returned, write its CSV, print a
     one-line summary."""
-    config = load_config(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    if args.config:
+        config = load_config(args.config)
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
+    else:  # made, and so validated, once
+        config = ScenarioConfig() if args.seed is None else ScenarioConfig(seed=args.seed)
     started = time.perf_counter()
     header, rows = _DISPATCH[args.experiment](config, args.trials)
     with open(args.out, "w", newline="") as fh:

@@ -21,7 +21,7 @@ from .channel import _check_integers, _check_reals
 
 # Trials per block: it fixes how each point's BER sum is grouped, and so the
 # output bytes; the draws are one stream whatever the block size. At 2^14 a
-# block's working set, the (2^14, L) gains and five 2^14 work rows, which
+# block's working set, the (L, 2^14) gains and five 2^14 work rows, which
 # first hold the block's uniforms, is at most 896 KiB: it fits a 2 MB L2,
 # and a fresh process pages in little scratch. 2^17 needs 7 MB; 2^13 saves
 # 0.4 MB more but runs slower.
@@ -29,57 +29,78 @@ _CHUNK = 1 << 14
 # Largest receive-antenna count whose Gamma gains are drawn from uniforms;
 # at 5 numpy's rejection sampler costs about as much, and from 6 less.
 _UNIFORM_GAMMA_MAX = 4
+# One tag antenna: below this block-largest mean b the error rate takes the
+# one-division form, whose b (1 + b) overflows from about 1.34e154.
+_ONE_DIVISION_MAX = 1e150
 
 
 def _draw_gains(rng, m, out, work):
-    """Fill ``out`` ((n, L), C-contiguous) with Gamma(m, 1) branch gains; return it.
+    """Fill ``out`` ((L, n), a row per tag antenna) with Gamma(m, 1) gains; return it.
 
-    Up to ``_UNIFORM_GAMMA_MAX`` a gain is -log of the product of m factors
-    1 - U, U uniform on [0, 1): a sum of m unit exponentials. The stream is
-    trial-major, each gain's m uniforms in a row, drawn into ``work`` (any
-    contiguous scratch of at least m values) as many gains at a time as fit,
-    so it does not depend on how the trials are blocked. A factor is at
-    least 2^-53, so the product is at least 2^-212 and its log is finite.
-    Larger m draws numpy's ``standard_gamma``, the ``rng.gamma(m)`` stream.
+    The stream is trial-major (a trial's L gains, and each gain's m uniforms,
+    in a row), so it does not depend on how the trials are blocked. Up to
+    ``_UNIFORM_GAMMA_MAX`` a gain is -log of the product of m factors 1 - U,
+    U uniform on [0, 1): a sum of m unit exponentials, drawn into ``work`` (any
+    contiguous scratch of at least L m values) as many trials at a time as fit.
+    A factor is at least 2^-53, so the product is at least 2^-212 and its log
+    is finite. Larger m draws numpy's ``standard_gamma``, the ``rng.gamma(m)``
+    stream, for L > 1 into a trial-major scratch in ``work``, copied out transposed.
     """
+    ell, n = out.shape
     if m > _UNIFORM_GAMMA_MAX:
-        return rng.standard_gamma(m, size=out.shape, out=out)
-    gains = out.reshape(-1)  # a view, in the stream's order
+        if ell == 1:
+            return rng.standard_gamma(m, size=out.shape, out=out)
+        stream = work.reshape(-1)[:out.size].reshape(n, ell)
+        np.copyto(out, rng.standard_gamma(m, size=stream.shape, out=stream).T)
+        return out
     uniforms = work.reshape(-1)
-    step = uniforms.size // m
-    for lo in range(0, gains.size, step):
-        dest = gains[lo:lo + step]
+    step = uniforms.size // (ell * m)  # trials per draw
+    for lo in range(0, n, step):
+        dest = out[:, lo:lo + step]
         u = rng.random(out=uniforms[:dest.size * m])
-        factors = np.subtract(1.0, u, out=u).reshape(-1, m).T  # strided rows
-        if m == 1:
-            np.copyto(dest, factors[0])
-        else:
-            np.multiply(factors[0], factors[1], out=dest)
-        for factor in factors[2:]:
-            np.multiply(dest, factor, out=dest)
+        # (trial, branch, factor) -> one strided (m, trials) view per branch
+        factors = np.subtract(1.0, u, out=u).reshape(-1, ell, m).transpose(1, 2, 0)
+        for row, branch in zip(dest, factors):
+            if m == 1:
+                np.copyto(row, branch[0])
+            else:
+                np.multiply(branch[0], branch[1], out=row)
+            for factor in branch[2:]:
+                np.multiply(row, factor, out=row)
     np.log(out, out=out)
     return np.subtract(0.0, out, out=out)  # 0 - 0 is +0, where negation gives -0
 
 
 def _conditional_bers(gains, snrs, work):
-    """Exact BPSK error probability of every row of ``gains`` at each SNR in turn.
+    """Exact BPSK error probability of every column of ``gains`` at each SNR in turn.
 
     At linear SNR ``snr`` the post-combining SNR sums L independent exponentials
-    of means b = ``snr * gains[k]`` ((n, L), non-negative). One branch gives the
-    Rayleigh form f(b) = 0.5 / ((1 + b)(1 + m)), m = sqrt(b / (1 + b)); two give
-    E = 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), free of subtraction, equal means included.
-    That is partial fractions, (b1 f(b1) - b2 f(b2)) / (b1 - b2), divided out with
-    b f(b) = m^2 / (2 (1 + m)) and m1^2 - m2^2 = (b1 - b2) / ((1 + b1)(1 + b2)).
+    of means b = ``snr * gains[:, k]`` ((L, n), non-negative). One branch gives the
+    Rayleigh form f(b) = 0.5 / ((1 + b) + sqrt(b (1 + b))), one division, while
+    snr times the block's largest gain is below ``_ONE_DIVISION_MAX``, and past
+    it, where b (1 + b) could overflow, f(b) = 0.5 / ((1 + b)(1 + m)) with
+    m = sqrt(b / (1 + b)). Two give E = 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)),
+    free of subtraction, equal means included. That is partial fractions,
+    (b1 f(b1) - b2 f(b2)) / (b1 - b2), divided out with b f(b) = m^2 / (2 (1 + m))
+    and m1^2 - m2^2 = (b1 - b2) / ((1 + b1)(1 + b2)).
     Each (n,) result is a view into ``work`` ((5, >= n) scratch) that the next overwrites.
     """
-    n, ell = gains.shape
+    ell, n = gains.shape
     b1, b2, d1, d2, tmp = work[:, :n]
+    means, dens = work[:ell, :n], work[2:2 + ell, :n]  # the b rows and the d rows
+    top = gains.max() if ell == 1 else None  # picks the one-antenna form
     for snr in snrs:
-        np.multiply(snr, gains.T, out=work[:ell, :n])
-        for b, d in ((b1, d1), (b2, d2))[:ell]:  # b becomes m, d becomes (1 + b)(1 + m)
-            np.add(1.0, b, out=d)
-            np.sqrt(np.divide(b, d, out=b), out=b)
-            np.multiply(d, np.add(1.0, b, out=tmp), out=d)
+        np.multiply(snr, gains, out=means)
+        if ell == 1 and snr * top < _ONE_DIVISION_MAX:  # max(snr g) is snr max(g) exactly
+            np.add(1.0, b1, out=d1)
+            np.sqrt(np.multiply(b1, d1, out=b1), out=b1)
+            yield np.divide(0.5, np.add(d1, b1, out=d1), out=d1)
+            continue
+        # every branch at once: b becomes m, d becomes (1 + b)(1 + m)
+        np.add(1.0, means, out=dens)
+        np.sqrt(np.divide(means, dens, out=means), out=means)
+        for m, d in zip(means, dens):
+            np.multiply(d, np.add(1.0, m, out=tmp), out=d)
         if ell == 1:
             yield np.divide(0.5, d1, out=d1)
             continue
@@ -106,8 +127,10 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     exactly Gamma(num_reader_rx, 1) (``_draw_gains``: -log of a product of
     uniforms for a few receive antennas, numpy's Gamma sampler for more),
     and averages the exact error probability conditioned on it, integrating
-    the forward hop analytically. That has orders of magnitude lower
-    variance than error counting, which is what makes deep high-SNR points
+    the forward hop analytically (``_conditional_bers``). A block of
+    ``_CHUNK`` trials holds its gains branch-major, a row per tag antenna; the
+    stream stays trial-major. That has orders of magnitude lower variance
+    than error counting, which is what makes deep high-SNR points
     resolvable at sane trial counts. Every grid point is evaluated on the
     same draws (common random numbers), so a point's value does not depend
     on the rest of the grid, and the errors of different points are
@@ -129,10 +152,10 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     total = np.zeros(len(grid))
     total_sq = np.zeros(len(grid))
-    draws = np.empty((min(_CHUNK, trials), num_tag_antennas))
-    work = np.empty((5, len(draws)))
+    draws = np.empty((num_tag_antennas, min(_CHUNK, trials)))
+    work = np.empty((5, draws.shape[1]))
     for done in range(0, trials, _CHUNK):
-        gains = _draw_gains(rng, num_reader_rx, draws[:min(_CHUNK, trials - done)], work)
+        gains = _draw_gains(rng, num_reader_rx, draws[:, :min(_CHUNK, trials - done)], work)
         for i, vals in enumerate(_conditional_bers(gains, snrs, work)):
             total[i] += vals.sum()
             if with_stderr:

@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 
 from backsim.channel import dbm_to_watts, friis_gain
-from backsim.dyadic import _CHUNK, _UNIFORM_GAMMA_MAX
+from backsim.dyadic import _CHUNK, _ONE_DIVISION_MAX, _UNIFORM_GAMMA_MAX
 from backsim.energymodel import slot_harvest, slot_stepper
 from backsim.mac import aggregate_interference
 from backsim.netsim import _KINDS, _padded_gains, _run_kinds
@@ -406,12 +406,17 @@ def dual_branch_equal_ber(snr_mean):
 def conditional_ber(beta):
     """BPSK error probability given the (n, L) per-antenna branch means ``beta``.
 
-    One branch b gives f(b) = 0.5 / ((1 + b)(1 + m)) with m = sqrt(b / (1 + b));
-    two branches b1, b2 give 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), with m1 + m2
-    floored at 1e-300 for b1 = b2 = 0; in the simulator's order, one fresh array
-    per operation.
+    One branch b gives f(b) = 0.5 / ((1 + b) + sqrt(b (1 + b))) while the
+    largest b of ``beta`` (one block) is below the simulator's
+    ``_ONE_DIVISION_MAX``, and f(b) = 0.5 / ((1 + b)(1 + m)) with
+    m = sqrt(b / (1 + b)) otherwise; two branches b1, b2 give
+    2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), with the second form of f and
+    m1 + m2 floored at 1e-300 for b1 = b2 = 0; in the simulator's order, one
+    fresh array per operation.
     """
     b1 = beta[:, 0]
+    if beta.shape[1] == 1 and beta.max() < _ONE_DIVISION_MAX:
+        return 0.5 / ((1.0 + b1) + np.sqrt(b1 * (1.0 + b1)))
     m1 = np.sqrt(b1 / (1.0 + b1))
     d1 = (1.0 + b1) * (1.0 + m1)
     if beta.shape[1] == 1:

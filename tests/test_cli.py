@@ -147,6 +147,21 @@ class TestRun:
         summary = capsys.readouterr().out
         assert "18 rows" in summary and str(out) in summary
 
+    @pytest.mark.parametrize("flags", [(), ("--seed", "3")], ids=["default-seed", "seed"])
+    def test_default_config_validated_once(self, tmp_path, monkeypatch, flags):
+        # the built-in config is made with its seed in one construction, so
+        # a fig3 run pays for one validate() pass, not a second for the seed
+        seeds = []
+        validate = ScenarioConfig.validate
+
+        def counting(config):
+            seeds.append(config.seed)
+            return validate(config)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counting)
+        assert _run("fig3a", tmp_path / "fig3a.csv", "--trials", "2", *flags) == 0
+        assert seeds == [3 if flags else 42]
+
     def test_tradeoff_beta_grid(self, tmp_path):
         out = tmp_path / "beta.csv"
         assert _run("tradeoff_beta", out) == 0

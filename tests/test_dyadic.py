@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from backsim import dyadic
-from backsim.dyadic import (_CHUNK, _UNIFORM_GAMMA_MAX, _conditional_bers, _draw_gains,
-                            simulate_dyadic_ber)
+from backsim.dyadic import (_CHUNK, _ONE_DIVISION_MAX, _UNIFORM_GAMMA_MAX, _conditional_bers,
+                            _draw_gains, simulate_dyadic_ber)
 from backsim.scenario import PURPOSE_FADING, derive_stream
 from oracles import (_complex_normal, bit_level_dyadic_ber, conditional_ber,
                      conditional_dyadic_curve, dual_branch_equal_ber, dyadic_quadrature,
@@ -73,9 +73,10 @@ def worst_error_against_oracle(gains, snr):
 
 
 def kernel_bers(gains, snrs):
-    """The in-place kernel's BER rows at each linear SNR, copied out of its buffer."""
+    """The in-place kernel's BER rows at each linear SNR for (n, L) ``gains``
+    (passed to it as an (L, n) view), copied out of its buffer."""
     work = np.empty((5, len(gains)))
-    return [vals.copy() for vals in _conditional_bers(gains, snrs, work)]
+    return [vals.copy() for vals in _conditional_bers(gains.T, snrs, work)]
 
 
 def near_bound_rows(snr, base):
@@ -287,16 +288,19 @@ class TestSimulate:
 
     def test_scratch_memory_is_one_block(self):
         # the draw buffer and the work rows are sized by the block, not by
-        # the trial count: a million trials of two Gamma(8) branches stay
-        # under 2 MB of peak allocation
-        tracemalloc.start()
-        try:
-            simulate_dyadic_ber(2, 2, 8, [0.0, 10.0, 20.0, 30.0, 35.0], 1_000_000,
-                                derive_stream(5, 2, PURPOSE_FADING))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6, f"peak allocation {peak} bytes"
+        # the trial count: a million trials of two Gamma(8) branches (numpy's
+        # sampler, through a trial-major scratch in the work rows) or of two
+        # Gamma(2) branches (uniforms in the work rows) stay under 2 MB of
+        # peak allocation
+        for m_r in (8, 2):
+            tracemalloc.start()
+            try:
+                simulate_dyadic_ber(2, 2, m_r, [0.0, 10.0, 20.0, 30.0, 35.0], 1_000_000,
+                                    derive_stream(5, 2, PURPOSE_FADING))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2e6, f"peak allocation {peak} bytes with {m_r} receive antennas"
 
 
 # Equal and huge near-equal branch gains: partial fractions are 0/0 on the
@@ -305,8 +309,16 @@ EDGE_ROWS = [(3.0, 3.0), (1e-3, 1e-3), (0.0, 0.0), (1.0, 4.0)] + [
     (g, g * (1.0 + k * 1e-6)) for g in (1e12, 3e13, 1e14)
     for k in (1.5, 2.0, 3.0, 5.0, 10.0, 30.0)]
 # One branch: zero, tiny and huge means, past the 1.3e154 where a (1 + a)
-# overflows, and a grid between.
+# overflows, and a grid between. Their largest mean is past
+# _ONE_DIVISION_MAX, so the kernel takes its two-division form on all of them.
 SINGLE_MEANS = [0.0, 1e-300, 1e154, 1e200, 1e300, *np.logspace(-8, 8, 33)]
+# One branch, every mean below _ONE_DIVISION_MAX: the one-division form,
+# up to a few ulps under the bound.
+BELOW_BOUND_MEANS = [0.0, 5e-324, 1e-300, 1e-150, *np.logspace(-8, 8, 33), 1e100, 1e149,
+                     *(_ONE_DIVISION_MAX * (1.0 - k * 2.0**-52) for k in (1, 2, 3, 8))]
+# One branch, a few ulps either side of the bound: the two-division form.
+STRADDLING_MEANS = [1e-300, 1.0, 1e149,
+                    *(_ONE_DIVISION_MAX * (1.0 + k * 2.0**-52) for k in (-4, -1, 0, 1, 4))]
 
 
 class TestAgainstAllocatingReference:
@@ -332,20 +344,46 @@ class TestAgainstAllocatingReference:
             assert all(len(p) == 2 for p in curve)
 
     def test_near_equal_edge_rows(self):
-        # equal, near-equal and tiny branch means for two antennas, and the
-        # single means for one, at SNRs below and above 1; each SNR's own
+        # equal, near-equal and tiny branch means for two antennas, and three
+        # blocks of single means for one (past the one-division bound, below
+        # it, and straddling it), at SNRs below and above 1; each SNR's own
         # edge rows are also checked against mpmath
         snrs = [10.0 ** (snr_db / 10.0) for snr_db in (-3.0, 0.0, 10.0, 25.0, 27.5, 35.0)]
         edges = {snr: near_bound_rows(snr, (0.37, 1.0, 5.3)) + floor_rows(snr) for snr in snrs}
         gains = np.array(EDGE_ROWS + [row for snr in snrs for row in edges[snr]])
         for snr, out in zip(snrs, kernel_bers(gains, snrs)):
             np.testing.assert_array_equal(out, conditional_ber(snr * gains))
-            single = np.array(SINGLE_MEANS)[:, None] / snr
-            np.testing.assert_array_equal(kernel_bers(single, [snr])[0],
-                                          conditional_ber(snr * single))
-            for rows in (np.array(EDGE_ROWS + edges[snr]), single):
+            singles = [np.array(means)[:, None] / snr
+                       for means in (SINGLE_MEANS, BELOW_BOUND_MEANS, STRADDLING_MEANS)]
+            for single in singles:
+                np.testing.assert_array_equal(kernel_bers(single, [snr])[0],
+                                              conditional_ber(snr * single))
+            for rows in (np.array(EDGE_ROWS + edges[snr]), *singles):
                 worst, where = worst_error_against_oracle(rows, snr)
                 assert worst <= 4e-15, f"relative error {worst:.2e} at means {where}"
+
+    def test_one_division_bound_selects_the_form(self):
+        # the kernel takes the one-division form exactly when snr times the
+        # block's largest gain is below the bound; at and past it, where
+        # b (1 + b) overflows from about 1.34e154, the two-division form
+        def forms(b):
+            one = 0.5 / ((1.0 + b) + np.sqrt(b * (1.0 + b)))
+            m = np.sqrt(b / (1.0 + b))
+            return one, 0.5 / ((1.0 + b) * (1.0 + m))
+
+        below = np.array(BELOW_BOUND_MEANS)
+        assert below.max() < _ONE_DIVISION_MAX
+        [out] = kernel_bers(below[:, None], [1.0])
+        np.testing.assert_array_equal(out, forms(below)[0])
+        # some of these means tell the forms apart, so the selection shows
+        assert not np.array_equal(*forms(below))
+        at = np.append(below, _ONE_DIVISION_MAX)
+        past = np.array(STRADDLING_MEANS + [1e300])
+        for means in (at, past):
+            with np.errstate(all="raise"):  # past the bound nothing overflows
+                [out] = kernel_bers(means[:, None], [1.0])
+            with np.errstate(over="ignore"):
+                np.testing.assert_array_equal(out, forms(means)[1])
 
 
 class TestAgainstMpmath:
@@ -385,7 +423,7 @@ class TestUniformGammaDraws:
     def test_draws_follow_gamma_cdf(self, m, ell):
         # Kolmogorov-Smirnov distance to the closed-form CDF, against its
         # 0.1 % critical value 1.95 / sqrt(n)
-        out = np.empty((60_000, ell))
+        out = np.empty((ell, 60_000))
         gains = _draw_gains(derive_stream(19, 10 * ell + m, PURPOSE_FADING), m, out,
                             np.empty((5, _CHUNK)))
         x = np.sort(gains, axis=None)
@@ -397,23 +435,24 @@ class TestUniformGammaDraws:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("ell", [1, 2])
     def test_split_blocks_give_one_block_gains(self, m, ell):
-        # fewer work values than one block needs, or two blocks of trials,
-        # continue the same trial-major stream
-        whole = _draw_gains(np.random.default_rng(9), m, np.empty((1000, ell)),
+        # fewer work values than one block needs (7 // m trials a draw), or
+        # two blocks of trials, continue the same trial-major stream
+        whole = _draw_gains(np.random.default_rng(9), m, np.empty((ell, 1000)),
                             np.empty((5, 1000)))
-        tiny = _draw_gains(np.random.default_rng(9), m, np.empty((1000, ell)), np.empty(7))
+        tiny = _draw_gains(np.random.default_rng(9), m, np.empty((ell, 1000)),
+                           np.empty(7 * ell))
         rng = np.random.default_rng(9)
-        blocks = np.empty((1000, ell))
+        blocks = np.empty((ell, 1000))
         work = np.empty((5, 600))
-        _draw_gains(rng, m, blocks[:600], work)
-        _draw_gains(rng, m, blocks[600:], work)
+        _draw_gains(rng, m, blocks[:, :600], work)
+        _draw_gains(rng, m, blocks[:, 600:], work)
         assert np.array_equal(tiny, whole)
         assert np.array_equal(blocks, whole)
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_zero_uniforms_give_zero_gain(self, ell):
         # every factor 1 - 0 = 1: the gain is +0, and the error rate 1/2
-        gains = _draw_gains(FilledRng(0.0), 2, np.empty((100, ell)), np.empty((5, 100)))
+        gains = _draw_gains(FilledRng(0.0), 2, np.empty((ell, 100)), np.empty((5, 100)))
         assert np.all(gains == 0.0) and not np.signbit(gains).any()
         curve = simulate_dyadic_ber(ell, 2, 2, [0.0, 40.0], 100_000, FilledRng(0.0))
         assert [ber for _, ber in curve] == [0.5, 0.5]
@@ -423,7 +462,7 @@ class TestUniformGammaDraws:
         # every factor is 2^-53, the smallest 1 - U can be: the product stays
         # above 2^-212, so the gain is 53 m log 2, not inf
         top = 1.0 - 2.0**-53
-        gains = _draw_gains(FilledRng(top), m, np.empty((100, 2)), np.empty((5, 100)))
+        gains = _draw_gains(FilledRng(top), m, np.empty((2, 100)), np.empty((5, 100)))
         np.testing.assert_allclose(gains, 53 * m * math.log(2.0), rtol=1e-15)
         curve = simulate_dyadic_ber(2, 2, m, [0.0, 40.0], 100_000, FilledRng(top))
         assert all(0.0 < ber < 0.5 for _, ber in curve)
@@ -431,7 +470,7 @@ class TestUniformGammaDraws:
     def test_uniforms_stay_in_work_rows(self):
         # two tag antennas of four receive antennas need 8 uniforms a trial,
         # more than the five work rows hold per trial: the block is split,
-        # not given a buffer of its own. The work rows and the (2^14, 2)
+        # not given a buffer of its own. The work rows and the (2, 2^14)
         # gains take 917,504 bytes; a (2^14, 8) uniform buffer would add 1 MiB
         tracemalloc.start()
         try:
