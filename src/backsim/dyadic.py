@@ -29,8 +29,9 @@ _CHUNK = 1 << 14
 # Largest receive-antenna count whose Gamma gains are drawn from uniforms;
 # at 5 numpy's rejection sampler costs about as much, and from 6 less.
 _UNIFORM_GAMMA_MAX = 4
-# One tag antenna: below this block-largest mean b the error rate takes the
-# one-division form, whose b (1 + b) overflows from about 1.34e154.
+# Below this block-largest mean b the error rate takes its one-division form:
+# for one tag antenna, whose b (1 + b) overflows from about 1.34e154, and for
+# two while the block's smallest mean is positive too.
 _ONE_DIVISION_MAX = 1e150
 
 
@@ -72,44 +73,62 @@ def _draw_gains(rng, m, out, work):
 
 
 def _conditional_bers(gains, snrs, work):
-    """Exact BPSK error probability of every column of ``gains`` at each SNR in turn.
+    """Twice the exact BPSK error probability of every column of ``gains`` at each SNR in turn.
 
     At linear SNR ``snr`` the post-combining SNR sums L independent exponentials
-    of means b = ``snr * gains[:, k]`` ((L, n), non-negative). One branch gives the
-    Rayleigh form f(b) = 0.5 / ((1 + b) + sqrt(b (1 + b))), one division, while
-    snr times the block's largest gain is below ``_ONE_DIVISION_MAX``, and past
-    it, where b (1 + b) could overflow, f(b) = 0.5 / ((1 + b)(1 + m)) with
-    m = sqrt(b / (1 + b)). Two give E = 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)),
-    free of subtraction, equal means included. That is partial fractions,
-    (b1 f(b1) - b2 f(b2)) / (b1 - b2), divided out with b f(b) = m^2 / (2 (1 + m))
-    and m1^2 - m2^2 = (b1 - b2) / ((1 + b1)(1 + b2)).
+    of means b = ``snr * gains[:, k]`` ((L, n), non-negative). One branch gives
+    twice the Rayleigh form, 2 f(b) = 1 / ((1 + b) + sqrt(b (1 + b))), one
+    division, while snr times the block's largest gain is below
+    ``_ONE_DIVISION_MAX``, and past it, where b (1 + b) could overflow,
+    2 f(b) = 1 / ((1 + b)(1 + m)) with m = sqrt(b / (1 + b)). Two give
+    E = 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), free of subtraction, equal means
+    included. That is partial fractions, (b1 f(b1) - b2 f(b2)) / (b1 - b2),
+    divided out with b f(b) = m^2 / (2 (1 + m)) and
+    m1^2 - m2^2 = (b1 - b2) / ((1 + b1)(1 + b2)). With s = m1 + m2, p = m1 m2
+    and D = (1 + b1)(1 + b2), (1 + m1)(1 + m2) = 1 + s + p turns it into
+    2 E = (s + p) / (s D (1 + s + p)), one division, taken while every mean of
+    the block is positive and below ``_ONE_DIVISION_MAX``: there s is at least
+    2.2e-162 and the denominator below 8e300. A block with a zero mean, one
+    that underflows to 0 or one at or past the bound takes
+    2 E = (1 + m1 m2 / (m1 + m2)) / ((1 + b1)(1 + m1)) / ((1 + b2)(1 + m2)),
+    with m1 + m2 floored at 1e-300 for b1 = b2 = 0.
     Each (n,) result is a view into ``work`` ((5, >= n) scratch) that the next overwrites.
     """
     ell, n = gains.shape
     b1, b2, d1, d2, tmp = work[:, :n]
     means, dens = work[:ell, :n], work[2:2 + ell, :n]  # the b rows and the d rows
-    top = gains.max() if ell == 1 else None  # picks the one-antenna form
+    # snr times a block extreme is the extreme of snr g exactly
+    top = gains.max()
+    low = gains.min() if ell == 2 else None
     for snr in snrs:
         np.multiply(snr, gains, out=means)
-        if ell == 1 and snr * top < _ONE_DIVISION_MAX:  # max(snr g) is snr max(g) exactly
+        one_division = snr * top < _ONE_DIVISION_MAX
+        if ell == 1 and one_division:
             np.add(1.0, b1, out=d1)
             np.sqrt(np.multiply(b1, d1, out=b1), out=b1)
-            yield np.divide(0.5, np.add(d1, b1, out=d1), out=d1)
+            yield np.divide(1.0, np.add(d1, b1, out=d1), out=d1)
             continue
-        # every branch at once: b becomes m, d becomes (1 + b)(1 + m)
+        # every branch at once: b becomes m, d becomes 1 + b
         np.add(1.0, means, out=dens)
         np.sqrt(np.divide(means, dens, out=means), out=means)
-        for m, d in zip(means, dens):
+        if ell == 2 and one_division and snr * low > 0.0:
+            np.multiply(b1, b2, out=tmp)  # p
+            np.add(b1, b2, out=b1)  # s
+            np.add(b1, tmp, out=b2)  # s + p
+            np.add(1.0, b2, out=tmp)
+            np.multiply(np.multiply(d1, d2, out=d1), b1, out=d1)
+            yield np.divide(b2, np.multiply(d1, tmp, out=d1), out=b2)
+            continue
+        for m, d in zip(means, dens):  # d becomes (1 + b)(1 + m)
             np.multiply(d, np.add(1.0, m, out=tmp), out=d)
         if ell == 1:
-            yield np.divide(0.5, d1, out=d1)
+            yield np.divide(1.0, d1, out=d1)
             continue
         np.multiply(b1, b2, out=tmp)
         # m1 + m2 is 0 only where b1 = b2 = 0, and at least 2e-162 elsewhere
         np.maximum(np.add(b1, b2, out=b1), 1e-300, out=b1)
         np.add(1.0, np.divide(tmp, b1, out=tmp), out=tmp)
-        np.divide(np.divide(tmp, d1, out=tmp), d2, out=tmp)
-        yield np.multiply(0.5, tmp, out=tmp)
+        yield np.divide(np.divide(tmp, d1, out=tmp), d2, out=tmp)
 
 
 def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_grid,
@@ -127,7 +146,9 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     exactly Gamma(num_reader_rx, 1) (``_draw_gains``: -log of a product of
     uniforms for a few receive antennas, numpy's Gamma sampler for more),
     and averages the exact error probability conditioned on it, integrating
-    the forward hop analytically (``_conditional_bers``). A block of
+    the forward hop analytically (``_conditional_bers``, which yields twice
+    each error probability: each point's sum is halved, and its sum of
+    squares quartered, once at the end, exactly). A block of
     ``_CHUNK`` trials holds its gains branch-major, a row per tag antenna; the
     stream stays trial-major. That has orders of magnitude lower variance
     than error counting, which is what makes deep high-SNR points
@@ -152,16 +173,22 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     total = np.zeros(len(grid))
     total_sq = np.zeros(len(grid))
-    draws = np.empty((num_tag_antennas, min(_CHUNK, trials)))
-    work = np.empty((5, draws.shape[1]))
+    draws = np.empty(num_tag_antennas * min(_CHUNK, trials))
+    scratch = np.empty(5 * min(_CHUNK, trials))
     for done in range(0, trials, _CHUNK):
-        gains = _draw_gains(rng, num_reader_rx, draws[:, :min(_CHUNK, trials - done)], work)
+        # contiguous views for a short last block too: strided ones make
+        # numpy's reductions and scalar products allocate a buffer
+        n = min(_CHUNK, trials - done)
+        work = scratch[:5 * n].reshape(5, n)
+        gains = _draw_gains(rng, num_reader_rx, draws[:num_tag_antennas * n].reshape(-1, n), work)
         for i, vals in enumerate(_conditional_bers(gains, snrs, work)):
             total[i] += vals.sum()
             if with_stderr:
                 # not np.dot: a BLAS call may wake idle BLAS threads, which
                 # costs up to a second in a fresh process
                 total_sq[i] += np.einsum("i,i->", vals, vals)
+    total *= 0.5  # the kernel yields twice each error probability
+    total_sq *= 0.25
     curve = []
     for snr_db, point_total, point_sq in zip(grid, total, total_sq):
         mean = float(point_total) / trials

@@ -409,20 +409,26 @@ def conditional_ber(beta):
     One branch b gives f(b) = 0.5 / ((1 + b) + sqrt(b (1 + b))) while the
     largest b of ``beta`` (one block) is below the simulator's
     ``_ONE_DIVISION_MAX``, and f(b) = 0.5 / ((1 + b)(1 + m)) with
-    m = sqrt(b / (1 + b)) otherwise; two branches b1, b2 give
-    2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), with the second form of f and
-    m1 + m2 floored at 1e-300 for b1 = b2 = 0; in the simulator's order, one
-    fresh array per operation.
+    m = sqrt(b / (1 + b)) otherwise. Two branches b1, b2 give
+    2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)): while every b of the block is
+    positive and below that bound as 0.5 (s + p) / (s D (1 + s + p)) with
+    s = m1 + m2, p = m1 m2 and D = (1 + b1)(1 + b2), and otherwise with the
+    second form of f and m1 + m2 floored at 1e-300 for b1 = b2 = 0; in the
+    simulator's order, one fresh array per operation.
     """
     b1 = beta[:, 0]
-    if beta.shape[1] == 1 and beta.max() < _ONE_DIVISION_MAX:
+    below = beta.max() < _ONE_DIVISION_MAX
+    if beta.shape[1] == 1 and below:
         return 0.5 / ((1.0 + b1) + np.sqrt(b1 * (1.0 + b1)))
     m1 = np.sqrt(b1 / (1.0 + b1))
-    d1 = (1.0 + b1) * (1.0 + m1)
     if beta.shape[1] == 1:
-        return 0.5 / d1
+        return 0.5 / ((1.0 + b1) * (1.0 + m1))
     b2 = beta[:, 1]
     m2 = np.sqrt(b2 / (1.0 + b2))
+    if below and beta.min() > 0.0:
+        s, p = m1 + m2, m1 * m2
+        return 0.5 * ((s + p) / ((1.0 + b1) * (1.0 + b2) * s * (1.0 + (s + p))))
+    d1 = (1.0 + b1) * (1.0 + m1)
     d2 = (1.0 + b2) * (1.0 + m2)
     x = (m1 * m2) / np.maximum(m1 + m2, 1e-300)
     return 0.5 * ((1.0 + x) / d1 / d2)

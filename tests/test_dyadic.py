@@ -74,9 +74,19 @@ def worst_error_against_oracle(gains, snr):
 
 def kernel_bers(gains, snrs):
     """The in-place kernel's BER rows at each linear SNR for (n, L) ``gains``
-    (passed to it as an (L, n) view), copied out of its buffer."""
+    (passed to it as an (L, n) view), halved out of its buffer: it yields
+    twice each error probability, and halving is exact."""
     work = np.empty((5, len(gains)))
-    return [vals.copy() for vals in _conditional_bers(gains.T, snrs, work)]
+    return [0.5 * vals for vals in _conditional_bers(gains.T, snrs, work)]
+
+
+def zero_split(rows):
+    """(n, 2) ``rows`` as two blocks: the rows without a zero gain and those
+    with one. A block is one kernel call, and a zero mean sends the whole
+    block to the two-antenna fallback, so the first block is the one that
+    reaches the one-division form."""
+    zero = (rows == 0.0).any(axis=1)
+    return rows[~zero], rows[zero]
 
 
 def near_bound_rows(snr, base):
@@ -344,21 +354,27 @@ class TestAgainstAllocatingReference:
             assert all(len(p) == 2 for p in curve)
 
     def test_near_equal_edge_rows(self):
-        # equal, near-equal and tiny branch means for two antennas, and three
-        # blocks of single means for one (past the one-division bound, below
-        # it, and straddling it), at SNRs below and above 1; each SNR's own
-        # edge rows are also checked against mpmath
+        # equal, near-equal and tiny branch means for two antennas, the rows
+        # with a zero mean in a block of their own so that the others take
+        # the one-division form, and three blocks of single means for one
+        # (past the one-division bound, below it, and straddling it), at SNRs
+        # below and above 1; each SNR's own edge rows are also checked
+        # against mpmath
         snrs = [10.0 ** (snr_db / 10.0) for snr_db in (-3.0, 0.0, 10.0, 25.0, 27.5, 35.0)]
         edges = {snr: near_bound_rows(snr, (0.37, 1.0, 5.3)) + floor_rows(snr) for snr in snrs}
-        gains = np.array(EDGE_ROWS + [row for snr in snrs for row in edges[snr]])
-        for snr, out in zip(snrs, kernel_bers(gains, snrs)):
-            np.testing.assert_array_equal(out, conditional_ber(snr * gains))
+        rows = np.array(EDGE_ROWS + [row for snr in snrs for row in edges[snr]])
+        positive, zeros = zero_split(rows)
+        for gains in (positive, zeros):
+            for snr, out in zip(snrs, kernel_bers(gains, snrs)):
+                np.testing.assert_array_equal(out, conditional_ber(snr * gains))
+        for snr in snrs:
+            assert 0.0 < (snr * positive).min() and (snr * positive).max() < _ONE_DIVISION_MAX
             singles = [np.array(means)[:, None] / snr
                        for means in (SINGLE_MEANS, BELOW_BOUND_MEANS, STRADDLING_MEANS)]
             for single in singles:
                 np.testing.assert_array_equal(kernel_bers(single, [snr])[0],
                                               conditional_ber(snr * single))
-            for rows in (np.array(EDGE_ROWS + edges[snr]), *singles):
+            for rows in (*zero_split(np.array(EDGE_ROWS + edges[snr])), *singles):
                 worst, where = worst_error_against_oracle(rows, snr)
                 assert worst <= 4e-15, f"relative error {worst:.2e} at means {where}"
 
@@ -385,17 +401,60 @@ class TestAgainstAllocatingReference:
             with np.errstate(over="ignore"):
                 np.testing.assert_array_equal(out, forms(means)[1])
 
+    def test_two_antenna_gate_selects_the_form(self):
+        # two antennas take the one-division form exactly when every mean of
+        # the block is positive and below the bound; a block with one zero
+        # mean, one whose smallest mean underflows to 0, and one with a mean
+        # at or past the bound take the fallback
+        def forms(b):
+            (b1, b2), (m1, m2) = b.T, np.sqrt(b / (1.0 + b)).T
+            s, p = m1 + m2, m1 * m2
+            one = 0.5 * ((s + p) / ((1.0 + b1) * (1.0 + b2) * s * (1.0 + (s + p))))
+            x = p / np.maximum(s, 1e-300)
+            return one, 0.5 * ((1.0 + x) / ((1.0 + b1) * (1.0 + m1)) / ((1.0 + b2) * (1.0 + m2)))
+
+        # means from 1e-8 to 1e8 (so that they also divide by a tiny SNR) and
+        # tiny ones; on some of them the forms differ, so the selection shows
+        small = np.array([(3.0, 3.0), (1e-3, 1e-3), (1.0, 4.0), (1e-8, 5.0), (0.37, 1e8),
+                          (5e-324, 1.0), (2e-300, 1.5e-300)])
+        below = np.concatenate([small, [(1e12, 1e12 * (1.0 + 1.5e-6)), (1e149, 1e-300),
+                                        (_ONE_DIVISION_MAX * (1.0 - 2.0**-52), 2.0)]])
+        assert 0.0 < below.min() and below.max() < _ONE_DIVISION_MAX
+        [out] = kernel_bers(below, [1.0])
+        np.testing.assert_array_equal(out, forms(below)[0])
+        assert not np.array_equal(*forms(below))
+        tiny_snr = 1e-300  # 1e-30 times it underflows to 0
+        fallbacks = [(np.concatenate([below, [(0.0, 2.0)]]), 1.0),
+                     (np.concatenate([small / tiny_snr, [(1e-30, 1e300)]]), tiny_snr)]
+        for gains, snr in fallbacks:
+            means = snr * gains
+            assert (gains == 0.0).sum() <= 1 and means.min() == 0.0
+            assert not np.array_equal(*forms(means))
+            [out] = kernel_bers(gains, [snr])
+            np.testing.assert_array_equal(out, forms(means)[1])
+        at = np.concatenate([below, [(_ONE_DIVISION_MAX, 1.0)]])  # a mean exactly at it
+        past = np.concatenate([below, [(_ONE_DIVISION_MAX * (1.0 + 2.0**-52), 2.0),
+                                       (1e154, 1e150), (1e200, 3.0)]])
+        for means in (at, past):
+            with np.errstate(all="raise"):  # past the bound nothing overflows
+                [out] = kernel_bers(means, [1.0])
+            with np.errstate(over="ignore"):
+                assert not np.array_equal(*forms(means))
+                np.testing.assert_array_equal(out, forms(means)[1])
+
 
 class TestAgainstMpmath:
     def test_rows_match_partial_fractions(self):
         # Gamma(2) and Gamma(8) branch gains, as two and eight receive antennas
-        # draw them, and the fixed edge rows, against partial fractions at 50 digits
+        # draw them, and the fixed edge rows, against partial fractions at 50
+        # digits; the rows with a zero gain form a block of their own
         rng = derive_stream(17, 0, PURPOSE_FADING)
         gains = np.concatenate([rng.gamma(2, size=(200, 2)), rng.gamma(8, size=(200, 2)),
                                 np.array(EDGE_ROWS)])
         for snr_db in (0.0, 10.0, 25.0, 35.0):
-            worst, where = worst_error_against_oracle(gains, 10.0 ** (snr_db / 10.0))
-            assert worst <= 4e-15, f"relative error {worst:.2e} at {snr_db} dB, means {where}"
+            for block in zero_split(gains):
+                worst, where = worst_error_against_oracle(block, 10.0 ** (snr_db / 10.0))
+                assert worst <= 4e-15, f"relative error {worst:.2e} at {snr_db} dB, means {where}"
 
 
 def gamma_cdf(x, m):
