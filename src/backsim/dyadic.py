@@ -177,11 +177,13 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     scratch = np.empty(5 * min(_CHUNK, trials))
     for done in range(0, trials, _CHUNK):
         # contiguous views for a short last block too: strided ones make
-        # numpy's reductions and scalar products allocate a buffer
+        # numpy's reductions and scalar products allocate a buffer. The draws
+        # get the whole scratch, which holds a trial's L m uniforms however
+        # few trials the block has.
         n = min(_CHUNK, trials - done)
-        work = scratch[:5 * n].reshape(5, n)
-        gains = _draw_gains(rng, num_reader_rx, draws[:num_tag_antennas * n].reshape(-1, n), work)
-        for i, vals in enumerate(_conditional_bers(gains, snrs, work)):
+        gains = _draw_gains(rng, num_reader_rx, draws[:num_tag_antennas * n].reshape(-1, n),
+                            scratch)
+        for i, vals in enumerate(_conditional_bers(gains, snrs, scratch[:5 * n].reshape(5, n))):
             total[i] += vals.sum()
             if with_stderr:
                 # not np.dot: a BLAS call may wake idle BLAS threads, which

@@ -38,9 +38,6 @@ _ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970
 # exp(-a^2) is 0.0 in double precision beyond a = 27.3 (Q argument 38.6):
 # arguments are capped here so the polynomials never overflow.
 _ERFC_ARG_CAP = 28.0
-# exp(-s) is +0.0 from s = 745.1332191019412, and numpy's exp takes a slow
-# path to say so (about 15 ns a value against 1-2): from here it is skipped.
-_EXP_ZERO_FROM = 746.0
 
 
 def _horner(coeffs, x):
@@ -87,11 +84,8 @@ def _half_erfc_sqrt(s):
     """erfc(sqrt(s)) / 2 for a flat array ``s`` of non-negative values (or NaN)."""
     s = np.minimum(s, _ERFC_ARG_CAP**2)
     a = np.sqrt(s)
-    # the clipped copy is ours, so exp(-s) overwrites it where it is nonzero;
-    # elsewhere -s, at most -746, is left, and the maximum makes it +0.0
-    np.negative(s, out=s)
-    gauss = np.exp(s, out=s, where=s > -_EXP_ZERO_FROM)
-    np.maximum(gauss, 0.0, out=gauss)
+    # the clipped copy is ours, so exp(-s) overwrites it
+    gauss = np.exp(np.negative(s, out=s), out=s)
     y = _erfc(a, gauss)
     y *= 0.5
     return y

@@ -283,6 +283,19 @@ class TestSimulate:
         b = simulate_dyadic_ber(2, 2, 2, [10.0, 20.0], trials, derive_stream(5, 1, PURPOSE_FADING))
         assert a == b
 
+    @pytest.mark.parametrize("ell,m_r", [(1, 4), (2, 3), (2, 4)])
+    def test_one_trial_last_block(self, ell, m_r, monkeypatch):
+        # a last block of one trial holds fewer work values than the L m
+        # uniforms of a trial; its draws still take the one stream, so one
+        # larger block only regroups the sums
+        def curve():
+            return np.array(simulate_dyadic_ber(ell, 2, m_r, [10.0, 20.0], 7 * _CHUNK + 1,
+                                                derive_stream(5, m_r, PURPOSE_FADING),
+                                                with_stderr=True))
+        blocked = curve()
+        monkeypatch.setattr(dyadic, "_CHUNK", 1 << 17)
+        np.testing.assert_allclose(curve(), blocked, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("ell", [1, 2])
     def test_block_size_only_regroups_sums(self, ell, monkeypatch):
         # the draws are one stream whatever the block size, so a larger block

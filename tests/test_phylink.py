@@ -10,8 +10,7 @@ import pytest
 
 import backsim
 from backsim.cli import BETA_GRID, BETA_REFERENCE_SNR
-from backsim.phylink import (_ERFC_ARG_CAP, _erfc, _half_erfc_sqrt, bpsk_ber, energy_rate_frontier,
-                             q_function)
+from backsim.phylink import bpsk_ber, energy_rate_frontier, q_function
 
 TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -152,25 +151,6 @@ class TestBpskBer:
         for ber in (bpsk_ber(sinrs), [bpsk_ber(s) for s in sinrs.tolist()]):
             assert not np.signbit(ber).any() and (np.asarray(ber) == 0.0).all()
         assert bpsk_ber(700.0) > 0.0
-
-    def test_exp_skipped_only_where_it_is_zero(self):
-        # exp(-s) is evaluated only below 746, and +0.0 taken for it beyond:
-        # the kernel equals itself given exp of the whole array, bit for bit,
-        # across the underflow point, its neighbouring doubles, inf and NaN
-        # (which only q_function passes on)
-        s0 = 745.1332191019412
-        near = [np.nextafter(s0, 0.0), s0, np.nextafter(s0, math.inf),
-                np.nextafter(746.0, 0.0), 746.0, np.nextafter(746.0, math.inf)]
-        sinrs = np.concatenate([np.linspace(700.0, 800.0, 4001), near, [math.inf, math.nan]])
-        clipped = np.minimum(sinrs, _ERFC_ARG_CAP**2)
-        expected = _erfc(np.sqrt(clipped), np.exp(-clipped)) * 0.5
-        half = _half_erfc_sqrt(sinrs)
-        np.testing.assert_array_equal(half, expected)
-        assert math.isnan(half[-1])
-        ber = bpsk_ber(sinrs[:-1])
-        np.testing.assert_array_equal(ber, expected[:-1])
-        assert not np.signbit(ber).any()
-        assert ber[0] > 0.0 and ber[-1] == 0.0
 
 
 class TestEnergyRateFrontier:
