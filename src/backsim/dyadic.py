@@ -29,6 +29,9 @@ _CHUNK = 1 << 14
 # Largest receive-antenna count whose Gamma gains are drawn from uniforms;
 # at 5 numpy's rejection sampler costs about as much, and from 6 less.
 _UNIFORM_GAMMA_MAX = 4
+# Largest receive-antenna count: Gamma(m) gains sit near m, far below the 8e7
+# that keeps the conditional BER finite at every accepted SNR.
+_READER_RX_MAX = 10**7
 # Below this block-largest mean b the error rate takes its one-division form:
 # for one tag antenna, whose b (1 + b) overflows from about 1.34e154, and for
 # two while the block's smallest mean is positive too.
@@ -157,17 +160,20 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     on the rest of the grid, and the errors of different points are
     correlated.
 
-    Antenna counts must be integers of at least 1 (at most 2 tag antennas),
-    ``trials`` at least 1e5, and every SNR grid entry finite and at most
-    3000 dB, or ValueError is raised; a linear SNR of at most 1e300 keeps
-    the conditional BER finite for any branch gain below 8e7. Returns a list
-    of (snr_db, ber) tuples, or (snr_db, ber, stderr) when ``with_stderr`` is set.
+    Antenna counts must be integers of at least 1, with at most 2 tag antennas
+    and ``_READER_RX_MAX`` (1e7) receive antennas, ``trials`` at least 1e5, and
+    every SNR grid entry finite and at most 3000 dB, or ValueError is raised: a
+    linear SNR of at most 1e300 keeps the conditional BER finite for any branch
+    gain below 8e7. Returns a list of (snr_db, ber) tuples, or (snr_db, ber, stderr)
+    when ``with_stderr`` is set.
     """
     _check_integers(1, num_tag_antennas=num_tag_antennas, num_reader_tx=num_reader_tx,
                     num_reader_rx=num_reader_rx)
     _check_integers(10**5, trials=trials)  # fewer give no meaningful estimate
     if num_tag_antennas > 2:
-        raise ValueError("only 1 or 2 tag antennas are supported (orthogonal designs)")
+        raise ValueError(f"num_tag_antennas must be 1 or 2, got {num_tag_antennas!r}")
+    if num_reader_rx > _READER_RX_MAX:
+        raise ValueError(f"num_reader_rx must be at most {_READER_RX_MAX}, got {num_reader_rx!r}")
     grid = _check_reals("snr_db_grid", snr_db_grid, high=3000.0, ndim=1).tolist()
 
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import _check_reals
+from .channel import _check_integers, _check_reals
 
 
 class NodeKind(str, Enum):
@@ -59,22 +59,25 @@ def slot_stepper(battery, incident_w, num_tags, config):
     """Slot stepper for backscatter tags and traditional radios held in one array.
 
     ``battery`` holds every entry's stored energy; the caller makes it (zeroed,
-    for empty batteries) and the stepper updates it in place. Along axis 0,
-    the first ``num_tags`` entries are tags and the rest radios. Those
-    entries are nodes in a one-axis array but whole populations in a
-    multi-axis one, which is therefore all one kind unless ``num_tags``
-    splits axis 0. ``incident_w`` is the carrier power reaching each entry,
-    shaped like ``battery`` and fixed for the stepper's life, so its check,
-    the per-slot harvest and each entry's requirement are computed here
-    once. Each call of the returned ``step()`` advances every entry one
-    slot: each harvests, activates iff its battery covers its requirement,
-    and pays for the slot. The harvest and activation run on the whole
-    array, the payment and the emission on each kind's slice. ``step()``
-    returns the active mask, the power each entry emits (the full reflected
-    incident wave for an active tag, the amplifier output for an active
-    radio, +0.0 for a silent entry) and the energy each entry paid in the
+    for empty batteries) and the stepper updates it in place. Along axis 0, the
+    first ``num_tags`` entries are tags and the rest radios: ``num_tags`` is an
+    integer from 0 to ``len(battery)``, or ValueError is raised. Entries are
+    nodes in a one-axis array but whole populations in a multi-axis one, which
+    is therefore all one kind unless ``num_tags`` splits axis 0. ``incident_w``
+    is the carrier power reaching each entry, shaped like ``battery`` and fixed
+    for the stepper's life, so its check, the per-slot harvest and each entry's
+    requirement are computed here once. Each call of the returned ``step()``
+    advances every entry one slot: each harvests, activates iff its battery
+    covers its requirement, and pays for the slot. The harvest and activation
+    run on the whole array, the payment and the emission on each kind's slice.
+    ``step()`` returns the active mask, the power each entry emits (the full
+    reflected incident wave for an active tag, the amplifier output for an
+    active radio, +0.0 for a silent entry) and the energy each entry paid in the
     slot. All three are buffers that the next ``step()`` overwrites.
     """
+    _check_integers(0, num_tags=num_tags)
+    if num_tags > len(battery):
+        raise ValueError(f"num_tags must be at most {len(battery)}, got {num_tags!r}")
     harvested = slot_harvest(incident_w, config)
     tag_required = turn_on_energy(NodeKind.BACKSCATTER, config)[0]
     radio_required, overhead = turn_on_energy(NodeKind.TRADITIONAL, config)

@@ -219,39 +219,6 @@ class TestSimulate:
         curve = simulate_dyadic_ber(1, 1, 1, [20.0], 200_000, rng)
         assert curve[0][1] > rayleigh_bpsk_oracle(100.0)
 
-    def test_unsupported_antenna_count(self):
-        rng = derive_stream(1, 0, PURPOSE_FADING)
-        with pytest.raises(ValueError):
-            simulate_dyadic_ber(3, 2, 2, [10.0], 100_000, rng)
-
-    @pytest.mark.parametrize("tx,rx", [(0, 2), (2, 0)])
-    def test_reader_needs_antennas(self, tx, rx):
-        rng = derive_stream(1, 0, PURPOSE_FADING)
-        name = "num_reader_tx" if tx < 1 else "num_reader_rx"
-        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
-            simulate_dyadic_ber(1, tx, rx, [10.0], 100_000, rng)
-
-    @pytest.mark.parametrize("args,match", [
-        ((1, 2, math.nan, [10.0], 100_000), "^num_reader_rx must be an integer of at least 1"),
-        ((1, 2, 2.5, [10.0], 100_000), "^num_reader_rx must be an integer of at least 1"),
-        ((1, 2.5, 2, [10.0], 100_000), "^num_reader_tx must be an integer of at least 1"),
-        ((1, True, 2, [10.0], 100_000), "^num_reader_tx must be an integer of at least 1"),
-        ((1.0, 2, 2, [10.0], 100_000), "^num_tag_antennas must be an integer of at least 1"),
-        ((1, 2, 2, [10.0], 100_000.0), "^trials must be an integer of at least 100000"),
-        ((1, 2, 2, [10.0], True), "^trials must be an integer of at least 100000"),
-        ((1, 2, 2, [10.0, math.nan], 100_000), "^snr_db_grid"),
-        ((1, 2, 2, [-math.inf], 100_000), "^snr_db_grid"),
-        # finite, but 3075 dB returned a NaN BER and 4000 dB raised OverflowError
-        ((2, 2, 2, [10.0, 3075.0], 100_000), "^snr_db_grid"),
-        ((2, 2, 2, [4000.0], 100_000), "^snr_db_grid"),
-    ], ids=["rx-nan", "rx-2.5", "tx-2.5", "tx-bool", "tag-1.0", "trials-float",
-            "trials-bool", "snr-nan", "snr-inf", "snr-3075", "snr-4000"])
-    def test_rejects_bad_arguments(self, args, match):
-        # counts must be integers, not bool, and the grid finite: these used
-        # to return NaN, draw Gamma(2.5) or raise TypeError
-        with pytest.raises(ValueError, match=match):
-            simulate_dyadic_ber(*args, derive_stream(1, 0, PURPOSE_FADING))
-
     def test_grid_bound_runs(self):
         # the largest accepted SNR: no overflow warning, a BER in [0, 0.5]
         for ell in (1, 2):
@@ -259,17 +226,13 @@ class TestSimulate:
                                              derive_stream(1, 0, PURPOSE_FADING))
             assert 0.0 <= ber <= 0.5
 
-    def test_numpy_integer_counts_accepted(self):
-        ints = (np.int64(2), np.int64(2), np.int64(2), np.int64(100_000))
-        curve = simulate_dyadic_ber(*ints[:3], [10.0], ints[3],
-                                    derive_stream(6, 2, PURPOSE_FADING))
-        assert curve == simulate_dyadic_ber(2, 2, 2, [10.0], 100_000,
-                                            derive_stream(6, 2, PURPOSE_FADING))
-
-    def test_trial_floor_enforced(self):
-        rng = derive_stream(1, 0, PURPOSE_FADING)
-        with pytest.raises(ValueError):
-            simulate_dyadic_ber(1, 2, 2, [10.0], 10_000, rng)
+    def test_largest_reader_rx_count_runs(self):
+        # the largest accepted count at the largest SNR: its Gamma gains, near
+        # the count, keep the conditional BER finite and free of warnings
+        for ell in (1, 2):
+            [(_, ber)] = simulate_dyadic_ber(ell, 1, dyadic._READER_RX_MAX, [3000.0], 100_000,
+                                             derive_stream(1, 0, PURPOSE_FADING))
+            assert 0.0 <= ber <= 0.5
 
     def test_deterministic_given_seed(self):
         a = simulate_dyadic_ber(2, 2, 2, [10.0], 100_000, derive_stream(5, 0, PURPOSE_FADING))

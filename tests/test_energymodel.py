@@ -175,8 +175,8 @@ class TestTraditionalTxPower:
 
 class TestStepSlot:
     def test_bad_input_rejected(self, config):
-        with pytest.raises(ValueError, match="^incident_w"):
-            _slot(0.0, -1e-9, BACK, config)
+        # a kind is whatever NodeKind's constructor takes: a member or its value
+        assert turn_on_energy("traditional", config) == turn_on_energy(TRAD, config)
         with pytest.raises(ValueError, match="relay"):
             turn_on_energy("relay", config)
 

@@ -299,13 +299,6 @@ class TestRunComparison:
             # assert_array_equal takes NaN to match NaN, and only NaN
             np.testing.assert_array_equal(stat_a, stat_b, strict=True)
 
-    def test_needs_a_topology(self, small_config):
-        for bad in (0, True, 2.5, 2.0, "3"):
-            with pytest.raises(ValueError, match="^num_topologies must be an integer of at least 1"):
-                run_comparison(small_config, bad)
-        shape = (len(KINDS), len(small_config.pb_power_dbm_sweep))
-        assert [stat.shape for stat in run_comparison(small_config, np.int64(1))] == [shape] * 4
-
     def test_gain_memory_guard_counts_the_padded_nodes(self, monkeypatch):
         # 2,000 default topologies expect 6.22 nodes each, 3.17 MB of gains,
         # but the gains pad every topology to the largest, of 17 nodes, and
