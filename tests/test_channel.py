@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,19 @@ class TestFriisGain:
 
     def test_clamped_at_unity(self):
         assert friis_gain(1e-4, 0.125, 0.001, 0.001) == 1.0
+
+    def test_degenerate_geometry_rejected(self):
+        # NaN compares false with every bound, so it must fail each check
+        for match, args in (("^distance", (0.0, 0.125, 0.001, 0.001)),
+                            ("^distance", (-1.0, 0.125, 0.001, 0.001)),
+                            ("^aperture_tx_m2", (1.0, 0.125, 0.0, 0.001)),
+                            ("^wavelength", (1.0, 0.0, 0.001, 0.001)),
+                            ("^distance", (np.array([1.0, math.nan]), 0.125, 0.001, 0.001)),
+                            ("^wavelength", (1.0, math.nan, 0.001, 0.001)),
+                            ("^aperture_tx_m2", (1.0, 0.125, math.nan, 0.001)),
+                            ("^aperture_rx_m2", (1.0, 0.125, 0.001, math.nan))):
+            with pytest.raises(ValueError, match=match):
+                friis_gain(*args)
 
     def test_vectorised(self):
         gains = friis_gain(np.array([0.5, 10.0]), 0.125, 0.001, 0.001)

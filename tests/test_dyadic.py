@@ -219,6 +219,13 @@ class TestSimulate:
         curve = simulate_dyadic_ber(1, 1, 1, [20.0], 200_000, rng)
         assert curve[0][1] > rayleigh_bpsk_oracle(100.0)
 
+    @pytest.mark.parametrize("ell,grid", [(1, [10.0, math.nan]), (1, [-math.inf]),
+                                          (2, [10.0, 3075.0])],  # 3075 dB gave a NaN BER
+                             ids=["snr-nan", "snr-inf", "snr-3075"])
+    def test_rejects_bad_arguments(self, ell, grid):
+        with pytest.raises(ValueError, match="^snr_db_grid"):
+            simulate_dyadic_ber(ell, 2, 2, grid, 100_000, derive_stream(1, 0, PURPOSE_FADING))
+
     def test_grid_bound_runs(self):
         # the largest accepted SNR: no overflow warning, a BER in [0, 0.5]
         for ell in (1, 2):

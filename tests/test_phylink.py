@@ -183,5 +183,16 @@ class TestEnergyRateFrontier:
         assert harvested == 1.0 - beta**2
         assert ber == bpsk_ber(beta**2 * snr)
 
+    @pytest.mark.parametrize("beta", [-0.1, 1.5, math.nan])
+    def test_beta_out_of_range_rejected(self, snr, beta):
+        with pytest.raises(ValueError):
+            energy_rate_frontier([0.5, beta], snr)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("snr", [math.inf, math.nan, -1.0])
+    def test_bad_snr_rejected(self, snr, beta):
+        with pytest.raises(ValueError, match=r"^snr must be a real number in \[0.0, inf\)"):
+            energy_rate_frontier([beta], snr)
+
     def test_zero_snr_is_pure_guessing(self):
         assert energy_rate_frontier([0.0, 1.0], 0.0) == [(1.0, 0.5), (0.0, 0.5)]

@@ -104,6 +104,14 @@ def test_invalid_configs_rejected(field, overrides, tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("field,overrides", [
+    _bad("node_density", "0.02"), _bad("pb_power_dbm_sweep", ("40",), "pb_power_dbm_sweep-str")])
+def test_strings_rejected(field, overrides):
+    # a config file parses each value with its field's type, a caller's string goes as it is
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**overrides)
+
+
 class TestPlaceNodes:
     def test_determinism(self):
         cfg = ScenarioConfig(seed=7)
