@@ -29,13 +29,13 @@ _CHUNK = 1 << 14
 # Largest receive-antenna count whose Gamma gains are drawn from uniforms;
 # at 5 numpy's rejection sampler costs about as much, and from 6 less.
 _UNIFORM_GAMMA_MAX = 4
-# Largest receive-antenna count: Gamma(m) gains sit near m, far below the 8e7
-# that keeps the conditional BER finite at every accepted SNR.
+# Largest receive-antenna count: Gamma(m) gains sit near m, so at the largest
+# accepted SNR, 1000 dB, every mean stays below about 1e108, far under the
+# 1.34e154 where the one-tag-antenna form's b (1 + b) overflows.
 _READER_RX_MAX = 10**7
-# Below this block-largest mean b the error rate takes its one-division form:
-# for one tag antenna, whose b (1 + b) overflows from about 1.34e154, and for
-# two while the block's smallest mean is positive too.
-_ONE_DIVISION_MAX = 1e150
+# Smallest gain a draw returns: with SNRs of at least -1000 dB every mean is
+# then at least 1e-300, so the two-tag-antenna form's m1 + m2 is positive.
+_GAIN_FLOOR = 1e-200
 
 
 def _draw_gains(rng, m, out, work):
@@ -47,16 +47,19 @@ def _draw_gains(rng, m, out, work):
     U uniform on [0, 1): a sum of m unit exponentials, drawn into ``work`` (any
     contiguous scratch of at least L m values) as many trials at a time as fit.
     A factor is at least 2^-53, so the product is at least 2^-212 and its log
-    is finite. Larger m draws numpy's ``standard_gamma``, the ``rng.gamma(m)``
-    stream, for L > 1 into a trial-major scratch in ``work``, copied out transposed.
+    is finite; a gain is exactly 0, raised to ``_GAIN_FLOOR``, or at least
+    1.1e-16. Larger m draws numpy's ``standard_gamma``, the ``rng.gamma(m)``
+    stream, for L > 1 into a trial-major scratch in ``work``, copied out
+    transposed and floored. For L = 1 it needs no floor: the sampler returns
+    (m - 1/3) V^3 for a positive V = 1 + cX of doubles, at least 2^-106.
     """
     ell, n = out.shape
     if m > _UNIFORM_GAMMA_MAX:
         if ell == 1:
             return rng.standard_gamma(m, size=out.shape, out=out)
         stream = work.reshape(-1)[:out.size].reshape(n, ell)
-        np.copyto(out, rng.standard_gamma(m, size=stream.shape, out=stream).T)
-        return out
+        rng.standard_gamma(m, size=stream.shape, out=stream)
+        return np.maximum(stream.T, _GAIN_FLOOR, out=out)
     uniforms = work.reshape(-1)
     step = uniforms.size // (ell * m)  # trials per draw
     for lo in range(0, n, step):
@@ -72,66 +75,44 @@ def _draw_gains(rng, m, out, work):
             for factor in branch[2:]:
                 np.multiply(row, factor, out=row)
     np.log(out, out=out)
-    return np.subtract(0.0, out, out=out)  # 0 - 0 is +0, where negation gives -0
+    # the floor is below half an ulp of any nonzero gain, so only a 0 moves
+    return np.subtract(_GAIN_FLOOR, out, out=out)
 
 
 def _conditional_bers(gains, snrs, work):
     """Twice the exact BPSK error probability of every column of ``gains`` at each SNR in turn.
 
     At linear SNR ``snr`` the post-combining SNR sums L independent exponentials
-    of means b = ``snr * gains[:, k]`` ((L, n), non-negative). One branch gives
-    twice the Rayleigh form, 2 f(b) = 1 / ((1 + b) + sqrt(b (1 + b))), one
-    division, while snr times the block's largest gain is below
-    ``_ONE_DIVISION_MAX``, and past it, where b (1 + b) could overflow,
-    2 f(b) = 1 / ((1 + b)(1 + m)) with m = sqrt(b / (1 + b)). Two give
-    E = 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)), free of subtraction, equal means
-    included. That is partial fractions, (b1 f(b1) - b2 f(b2)) / (b1 - b2),
-    divided out with b f(b) = m^2 / (2 (1 + m)) and
-    m1^2 - m2^2 = (b1 - b2) / ((1 + b1)(1 + b2)). With s = m1 + m2, p = m1 m2
-    and D = (1 + b1)(1 + b2), (1 + m1)(1 + m2) = 1 + s + p turns it into
-    2 E = (s + p) / (s D (1 + s + p)), one division, taken while every mean of
-    the block is positive and below ``_ONE_DIVISION_MAX``: there s is at least
-    2.2e-162 and the denominator below 8e300. A block with a zero mean, one
-    that underflows to 0 or one at or past the bound takes
-    2 E = (1 + m1 m2 / (m1 + m2)) / ((1 + b1)(1 + m1)) / ((1 + b2)(1 + m2)),
-    with m1 + m2 floored at 1e-300 for b1 = b2 = 0.
+    of means b = ``snr * gains[:, k]`` ((L, n), each in [1e-300, 1e108]). One
+    branch gives twice the Rayleigh form, 2 f(b) = 1 / ((1 + b) + sqrt(b (1 + b))).
+    Two give E = 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)) with m = sqrt(b / (1 + b)),
+    free of subtraction, equal means included. That is partial fractions,
+    (b1 f(b1) - b2 f(b2)) / (b1 - b2), divided out with b f(b) = m^2 / (2 (1 + m))
+    and m1^2 - m2^2 = (b1 - b2) / ((1 + b1)(1 + b2)). With s = m1 + m2,
+    p = m1 m2 and D = (1 + b1)(1 + b2), (1 + m1)(1 + m2) = 1 + s + p turns it
+    into 2 E = (s + p) / (s D (1 + s + p)), one division: s is at least
+    1e-150 and the denominator below 1e217.
     Each (n,) result is a view into ``work`` ((5, >= n) scratch) that the next overwrites.
     """
     ell, n = gains.shape
     b1, b2, d1, d2, tmp = work[:, :n]
     means, dens = work[:ell, :n], work[2:2 + ell, :n]  # the b rows and the d rows
-    # snr times a block extreme is the extreme of snr g exactly
-    top = gains.max()
-    low = gains.min() if ell == 2 else None
     for snr in snrs:
         np.multiply(snr, gains, out=means)
-        one_division = snr * top < _ONE_DIVISION_MAX
-        if ell == 1 and one_division:
+        if ell == 1:
             np.add(1.0, b1, out=d1)
             np.sqrt(np.multiply(b1, d1, out=b1), out=b1)
             yield np.divide(1.0, np.add(d1, b1, out=d1), out=d1)
             continue
-        # every branch at once: b becomes m, d becomes 1 + b
+        # both branches at once: b becomes m, d becomes 1 + b
         np.add(1.0, means, out=dens)
         np.sqrt(np.divide(means, dens, out=means), out=means)
-        if ell == 2 and one_division and snr * low > 0.0:
-            np.multiply(b1, b2, out=tmp)  # p
-            np.add(b1, b2, out=b1)  # s
-            np.add(b1, tmp, out=b2)  # s + p
-            np.add(1.0, b2, out=tmp)
-            np.multiply(np.multiply(d1, d2, out=d1), b1, out=d1)
-            yield np.divide(b2, np.multiply(d1, tmp, out=d1), out=b2)
-            continue
-        for m, d in zip(means, dens):  # d becomes (1 + b)(1 + m)
-            np.multiply(d, np.add(1.0, m, out=tmp), out=d)
-        if ell == 1:
-            yield np.divide(1.0, d1, out=d1)
-            continue
-        np.multiply(b1, b2, out=tmp)
-        # m1 + m2 is 0 only where b1 = b2 = 0, and at least 2e-162 elsewhere
-        np.maximum(np.add(b1, b2, out=b1), 1e-300, out=b1)
-        np.add(1.0, np.divide(tmp, b1, out=tmp), out=tmp)
-        yield np.divide(np.divide(tmp, d1, out=tmp), d2, out=tmp)
+        np.multiply(b1, b2, out=tmp)  # p
+        np.add(b1, b2, out=b1)  # s
+        tmp += b1  # s + p
+        np.add(1.0, tmp, out=b2)
+        np.multiply(np.multiply(d1, d2, out=d1), b1, out=d1)
+        yield np.divide(tmp, np.multiply(d1, b2, out=d1), out=tmp)
 
 
 def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_grid,
@@ -162,10 +143,9 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
 
     Antenna counts must be integers of at least 1, with at most 2 tag antennas
     and ``_READER_RX_MAX`` (1e7) receive antennas, ``trials`` at least 1e5, and
-    every SNR grid entry finite and at most 3000 dB, or ValueError is raised: a
-    linear SNR of at most 1e300 keeps the conditional BER finite for any branch
-    gain below 8e7. Returns a list of (snr_db, ber) tuples, or (snr_db, ber, stderr)
-    when ``with_stderr`` is set.
+    every SNR grid entry in [-1000, 1000] dB, or ValueError is raised: there
+    the conditional BER is finite for every gain a draw returns. Returns a list
+    of (snr_db, ber) tuples, or (snr_db, ber, stderr) when ``with_stderr`` is set.
     """
     _check_integers(1, num_tag_antennas=num_tag_antennas, num_reader_tx=num_reader_tx,
                     num_reader_rx=num_reader_rx)
@@ -174,7 +154,7 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
         raise ValueError(f"num_tag_antennas must be 1 or 2, got {num_tag_antennas!r}")
     if num_reader_rx > _READER_RX_MAX:
         raise ValueError(f"num_reader_rx must be at most {_READER_RX_MAX}, got {num_reader_rx!r}")
-    grid = _check_reals("snr_db_grid", snr_db_grid, high=3000.0, ndim=1).tolist()
+    grid = _check_reals("snr_db_grid", snr_db_grid, -1000.0, 1000.0, ndim=1).tolist()
 
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     total = np.zeros(len(grid))

@@ -45,9 +45,12 @@ def turn_on_energy(kind, config):
     part of it spent on sensing and circuits.
 
     A traditional radio's remainder is the PA drain that radiates the noise
-    power; a backscatter tag has none.
+    power; a backscatter tag has none. ``kind`` is a NodeKind or its value,
+    or ValueError is raised.
     """
-    if NodeKind(kind) == NodeKind.BACKSCATTER:
+    if kind not in tuple(NodeKind):
+        raise ValueError(f"kind must be 'backscatter' or 'traditional', got {kind!r}")
+    if kind == NodeKind.BACKSCATTER:
         overhead = config.sense_energy_j + config.digital_circuit_w * config.active_s
         return overhead, overhead
     overhead = config.sense_energy_j + (
@@ -61,7 +64,8 @@ def slot_stepper(battery, incident_w, num_tags, config):
     ``battery`` holds every entry's stored energy; the caller makes it (zeroed,
     for empty batteries) and the stepper updates it in place. Along axis 0, the
     first ``num_tags`` entries are tags and the rest radios: ``num_tags`` is an
-    integer from 0 to ``len(battery)``, or ValueError is raised. Entries are
+    integer from 0 to ``len(battery)``, or ValueError is raised, as it is for
+    a ``battery`` that is not a float64 array shaped like ``incident_w``. Entries are
     nodes in a one-axis array but whole populations in a multi-axis one, which
     is therefore all one kind unless ``num_tags`` splits axis 0. ``incident_w``
     is the carrier power reaching each entry, shaped like ``battery`` and fixed
@@ -76,9 +80,13 @@ def slot_stepper(battery, incident_w, num_tags, config):
     slot. All three are buffers that the next ``step()`` overwrites.
     """
     _check_integers(0, num_tags=num_tags)
+    harvested = slot_harvest(incident_w, config)
+    if not (isinstance(battery, np.ndarray) and battery.dtype == np.float64
+            and battery.shape == harvested.shape):
+        raise ValueError(f"battery must be a float64 array of shape {harvested.shape}, "
+                         f"got {battery!r}")
     if num_tags > len(battery):
         raise ValueError(f"num_tags must be at most {len(battery)}, got {num_tags!r}")
-    harvested = slot_harvest(incident_w, config)
     tag_required = turn_on_energy(NodeKind.BACKSCATTER, config)[0]
     radio_required, overhead = turn_on_energy(NodeKind.TRADITIONAL, config)
     active_s, pa_efficiency = config.active_s, config.pa_efficiency

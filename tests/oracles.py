@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 
 from backsim.channel import dbm_to_watts, friis_gain
-from backsim.dyadic import _CHUNK, _ONE_DIVISION_MAX, _UNIFORM_GAMMA_MAX
+from backsim.dyadic import _CHUNK, _GAIN_FLOOR, _UNIFORM_GAMMA_MAX
 from backsim.energymodel import slot_harvest, slot_stepper
 from backsim.mac import aggregate_interference
 from backsim.netsim import _KINDS, _padded_gains, _run_kinds
@@ -406,32 +406,18 @@ def dual_branch_equal_ber(snr_mean):
 def conditional_ber(beta):
     """BPSK error probability given the (n, L) per-antenna branch means ``beta``.
 
-    One branch b gives f(b) = 0.5 / ((1 + b) + sqrt(b (1 + b))) while the
-    largest b of ``beta`` (one block) is below the simulator's
-    ``_ONE_DIVISION_MAX``, and f(b) = 0.5 / ((1 + b)(1 + m)) with
-    m = sqrt(b / (1 + b)) otherwise. Two branches b1, b2 give
-    2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)): while every b of the block is
-    positive and below that bound as 0.5 (s + p) / (s D (1 + s + p)) with
-    s = m1 + m2, p = m1 m2 and D = (1 + b1)(1 + b2), and otherwise with the
-    second form of f and m1 + m2 floored at 1e-300 for b1 = b2 = 0; in the
-    simulator's order, one fresh array per operation.
+    One branch b gives f(b) = 0.5 / ((1 + b) + sqrt(b (1 + b))). Two branches
+    b1, b2 give 2 f(b1) f(b2) (1 + m1 m2 / (m1 + m2)) with m = sqrt(b / (1 + b)),
+    as 0.5 (s + p) / (s D (1 + s + p)) with s = m1 + m2, p = m1 m2 and
+    D = (1 + b1)(1 + b2); in the simulator's order, one fresh array per operation.
     """
     b1 = beta[:, 0]
-    below = beta.max() < _ONE_DIVISION_MAX
-    if beta.shape[1] == 1 and below:
-        return 0.5 / ((1.0 + b1) + np.sqrt(b1 * (1.0 + b1)))
-    m1 = np.sqrt(b1 / (1.0 + b1))
     if beta.shape[1] == 1:
-        return 0.5 / ((1.0 + b1) * (1.0 + m1))
+        return 0.5 / ((1.0 + b1) + np.sqrt(b1 * (1.0 + b1)))
     b2 = beta[:, 1]
-    m2 = np.sqrt(b2 / (1.0 + b2))
-    if below and beta.min() > 0.0:
-        s, p = m1 + m2, m1 * m2
-        return 0.5 * ((s + p) / ((1.0 + b1) * (1.0 + b2) * s * (1.0 + (s + p))))
-    d1 = (1.0 + b1) * (1.0 + m1)
-    d2 = (1.0 + b2) * (1.0 + m2)
-    x = (m1 * m2) / np.maximum(m1 + m2, 1e-300)
-    return 0.5 * ((1.0 + x) / d1 / d2)
+    m1, m2 = np.sqrt(b1 / (1.0 + b1)), np.sqrt(b2 / (1.0 + b2))
+    s, p = m1 + m2, m1 * m2
+    return 0.5 * ((s + p) / ((1.0 + b1) * (1.0 + b2) * s * (1.0 + (s + p))))
 
 
 def conditional_dyadic_curve(num_tag_antennas, num_reader_rx, snr_db_grid, trials, rng):
@@ -441,7 +427,8 @@ def conditional_dyadic_curve(num_tag_antennas, num_reader_rx, snr_db_grid, trial
     ``_CHUNK`` trials from the simulator's stream: up to
     ``_UNIFORM_GAMMA_MAX`` receive antennas -log((1 - U_1) ... (1 - U_M))
     over each gain's M consecutive uniforms, multiplied left to right, and
-    ``rng.gamma`` above. It scales the block by each grid SNR and sums
+    ``rng.gamma`` above, each gain raised to at least the simulator's
+    ``_GAIN_FLOOR``. It scales the block by each grid SNR and sums
     ``conditional_ber`` and its square per block, so the BER sums group as
     the simulator's do.
     """
@@ -455,6 +442,7 @@ def conditional_dyadic_curve(num_tag_antennas, num_reader_rx, snr_db_grid, trial
         else:
             factors = 1.0 - rng.random((*shape, num_reader_rx))
             gains = -np.log(functools.reduce(np.multiply, np.moveaxis(factors, -1, 0)))
+        gains = np.maximum(gains, _GAIN_FLOOR)
         for i, snr_db in enumerate(grid):
             vals = conditional_ber(10.0 ** (snr_db / 10.0) * gains)
             total[i] += vals.sum()

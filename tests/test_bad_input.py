@@ -20,7 +20,7 @@ from backsim import (ScenarioConfig, bpsk_ber, channel, count_interference_compo
                      dbm_to_watts, derive_stream, duty_cycle_harvest, dyadic, energy_rate_frontier,
                      energymodel, friis_gain, mac, netsim, phylink, q_function, run_comparison,
                      scenario, simulate_dyadic_ber, th_ss_assign, th_ss_collision_probability)
-from backsim.energymodel import slot_harvest, slot_stepper
+from backsim.energymodel import NodeKind, slot_harvest, slot_stepper, turn_on_energy
 from backsim.mac import th_ss_collision_rate_mc
 from backsim.scenario import PURPOSE_FADING, PURPOSE_MAC, place_topologies
 
@@ -39,6 +39,7 @@ VALID = {
     slot_harvest: {"incident_w": np.array([1e-3]), "config": CONFIG},
     slot_stepper: {"battery": np.zeros(3), "incident_w": np.array([1e-3, 1e-3, 0.0]),
                    "num_tags": 1, "config": CONFIG},
+    turn_on_energy: {"kind": NodeKind.BACKSCATTER, "config": CONFIG},
     simulate_dyadic_ber: {"num_tag_antennas": 1, "num_reader_tx": 1, "num_reader_rx": 1,
                           "snr_db_grid": [10.0], "trials": 100_000,
                           "rng": derive_stream(1, 0, PURPOSE_FADING)},
@@ -112,8 +113,9 @@ ARGUMENTS = [
     (slot_stepper, "incident_w", "real numbers in [0.0, inf)",
      ARRAY | {"negative": np.array([1e-3, -1e-9, 0.0])}),
     # 3075 dB gave a NaN BER and 4000 dB an OverflowError
-    (simulate_dyadic_ber, "snr_db_grid", "a sequence of real numbers in (-inf, 3000.0]",
-     GRID | {"above-3000": [10.0, 3075.0], "overflow": [4000.0]}),
+    (simulate_dyadic_ber, "snr_db_grid", "a sequence of real numbers in [-1000.0, 1000.0]",
+     GRID | {"above-1000": [10.0, 1000.5], "below-minus-1000": [-1000.5],
+             "above-3000": [10.0, 3075.0], "overflow": [4000.0]}),
     *[_config_row(f.name) for f in fields(ScenarioConfig) if f.type is float],
     (ScenarioConfig, "pb_power_dbm_sweep", "a sequence of real numbers in (-inf, inf)", GRID),
 ]
@@ -145,6 +147,11 @@ ROWS = ARGUMENTS + [(func, name, f"an integer of at least {low}", _integers(low)
     (ScenarioConfig, "seed", "an unsigned 64-bit integer", {"2**64": 2**64}),
     # the three entries of VALID's battery; -1, True and 4 ran silently
     (slot_stepper, "num_tags", "at most 3", {"above-entries": 4}),
+    # checked once, by name, rather than by numpy at the first step()
+    (slot_stepper, "battery", "a float64 array of shape (3,)",
+     {"bool": True, "int64": np.zeros(3, dtype=np.int64), "two-entries": np.zeros(2),
+      "column": np.zeros((3, 1))}),
+    (turn_on_energy, "kind", "'backscatter' or 'traditional'", {"bool": True, "relay": "relay"}),
 ]
 
 
@@ -167,8 +174,8 @@ UNCHECKED = {
     "rng": "a numpy Generator, drawn from as it is",
     "config": "a ScenarioConfig, checked once when it is made",
     "path": "a config file, whose values load_config hands to ScenarioConfig",
-    "kind": "a NodeKind, whose constructor rejects any other value",
-    "battery": "the caller's buffer, stepped in place and checked after every slot",
+    # its dtype and shape have rows
+    "battery": "the caller's buffer, whose values are checked after every slot",
     "slots": "sub-slot indices, which co_slot_mask only compares",
     "with_stderr": "a flag, read for its truth",
     # aggregate_interference is fig3's per-slot product: a check would run every slot

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from backsim import dyadic
-from backsim.dyadic import (_CHUNK, _ONE_DIVISION_MAX, _UNIFORM_GAMMA_MAX, _conditional_bers,
+from backsim.dyadic import (_CHUNK, _GAIN_FLOOR, _UNIFORM_GAMMA_MAX, _conditional_bers,
                             _draw_gains, simulate_dyadic_ber)
 from backsim.scenario import PURPOSE_FADING, derive_stream
 from oracles import (_complex_normal, bit_level_dyadic_ber, conditional_ber,
@@ -38,12 +38,13 @@ def double_rayleigh_oracle(snr_db, num_rx):
 
 def branch_oracle(*means):
     """E[Q(sqrt(2 x))] for x the sum of exponentials of one or two means (floats),
-    in mpmath at 50 digits. One mean b gives the Rayleigh form
-    P(b) = 1 / (2 ((1 + b) + sqrt(b (1 + b)))); two give partial fractions
-    (b1 P(b1) - b2 P(b2)) / (b1 - b2), and at b1 = b2 their limit, the
-    dual-branch formula. The difference loses up to 24 digits on the test rows
-    (near-equal means of 3e17)."""
-    with mpmath.workdps(50):
+    in mpmath at 50 digits plus one per decade of the largest mean above 1.
+    One mean b gives the Rayleigh form P(b) = 1 / (2 ((1 + b) + sqrt(b (1 + b))));
+    two give partial fractions (b1 P(b1) - b2 P(b2)) / (b1 - b2), and at
+    b1 = b2 their limit, the dual-branch formula. At a gap of 1e-6 of the
+    means the difference loses about 7 digits plus one per decade of b (24 at
+    3e17, 121 at 1e114)."""
+    with mpmath.workdps(50 + max(0, math.ceil(math.log10(max(means))))):
         b = [mpmath.mpf(mean) for mean in means]
 
         def rayleigh(b):
@@ -80,13 +81,9 @@ def kernel_bers(gains, snrs):
     return [0.5 * vals for vals in _conditional_bers(gains.T, snrs, work)]
 
 
-def zero_split(rows):
-    """(n, 2) ``rows`` as two blocks: the rows without a zero gain and those
-    with one. A block is one kernel call, and a zero mean sends the whole
-    block to the two-antenna fallback, so the first block is the one that
-    reaches the one-division form."""
-    zero = (rows == 0.0).any(axis=1)
-    return rows[~zero], rows[zero]
+def floored(gains):
+    """``gains`` as a draw returns them, raised to at least ``_GAIN_FLOOR``."""
+    return np.maximum(gains, _GAIN_FLOOR)
 
 
 def near_bound_rows(snr, base):
@@ -102,20 +99,6 @@ def near_bound_rows(snr, base):
             for _ in range(11):
                 rows.append((g1, g2))
                 g2 = np.nextafter(g2, math.inf)
-    return rows
-
-
-def floor_rows(snr):
-    """Tiny gain pairs whose scaled means fall under 1e-300, some subnormal,
-    with gaps up to 1e-306 that are large relative to the means."""
-    rows = [(1e-300, 1e-300), (1e-300, 0.0), (2e-300, 1.5e-300), (1e-310, 0.0)]
-    for gap in (1e-306, 2e-306):
-        g = gap / snr
-        for _ in range(3):
-            g = np.nextafter(g, 0.0)
-        for _ in range(7):
-            rows.extend([(g, 0.0), (0.0, g), (g, g / 3.0)])
-            g = np.nextafter(g, math.inf)
     return rows
 
 
@@ -227,19 +210,23 @@ class TestSimulate:
             simulate_dyadic_ber(ell, 2, 2, grid, 100_000, derive_stream(1, 0, PURPOSE_FADING))
 
     def test_grid_bound_runs(self):
-        # the largest accepted SNR: no overflow warning, a BER in [0, 0.5]
+        # the smallest and largest accepted SNRs, for both gain samplers: no
+        # floating-point warning, a BER in [0, 0.5]
         for ell in (1, 2):
-            [(_, ber)] = simulate_dyadic_ber(ell, 2, 8, [3000.0], 100_000,
-                                             derive_stream(1, 0, PURPOSE_FADING))
-            assert 0.0 <= ber <= 0.5
+            for m_r in (1, 2, 4, 5, 8):
+                with np.errstate(all="raise"):
+                    curve = simulate_dyadic_ber(ell, 2, m_r, [-1000.0, 1000.0], 100_000,
+                                                derive_stream(1, m_r, PURPOSE_FADING))
+                assert all(0.0 <= ber <= 0.5 for _, ber in curve)
 
     def test_largest_reader_rx_count_runs(self):
-        # the largest accepted count at the largest SNR: its Gamma gains, near
+        # the largest accepted count at the SNR bounds: its Gamma gains, near
         # the count, keep the conditional BER finite and free of warnings
         for ell in (1, 2):
-            [(_, ber)] = simulate_dyadic_ber(ell, 1, dyadic._READER_RX_MAX, [3000.0], 100_000,
-                                             derive_stream(1, 0, PURPOSE_FADING))
-            assert 0.0 <= ber <= 0.5
+            with np.errstate(all="raise"):
+                curve = simulate_dyadic_ber(ell, 1, dyadic._READER_RX_MAX, [-1000.0, 1000.0],
+                                            100_000, derive_stream(1, 0, PURPOSE_FADING))
+            assert all(0.0 <= ber <= 0.5 for _, ber in curve)
 
     def test_deterministic_given_seed(self):
         a = simulate_dyadic_ber(2, 2, 2, [10.0], 100_000, derive_stream(5, 0, PURPOSE_FADING))
@@ -296,22 +283,22 @@ class TestSimulate:
             assert peak < 2e6, f"peak allocation {peak} bytes with {m_r} receive antennas"
 
 
-# Equal and huge near-equal branch gains: partial fractions are 0/0 on the
-# first three and cancel to below zero on the huge ones at high SNR.
-EDGE_ROWS = [(3.0, 3.0), (1e-3, 1e-3), (0.0, 0.0), (1.0, 4.0)] + [
+# Equal, far-apart and huge near-equal branch gains: partial fractions are
+# 0/0 on the first three and cancel to below zero on the huge ones at high SNR.
+EDGE_ROWS = [(3.0, 3.0), (1e-3, 1e-3), (0.0, 0.0), (1.0, 4.0), (1e-8, 5.0), (0.37, 1e8)] + [
     (g, g * (1.0 + k * 1e-6)) for g in (1e12, 3e13, 1e14)
     for k in (1.5, 2.0, 3.0, 5.0, 10.0, 30.0)]
-# One branch: zero, tiny and huge means, past the 1.3e154 where a (1 + a)
-# overflows, and a grid between. Their largest mean is past
-# _ONE_DIVISION_MAX, so the kernel takes its two-division form on all of them.
-SINGLE_MEANS = [0.0, 1e-300, 1e154, 1e200, 1e300, *np.logspace(-8, 8, 33)]
-# One branch, every mean below _ONE_DIVISION_MAX: the one-division form,
-# up to a few ulps under the bound.
-BELOW_BOUND_MEANS = [0.0, 5e-324, 1e-300, 1e-150, *np.logspace(-8, 8, 33), 1e100, 1e149,
-                     *(_ONE_DIVISION_MAX * (1.0 - k * 2.0**-52) for k in (1, 2, 3, 8))]
-# One branch, a few ulps either side of the bound: the two-division form.
-STRADDLING_MEANS = [1e-300, 1.0, 1e149,
-                    *(_ONE_DIVISION_MAX * (1.0 + k * 2.0**-52) for k in (-4, -1, 0, 1, 4))]
+# The smallest gains a draw returns, the floor and the least nonzero one,
+# alone, together, beside 1 and a few ulps apart: at -1000 dB their means are
+# the smallest the kernel gets, near 1e-300.
+LEAST_GAIN = -math.log(1.0 - 2.0**-53)
+FLOOR_ROWS = [(0.0, 0.0), (_GAIN_FLOOR, 0.0), (_GAIN_FLOOR, 1.0), (LEAST_GAIN, _GAIN_FLOOR),
+              (LEAST_GAIN, LEAST_GAIN), (LEAST_GAIN, 1.0)] + [
+    (_GAIN_FLOOR, _GAIN_FLOOR * (1.0 + k * 2.0**-52)) for k in range(1, 8)]
+# One branch: zero, tiny and huge means up to the 1e108 bound of every
+# accepted SNR and gain, a grid between, and 1e149 and 1e150, under the
+# 1.34e154 where b (1 + b) overflows.
+SINGLE_MEANS = [0.0, 1e-300, 1e-150, *np.logspace(-8, 8, 33), 1e100, 1e108, 1e149, 1e150]
 
 
 class TestAgainstAllocatingReference:
@@ -337,107 +324,37 @@ class TestAgainstAllocatingReference:
             assert all(len(p) == 2 for p in curve)
 
     def test_near_equal_edge_rows(self):
-        # equal, near-equal and tiny branch means for two antennas, the rows
-        # with a zero mean in a block of their own so that the others take
-        # the one-division form, and three blocks of single means for one
-        # (past the one-division bound, below it, and straddling it), at SNRs
-        # below and above 1; each SNR's own edge rows are also checked
-        # against mpmath
-        snrs = [10.0 ** (snr_db / 10.0) for snr_db in (-3.0, 0.0, 10.0, 25.0, 27.5, 35.0)]
-        edges = {snr: near_bound_rows(snr, (0.37, 1.0, 5.3)) + floor_rows(snr) for snr in snrs}
-        rows = np.array(EDGE_ROWS + [row for snr in snrs for row in edges[snr]])
-        positive, zeros = zero_split(rows)
-        for gains in (positive, zeros):
-            for snr, out in zip(snrs, kernel_bers(gains, snrs)):
-                np.testing.assert_array_equal(out, conditional_ber(snr * gains))
+        # equal, near-equal and floor branch gains for two antennas, a zero
+        # gain raised to the draws' floor, and single means for one, at SNRs
+        # from the accepted -1000 dB to 1000 dB; each SNR's own edge rows are
+        # also checked against mpmath
+        snrs = [10.0 ** (snr_db / 10.0)
+                for snr_db in (-1000.0, -3.0, 0.0, 10.0, 25.0, 27.5, 35.0, 1000.0)]
+        edges = {snr: EDGE_ROWS + FLOOR_ROWS + near_bound_rows(snr, (0.37, 1.0, 5.3))
+                 for snr in snrs}
+        gains = floored(np.array([row for snr in snrs for row in edges[snr]]))
+        for snr, out in zip(snrs, kernel_bers(gains, snrs)):
+            np.testing.assert_array_equal(out, conditional_ber(snr * gains))
         for snr in snrs:
-            assert 0.0 < (snr * positive).min() and (snr * positive).max() < _ONE_DIVISION_MAX
-            singles = [np.array(means)[:, None] / snr
-                       for means in (SINGLE_MEANS, BELOW_BOUND_MEANS, STRADDLING_MEANS)]
-            for single in singles:
-                np.testing.assert_array_equal(kernel_bers(single, [snr])[0],
-                                              conditional_ber(snr * single))
-            for rows in (*zero_split(np.array(EDGE_ROWS + edges[snr])), *singles):
+            single = floored(np.array(SINGLE_MEANS)[:, None] / snr)
+            np.testing.assert_array_equal(kernel_bers(single, [snr])[0],
+                                          conditional_ber(snr * single))
+            for rows in (floored(np.array(edges[snr])), single):
                 worst, where = worst_error_against_oracle(rows, snr)
                 assert worst <= 4e-15, f"relative error {worst:.2e} at means {where}"
-
-    def test_one_division_bound_selects_the_form(self):
-        # the kernel takes the one-division form exactly when snr times the
-        # block's largest gain is below the bound; at and past it, where
-        # b (1 + b) overflows from about 1.34e154, the two-division form
-        def forms(b):
-            one = 0.5 / ((1.0 + b) + np.sqrt(b * (1.0 + b)))
-            m = np.sqrt(b / (1.0 + b))
-            return one, 0.5 / ((1.0 + b) * (1.0 + m))
-
-        below = np.array(BELOW_BOUND_MEANS)
-        assert below.max() < _ONE_DIVISION_MAX
-        [out] = kernel_bers(below[:, None], [1.0])
-        np.testing.assert_array_equal(out, forms(below)[0])
-        # some of these means tell the forms apart, so the selection shows
-        assert not np.array_equal(*forms(below))
-        at = np.append(below, _ONE_DIVISION_MAX)
-        past = np.array(STRADDLING_MEANS + [1e300])
-        for means in (at, past):
-            with np.errstate(all="raise"):  # past the bound nothing overflows
-                [out] = kernel_bers(means[:, None], [1.0])
-            with np.errstate(over="ignore"):
-                np.testing.assert_array_equal(out, forms(means)[1])
-
-    def test_two_antenna_gate_selects_the_form(self):
-        # two antennas take the one-division form exactly when every mean of
-        # the block is positive and below the bound; a block with one zero
-        # mean, one whose smallest mean underflows to 0, and one with a mean
-        # at or past the bound take the fallback
-        def forms(b):
-            (b1, b2), (m1, m2) = b.T, np.sqrt(b / (1.0 + b)).T
-            s, p = m1 + m2, m1 * m2
-            one = 0.5 * ((s + p) / ((1.0 + b1) * (1.0 + b2) * s * (1.0 + (s + p))))
-            x = p / np.maximum(s, 1e-300)
-            return one, 0.5 * ((1.0 + x) / ((1.0 + b1) * (1.0 + m1)) / ((1.0 + b2) * (1.0 + m2)))
-
-        # means from 1e-8 to 1e8 (so that they also divide by a tiny SNR) and
-        # tiny ones; on some of them the forms differ, so the selection shows
-        small = np.array([(3.0, 3.0), (1e-3, 1e-3), (1.0, 4.0), (1e-8, 5.0), (0.37, 1e8),
-                          (5e-324, 1.0), (2e-300, 1.5e-300)])
-        below = np.concatenate([small, [(1e12, 1e12 * (1.0 + 1.5e-6)), (1e149, 1e-300),
-                                        (_ONE_DIVISION_MAX * (1.0 - 2.0**-52), 2.0)]])
-        assert 0.0 < below.min() and below.max() < _ONE_DIVISION_MAX
-        [out] = kernel_bers(below, [1.0])
-        np.testing.assert_array_equal(out, forms(below)[0])
-        assert not np.array_equal(*forms(below))
-        tiny_snr = 1e-300  # 1e-30 times it underflows to 0
-        fallbacks = [(np.concatenate([below, [(0.0, 2.0)]]), 1.0),
-                     (np.concatenate([small / tiny_snr, [(1e-30, 1e300)]]), tiny_snr)]
-        for gains, snr in fallbacks:
-            means = snr * gains
-            assert (gains == 0.0).sum() <= 1 and means.min() == 0.0
-            assert not np.array_equal(*forms(means))
-            [out] = kernel_bers(gains, [snr])
-            np.testing.assert_array_equal(out, forms(means)[1])
-        at = np.concatenate([below, [(_ONE_DIVISION_MAX, 1.0)]])  # a mean exactly at it
-        past = np.concatenate([below, [(_ONE_DIVISION_MAX * (1.0 + 2.0**-52), 2.0),
-                                       (1e154, 1e150), (1e200, 3.0)]])
-        for means in (at, past):
-            with np.errstate(all="raise"):  # past the bound nothing overflows
-                [out] = kernel_bers(means, [1.0])
-            with np.errstate(over="ignore"):
-                assert not np.array_equal(*forms(means))
-                np.testing.assert_array_equal(out, forms(means)[1])
 
 
 class TestAgainstMpmath:
     def test_rows_match_partial_fractions(self):
         # Gamma(2) and Gamma(8) branch gains, as two and eight receive antennas
-        # draw them, and the fixed edge rows, against partial fractions at 50
-        # digits; the rows with a zero gain form a block of their own
+        # draw them, and the fixed edge rows, a zero gain raised to the
+        # draws' floor, against partial fractions at 50 digits
         rng = derive_stream(17, 0, PURPOSE_FADING)
-        gains = np.concatenate([rng.gamma(2, size=(200, 2)), rng.gamma(8, size=(200, 2)),
-                                np.array(EDGE_ROWS)])
+        gains = floored(np.concatenate([rng.gamma(2, size=(200, 2)), rng.gamma(8, size=(200, 2)),
+                                        np.array(EDGE_ROWS + FLOOR_ROWS)]))
         for snr_db in (0.0, 10.0, 25.0, 35.0):
-            for block in zero_split(gains):
-                worst, where = worst_error_against_oracle(block, 10.0 ** (snr_db / 10.0))
-                assert worst <= 4e-15, f"relative error {worst:.2e} at {snr_db} dB, means {where}"
+            worst, where = worst_error_against_oracle(gains, 10.0 ** (snr_db / 10.0))
+            assert worst <= 4e-15, f"relative error {worst:.2e} at {snr_db} dB, means {where}"
 
 
 def gamma_cdf(x, m):
@@ -493,9 +410,10 @@ class TestUniformGammaDraws:
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_zero_uniforms_give_zero_gain(self, ell):
-        # every factor 1 - 0 = 1: the gain is +0, and the error rate 1/2
+        # every factor 1 - 0 = 1: the gain of 0 is raised to the floor,
+        # exactly, and the error rate is 1/2
         gains = _draw_gains(FilledRng(0.0), 2, np.empty((ell, 100)), np.empty((5, 100)))
-        assert np.all(gains == 0.0) and not np.signbit(gains).any()
+        assert np.all(gains == _GAIN_FLOOR) and _GAIN_FLOOR == 1e-200
         curve = simulate_dyadic_ber(ell, 2, 2, [0.0, 40.0], 100_000, FilledRng(0.0))
         assert [ber for _, ber in curve] == [0.5, 0.5]
 
