@@ -27,12 +27,13 @@ def _is_number(value, kind):
     return not isinstance(value, bool) and isinstance(value, kind)
 
 
-def _check_integers(low, **values):
+def _check_integers(low, high=math.inf, **values):
     """Raise ValueError naming the first of ``values`` that is not an integer
-    of at least ``low``: numpy integers count, bools do not."""
+    in [``low``, ``high``]: numpy integers count, bools do not."""
     for name, value in values.items():
-        if not (_is_number(value, numbers.Integral) and value >= low):
-            raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        if not (_is_number(value, numbers.Integral) and low <= value <= high):
+            rule = f"of at least {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
 
 
 def _check_reals(name, value, low=-math.inf, high=math.inf, *, above=False, inf=False,

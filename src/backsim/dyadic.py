@@ -49,14 +49,11 @@ def _draw_gains(rng, m, out, work):
     A factor is at least 2^-53, so the product is at least 2^-212 and its log
     is finite; a gain is exactly 0, raised to ``_GAIN_FLOOR``, or at least
     1.1e-16. Larger m draws numpy's ``standard_gamma``, the ``rng.gamma(m)``
-    stream, for L > 1 into a trial-major scratch in ``work``, copied out
-    transposed and floored. For L = 1 it needs no floor: the sampler returns
-    (m - 1/3) V^3 for a positive V = 1 + cX of doubles, at least 2^-106.
+    stream, into a trial-major scratch in ``work``, copied out transposed and
+    floored.
     """
     ell, n = out.shape
     if m > _UNIFORM_GAMMA_MAX:
-        if ell == 1:
-            return rng.standard_gamma(m, size=out.shape, out=out)
         stream = work.reshape(-1)[:out.size].reshape(n, ell)
         rng.standard_gamma(m, size=stream.shape, out=stream)
         return np.maximum(stream.T, _GAIN_FLOOR, out=out)
@@ -147,13 +144,10 @@ def simulate_dyadic_ber(num_tag_antennas, num_reader_tx, num_reader_rx, snr_db_g
     the conditional BER is finite for every gain a draw returns. Returns a list
     of (snr_db, ber) tuples, or (snr_db, ber, stderr) when ``with_stderr`` is set.
     """
-    _check_integers(1, num_tag_antennas=num_tag_antennas, num_reader_tx=num_reader_tx,
-                    num_reader_rx=num_reader_rx)
+    _check_integers(1, 2, num_tag_antennas=num_tag_antennas)
+    _check_integers(1, num_reader_tx=num_reader_tx)
+    _check_integers(1, _READER_RX_MAX, num_reader_rx=num_reader_rx)
     _check_integers(10**5, trials=trials)  # fewer give no meaningful estimate
-    if num_tag_antennas > 2:
-        raise ValueError(f"num_tag_antennas must be 1 or 2, got {num_tag_antennas!r}")
-    if num_reader_rx > _READER_RX_MAX:
-        raise ValueError(f"num_reader_rx must be at most {_READER_RX_MAX}, got {num_reader_rx!r}")
     grid = _check_reals("snr_db_grid", snr_db_grid, -1000.0, 1000.0, ndim=1).tolist()
 
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]

@@ -65,12 +65,13 @@ def slot_stepper(battery, incident_w, num_tags, config):
     for empty batteries) and the stepper updates it in place. Along axis 0, the
     first ``num_tags`` entries are tags and the rest radios: ``num_tags`` is an
     integer from 0 to ``len(battery)``, or ValueError is raised, as it is for
-    a ``battery`` that is not a float64 array shaped like ``incident_w``. Entries are
-    nodes in a one-axis array but whole populations in a multi-axis one, which
-    is therefore all one kind unless ``num_tags`` splits axis 0. ``incident_w``
-    is the carrier power reaching each entry, shaped like ``battery`` and fixed
-    for the stepper's life, so its check, the per-slot harvest and each entry's
-    requirement are computed here once. Each call of the returned ``step()``
+    an ``incident_w`` without an axis and a ``battery`` that is not a float64
+    array shaped like it. Entries are nodes in a one-axis array but whole
+    populations in a multi-axis one, which is therefore all one kind unless
+    ``num_tags`` splits axis 0. ``incident_w`` is the carrier power reaching
+    each entry, shaped like ``battery`` and fixed for the stepper's life, so its
+    check, the per-slot harvest and each entry's requirement are computed here
+    once. Each call of the returned ``step()``
     advances every entry one slot: each harvests, activates iff its battery
     covers its requirement, and pays for the slot. The harvest and activation
     run on the whole array, the payment and the emission on each kind's slice.
@@ -79,14 +80,14 @@ def slot_stepper(battery, incident_w, num_tags, config):
     active radio, +0.0 for a silent entry) and the energy each entry paid in the
     slot. All three are buffers that the next ``step()`` overwrites.
     """
-    _check_integers(0, num_tags=num_tags)
     harvested = slot_harvest(incident_w, config)
+    if harvested.ndim == 0:
+        raise ValueError(f"incident_w must be an array of at least one axis, got {incident_w!r}")
     if not (isinstance(battery, np.ndarray) and battery.dtype == np.float64
             and battery.shape == harvested.shape):
         raise ValueError(f"battery must be a float64 array of shape {harvested.shape}, "
                          f"got {battery!r}")
-    if num_tags > len(battery):
-        raise ValueError(f"num_tags must be at most {len(battery)}, got {num_tags!r}")
+    _check_integers(0, len(battery), num_tags=num_tags)
     tag_required = turn_on_energy(NodeKind.BACKSCATTER, config)[0]
     radio_required, overhead = turn_on_energy(NodeKind.TRADITIONAL, config)
     active_s, pa_efficiency = config.active_s, config.pa_efficiency

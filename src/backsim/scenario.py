@@ -64,7 +64,8 @@ class ScenarioConfig:
 
     def validate(self):
         _check_integers(1, num_slots=self.num_slots)
-        _check_integers(0, warmup_slots=self.warmup_slots, seed=self.seed)
+        _check_integers(0, self.num_slots - 1, warmup_slots=self.warmup_slots)
+        _check_integers(0, 2**64 - 1, seed=self.seed)
         # a dBm level may be negative; every other float is a magnitude, and
         # an efficiency is at most 1
         for f in fields(self):
@@ -73,6 +74,7 @@ class ScenarioConfig:
                              -math.inf if f.name.endswith("_dbm") else 0.0,
                              1.0 if f.name.endswith("_efficiency") else math.inf, above=True)
         _check_reals("pb_power_dbm_sweep", self.pb_power_dbm_sweep, ndim=1)
+        _check_integers(1, **{"the length of pb_power_dbm_sweep": len(self.pb_power_dbm_sweep)})
         # the engine divides by the noise power and scales by the beacon power,
         # so both must also be finite in watts; an overflow to inf is rejected
         # below instead of warning here
@@ -81,14 +83,8 @@ class ScenarioConfig:
             sweep_w = dbm_to_watts(self.pb_power_dbm_sweep)
         _check_reals("noise_dbm in watts", noise_w, 0.0, above=True)
         _check_reals("pb_power_dbm_sweep in watts", sweep_w, ndim=1)
-        if self.min_pb_distance_m >= self.region_radius:
-            raise ValueError("min_pb_distance_m must be smaller than region_radius")
-        if not self.pb_power_dbm_sweep:
-            raise ValueError("pb_power_dbm_sweep must not be empty")
-        if self.warmup_slots >= self.num_slots:
-            raise ValueError("warmup_slots must be smaller than num_slots")
-        if self.seed >= 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_reals("region_radius above min_pb_distance_m", self.region_radius,
+                     self.min_pb_distance_m, above=True)
         # placement and friis_gain square these, divide by them or draw from them
         lam2 = self.wavelength_m * self.wavelength_m
         _check_reals("carrier_hz's wavelength squared", lam2, np.finfo(float).tiny)
@@ -96,18 +92,15 @@ class ScenarioConfig:
             count = self.expected_node_count
         except OverflowError:  # region_radius ** 2
             count = math.inf
-        if not 0.0 < count <= 1e18:  # numpy's Poisson draw takes means up to about 9.2e18
-            raise ValueError(f"node_density and the annulus of region_radius and "
-                             f"min_pb_distance_m must give more than 0 and at most 1e18 "
-                             f"expected nodes, got {count}")
+        # numpy's Poisson draw takes means up to about 9.2e18
+        _check_reals("the expected node count of node_density, region_radius and "
+                     "min_pb_distance_m", count, 0.0, 1e18, above=True)
         span = 2.0 * self.region_radius + self.rx_distance_m  # farthest node to receiver
-        if not math.isfinite(span * span * lam2):
-            raise ValueError(f"region_radius and rx_distance_m must keep the squared path "
-                             f"length finite in wavelengths, got a span of {span} m")
-        if not self.rx_distance_m > math.ulp(self.region_radius):
-            raise ValueError(f"rx_distance_m must exceed the float spacing at region_radius "
-                             f"({math.ulp(self.region_radius)} m), or a receiver can round "
-                             f"onto its node, got {self.rx_distance_m}")
+        _check_reals("the squared longest path of region_radius and rx_distance_m times "
+                     "the squared wavelength", span * span * lam2)
+        # or a receiver can round onto its node
+        _check_reals("rx_distance_m above the float spacing at region_radius",
+                     self.rx_distance_m, math.ulp(self.region_radius), above=True)
         # slot_stepper scales harvest_s and active_s into energies and
         # powers, which must stay finite: the energy stored over the run, and
         # the largest amplifier output. That output counts the traditional
@@ -119,26 +112,21 @@ class ScenarioConfig:
                       * self.num_slots)
         except OverflowError:  # num_slots beyond a float
             stored = math.inf
-        if not math.isfinite(stored):
-            raise ValueError(f"pb_power_dbm_sweep, harvest_efficiency, harvest_ms and num_slots "
-                             f"must keep the energy stored over the run finite, got {stored} J")
+        _check_reals("the energy stored over the run of pb_power_dbm_sweep, harvest_efficiency, "
+                     "harvest_ms and num_slots", stored)
         required = turn_on_energy(NodeKind.TRADITIONAL, self)[0]
         amplified = (self.pa_efficiency * (stored + required) / self.active_s
                      if self.active_s > 0.0 else math.inf)
-        if not math.isfinite(amplified):
-            raise ValueError(f"active_ms, pa_efficiency and the activation requirement of "
-                             f"sense_energy_j, digital_circuit_w, mixer_w, dac_w and noise_dbm "
-                             f"must keep the largest amplifier output finite, got {amplified} W "
-                             f"from {stored} J stored and {required} J required")
+        _check_reals("the largest amplifier output of active_ms, pa_efficiency and the "
+                     "activation requirement of sense_energy_j, digital_circuit_w, mixer_w, "
+                     "dac_w and noise_dbm", amplified)
         # a link's SINR is its received power over interference plus noise, and
         # no node emits more than the top beacon power (a reflecting tag) or the
         # largest amplifier output (a traditional radio); with gains at most 1,
         # a finite quotient by the noise keeps every SINR finite
         emitted = max(float(sweep_w.max()), amplified)
-        if not math.isfinite(emitted / noise_w):
-            raise ValueError(f"pb_power_dbm_sweep and noise_dbm must keep the largest emitted "
-                             f"power over the noise power finite, got {emitted} W over "
-                             f"{noise_w} W")
+        _check_reals("the largest emitted power over the noise power of pb_power_dbm_sweep "
+                     "and noise_dbm", emitted / noise_w)
         return self
 
     # Derived quantities -------------------------------------------------

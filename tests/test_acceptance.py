@@ -2,12 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion. The network-comparison experiment (criteria 1-3) runs once at
-its full size (seed 42, 200 topology draws, default sweep) and is shared.
+its full size (seed 42, 200 topology draws, default sweep) and is shared,
+also with the check of the numbers README quotes from it.
 """
 
 import hashlib
 import math
+import re
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
@@ -17,7 +20,7 @@ import pytest
 from backsim.channel import dbm_to_watts, friis_gain
 from backsim.cli import parse_args, run as cli_run
 from backsim.dyadic import simulate_dyadic_ber
-from backsim.energymodel import duty_cycle_harvest
+from backsim.energymodel import duty_cycle_harvest, turn_on_energy
 from backsim.mac import (count_interference_components,
                          th_ss_collision_probability, th_ss_collision_rate_mc)
 from backsim.netsim import run_comparison
@@ -98,6 +101,31 @@ def test_criterion_03_active_fraction_trend(fig3):
     ok = monotone and 5.0 <= gap30 <= 40.0 and 40.0 <= gap40 <= 100.0
     _report(3, "active-node percentage trend", ok,
             f"(gap 30 dBm = {gap30:.1f} pts, gap 40 dBm = {gap40:.1f} pts)")
+
+
+def _sci(value, digits):
+    """``value`` as README prints it: 1.38e-4, not 1.38e-04."""
+    return re.sub(r"e([+-])0*(\d)", r"e\1\2", f"{value:.{digits}e}")
+
+
+def test_readme_model_notes_numbers(fig3):
+    """The thresholds, their ratio, shift and DAC-and-mixer share, and the fig3b
+    active fractions that README's "Model notes" quotes are what the code gives."""
+    config, table, _ = fig3
+    radio = turn_on_energy(NodeKind.TRADITIONAL, config)[0]
+    tag = turn_on_energy(NodeKind.BACKSCATTER, config)[0]
+    share = (config.dac_w + config.mixer_w) * config.active_s / radio
+    active = {(pb, kind): row.active_fraction for (pb, kind), row in table.items()}
+    low_tag, low_radio = (_sci(active[key], 2) for key in [(10.0, NodeKind.BACKSCATTER),
+                                                          (25.0, NodeKind.TRADITIONAL)])
+    assert low_tag == low_radio  # README: "both read"
+    quoted = [f"{_sci(radio, 1)} J", f"{_sci(tag, 1)} J", f"{radio / tag:.1f}×",
+              f"{10.0 * math.log10(radio / tag):.1f} dB", f"{100.0 * share:.0f} %",
+              f"at 25 dBm is {active[(25.0, NodeKind.BACKSCATTER)]:.3f}",
+              f"at 40 dBm is {active[(40.0, NodeKind.TRADITIONAL)]:.3f}", f"both read {low_tag}"]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    notes = " ".join(readme.split("\n## Model notes\n", 1)[1].split())
+    assert [text for text in quoted if text not in notes] == []
 
 
 def test_criterion_04_q_function_accuracy():

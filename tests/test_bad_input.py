@@ -2,16 +2,20 @@
 rejects a bool, a string, NaN and a value outside its bounds, an integer one
 also a fraction, a whole float and a numpy float, a real one an infinity it
 does not allow and an array of the wrong shape or dtype, with a ValueError
-whose message starts "<name> must be <rule>, got". A guard holds every
-public parameter to a row or to a stated reason for having none, and a
-numpy integer must act as the Python int of its value."""
+whose message starts "<name> must be <rule>, got". Guards hold every
+public parameter to a row, and every raise in the package to one of the
+two rules, or to a stated reason; a numpy integer must act as the Python
+int of its value."""
 
+import ast
 import copy
 import inspect
 import math
 import re
+from collections import Counter
 from dataclasses import fields
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,37 +124,45 @@ ARGUMENTS = [
     (ScenarioConfig, "pb_power_dbm_sweep", "a sequence of real numbers in (-inf, inf)", GRID),
 ]
 
-# (callable, integer argument, its bound, bad values besides _integers(bound))
+# (callable, integer argument, its bounds (low, high), bad values besides _integers(low));
+# the extra values leave its upper bound
+INF = math.inf
 INTEGERS = [
-    *[(derive_stream, name, 0, {}) for name in ("master_seed", "node_id", "purpose_tag")],
-    (place_topologies, "num_topologies", 1, {"negative": -1}),
-    (run_comparison, "num_topologies", 1, {}),
-    (th_ss_assign, "shape", 1, {"float-axis": (2, 2.5), "empty": (), "zero-axis": (3, 0)}),
-    (th_ss_assign, "frame_length", 1, {}),
-    *[(th_ss_collision_probability, name, 1, {}) for name in ("num_links", "frame_length")],
-    *[(th_ss_collision_rate_mc, name, 1, {}) for name in ("num_links", "frame_length", "trials")],
-    (count_interference_components, "num_links", 1, {}),
-    *[(simulate_dyadic_ber, name, 1, {})
-      for name in ("num_tag_antennas", "num_reader_tx", "num_reader_rx")],
-    (simulate_dyadic_ber, "trials", 10**5, {}),
-    (ScenarioConfig, "num_slots", 1, {}),
-    *[(ScenarioConfig, name, 0, {}) for name in ("warmup_slots", "seed")],
-    (slot_stepper, "num_tags", 0, {}),
+    *[(derive_stream, name, (0, INF), {}) for name in ("master_seed", "node_id", "purpose_tag")],
+    (place_topologies, "num_topologies", (1, INF), {"negative": -1}),
+    (run_comparison, "num_topologies", (1, INF), {}),
+    (th_ss_assign, "shape", (1, INF), {"float-axis": (2, 2.5), "empty": (), "zero-axis": (3, 0)}),
+    (th_ss_assign, "frame_length", (1, INF), {}),
+    *[(th_ss_collision_probability, name, (1, INF), {}) for name in ("num_links", "frame_length")],
+    *[(th_ss_collision_rate_mc, name, (1, INF), {})
+      for name in ("num_links", "frame_length", "trials")],
+    (count_interference_components, "num_links", (1, INF), {}),
+    (simulate_dyadic_ber, "num_tag_antennas", (1, 2), {"above-2": 3}),
+    (simulate_dyadic_ber, "num_reader_tx", (1, INF), {}),
+    # 10**8 receive antennas at 3000 dB warned of an overflow, 10**9 gave NaN
+    (simulate_dyadic_ber, "num_reader_rx", (1, 10**7), {"above-1e7": 10**7 + 1}),
+    (simulate_dyadic_ber, "trials", (10**5, INF), {}),
+    (ScenarioConfig, "num_slots", (1, INF), {}),
+    # below VALID's num_slots of 40
+    (ScenarioConfig, "warmup_slots", (0, 39), {"num_slots": 40}),
+    (ScenarioConfig, "seed", (0, 2**64 - 1), {"2**64": 2**64}),
+    # the three entries of VALID's battery; -1, True and 4 ran silently
+    (slot_stepper, "num_tags", (0, 3), {"above-entries": 4}),
 ]
 
-ROWS = ARGUMENTS + [(func, name, f"an integer of at least {low}", _integers(low) | extra)
-                    for func, name, low, extra in INTEGERS] + [
-    # upper bounds of integer arguments
-    (simulate_dyadic_ber, "num_tag_antennas", "1 or 2", {"above-2": 3}),
-    # 10**8 receive antennas at 3000 dB warned of an overflow, 10**9 gave NaN
-    (simulate_dyadic_ber, "num_reader_rx", "at most 10000000", {"above-1e7": 10**7 + 1}),
-    (ScenarioConfig, "seed", "an unsigned 64-bit integer", {"2**64": 2**64}),
-    # the three entries of VALID's battery; -1, True and 4 ran silently
-    (slot_stepper, "num_tags", "at most 3", {"above-entries": 4}),
-    # checked once, by name, rather than by numpy at the first step()
+
+def _integer_rule(low, high):
+    return f"an integer of at least {low}" if high == INF else f"an integer in [{low}, {high}]"
+
+
+ROWS = ARGUMENTS + [(func, name, _integer_rule(low, high), _integers(low) | extra)
+                    for func, name, (low, high), extra in INTEGERS] + [
+    # checked once, by name, rather than by numpy at the first step(); a 0-d
+    # incident_w with a 0-d battery once raised a TypeError naming neither
+    (slot_stepper, "incident_w", "an array of at least one axis", {"0-d": 1e-3}),
     (slot_stepper, "battery", "a float64 array of shape (3,)",
      {"bool": True, "int64": np.zeros(3, dtype=np.int64), "two-entries": np.zeros(2),
-      "column": np.zeros((3, 1))}),
+      "column": np.zeros((3, 1)), "0-d": np.zeros(())}),
     (turn_on_energy, "kind", "'backscatter' or 'traditional'", {"bool": True, "relay": "relay"}),
 ]
 
@@ -211,6 +223,39 @@ def test_every_public_parameter_has_rows_or_a_reason():
                     missing.append(f"{module.__name__}.{func.__name__}({name})")
     assert missing == []
     assert unchecked == set(UNCHECKED)  # no stale reason
+
+
+# the raise statements of src/backsim, by enclosing function: (how many, why)
+RAISES = {
+    "channel._check_integers": (1, "the integer rule"),
+    "channel._check_reals": (1, "the real-number rule"),
+    "cli._bounded_int.integer": (1, "--seed and --trials: argparse's usage error, status 2"),
+    "energymodel.turn_on_energy": (1, "kind: a NodeKind or its value, not a number"),
+    "energymodel.slot_stepper": (2, "incident_w's axes and battery's dtype and shape"),
+    "energymodel.slot_stepper.step": (1, "broken energy accounting, not a bad argument"),
+    "netsim._run_kinds.add_ber": (1, "interference summed while the sweep runs"),
+    "netsim._check_gain_memory": (1, "the host's physical memory, not a fixed bound"),
+    "scenario.load_config": (4, "the config file's syntax, before ScenarioConfig sees a value"),
+}
+
+
+def _raise_sites(node, scope):
+    """The dotted name of the function or class around each raise statement under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _raise_sites(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Raise):
+            yield scope
+        yield from _raise_sites(child, scope)
+
+
+def test_every_raise_is_a_rule_or_has_a_reason():
+    # a new bound must go through a rule, or add its raise here with a reason
+    package = Path(channel.__file__).parent
+    sites = Counter(site for path in package.glob("*.py")
+                    for site in _raise_sites(ast.parse(path.read_text()), path.stem))
+    assert sites == {site: count for site, (count, _) in RAISES.items()}
 
 
 def _outcome(func, name, value):

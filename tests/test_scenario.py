@@ -326,8 +326,12 @@ class TestConfigFile:
         assert load_config(path).harvest_s == pytest.approx(1e277)
         # longer still, the amplifier can store enough to overflow a lone link's SINR
         path.write_text("harvest_ms = 1e300\n")
-        with pytest.raises(ValueError, match="pb_power_dbm_sweep and noise_dbm"):
+        with pytest.raises(ValueError, match=re.escape(
+                "the largest emitted power over the noise power of pb_power_dbm_sweep and "
+                "noise_dbm must be a real number in (-inf, inf), got inf")):
             load_config(path)
         path.write_text("harvest_ms = 1e300\npb_power_dbm_sweep = 2000\n")
-        with pytest.raises(ValueError, match="harvest_ms.*energy stored over the run"):
+        with pytest.raises(ValueError, match=re.escape(
+                "the energy stored over the run of pb_power_dbm_sweep, harvest_efficiency, "
+                "harvest_ms and num_slots must be a real number in (-inf, inf), got inf")):
             load_config(path)
